@@ -3,11 +3,18 @@
 A grid cell is (measure template, soft variant, power, alpha); every cell
 is trained once per Monte Carlo iteration with deterministic seeds, so
 results are reproducible regardless of execution order or worker count.
+
+Models that share a config and differ only in their term weights train
+in lockstep as one stack (see ``network``): each minibatch runs one
+stacked forward, loss, backward and Adam step.  A grid trains each
+(iteration, template, variant) group of cells this way; a single model
+is a stack of one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -100,62 +107,99 @@ def _epoch_rngs(seed: int, epoch: int):
     return shuffle_rng, dropout_rng
 
 
-def train_model(dataset: EncodedDataset, split, config: TrainConfig):
-    """Train one model; returns (best state, RunResult).
+def _train_stack(dataset, split, config: TrainConfig, term_sets):
+    """Train one model per term tuple in lockstep; returns one outcome each.
 
-    Per epoch the training indices are reshuffled with a seed derived
-    from (config.seed, epoch); after each epoch the model is scored on
-    the validation split in eval mode and the highest-accuracy state
-    (earliest epoch on ties) is kept.  The RunResult is computed on the
-    test split with hard 0.5 thresholding.  A non-finite batch loss
-    aborts the run with DivergenceError.
+    All models share ``config`` apart from their terms, hence the init,
+    the shuffle order and the dropout masks.  Per epoch the training
+    indices are reshuffled with a seed derived from (config.seed, epoch);
+    after each epoch every model is scored on the validation split in
+    eval mode and its highest-accuracy state (earliest epoch on ties) is
+    kept.  An outcome is (best state, best epoch, trace), or the
+    DivergenceError of a model whose batch loss went non-finite: that
+    model leaves the stack and the others train on.
     """
-    train_idx, val_idx, test_idx = (np.asarray(ix, dtype=np.int64) for ix in split)
-    state = init(config.network)
+    train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
+    state = init(config.network, models=len(term_sets))
     adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                      eps=config.adam_eps)
     X, Y, A = dataset.X, dataset.Y, dataset.A
+    X_val, Y_val = X[val_idx], Y[val_idx]
 
-    best_acc, best_epoch, best_state = -1.0, 0, state.copy()
-    trace = []
+    live = list(range(len(term_sets)))  # stack position -> model index
+    live_terms = list(term_sets)
+    diverged = {}  # model index -> DivergenceError
+    best = [(-1.0, 0, None)] * len(term_sets)  # (val accuracy, epoch, state)
+    traces = [[] for _ in term_sets]
     for epoch in range(1, config.epochs + 1):
         shuffle_rng, dropout_rng = _epoch_rngs(config.seed, epoch)
         order = shuffle_rng.permutation(train_idx)
-        epoch_losses = []
+        epoch_losses = [[] for _ in term_sets]
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             probs, cache = forward(state, X[batch], mode="train", rng=dropout_rng)
-            value, dprobs = combined_loss_and_gradient(
-                config.terms, probs, Y[batch], A[batch], config.denominator_mode
+            values, dprobs = combined_loss_and_gradient(
+                live_terms, probs, Y[batch], A[batch], config.denominator_mode
             )
-            if not np.isfinite(value.total):
-                raise DivergenceError(epoch, batch=start // config.batch_size)
+            keep = []
+            for pos, (i, value) in enumerate(zip(live, values)):
+                if math.isfinite(value.total):
+                    keep.append(pos)
+                    epoch_losses[i].append(value.total)
+                else:
+                    diverged[i] = DivergenceError(epoch, batch=start // config.batch_size)
+            if not keep:
+                return [diverged[i] for i in range(len(term_sets))]
             grads = backward(state, cache, dprobs)
             adam_step(state, adam, grads)
-            epoch_losses.append(value.total)
-        if val_idx.size:
-            val_probs, _ = forward(state, X[val_idx], mode="eval")
-            val_acc = float(np.mean((val_probs >= 0.5).astype(np.int64) == Y[val_idx]))
-        else:
-            val_acc = float("nan")
-        if val_idx.size == 0 or val_acc > best_acc:
-            best_acc, best_epoch, best_state = val_acc, epoch, state.copy()
-        if config.keep_trace:
-            trace.append(
-                {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_accuracy": val_acc}
-            )
+            if len(keep) < len(live):  # drop diverged models; slices never mix
+                state, adam = state[keep], adam[keep]
+                live = [live[pos] for pos in keep]
+                live_terms = [live_terms[pos] for pos in keep]
+        for pos, i in enumerate(live):
+            model = state[pos]
+            if val_idx.size:
+                val_probs, _ = forward(model, X_val, mode="eval")
+                val_acc = float(np.mean((val_probs >= 0.5).astype(np.int64) == Y_val))
+            else:
+                val_acc = float("nan")
+            if val_idx.size == 0 or val_acc > best[i][0]:
+                best[i] = (val_acc, epoch, model.copy())
+            if config.keep_trace:
+                traces[i].append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses[i])),
+                                  "val_accuracy": val_acc})
+    return [diverged[i] if i in diverged else (best[i][2], best[i][1], tuple(traces[i]))
+            for i in range(len(term_sets))]
 
-    frag = evaluate(best_state, dataset, test_idx, config.terms, config.denominator_mode)
-    result = RunResult(
+
+def _test_result(outcome, dataset, split, terms, config: TrainConfig, iteration=0) -> RunResult:
+    """RunResult of a trained model's best state on the test split."""
+    best_state, best_epoch, trace = outcome
+    frag = evaluate(best_state, dataset, split[2], terms, config.denominator_mode)
+    return RunResult(
         accuracy=frag.accuracy,
         report=frag.report,
         bce=frag.bce,
         per_term=frag.per_term,
         best_epoch=best_epoch,
         seed=config.seed,
-        trace=tuple(trace),
+        iteration=iteration,
+        trace=trace,
     )
-    return best_state, result
+
+
+def train_model(dataset: EncodedDataset, split, config: TrainConfig):
+    """Train one model; returns (best state, RunResult).
+
+    This is the lockstep loop of ``_train_stack`` with a single model.
+    The RunResult is computed on the test split with hard 0.5
+    thresholding.  A non-finite batch loss aborts the run with
+    DivergenceError.
+    """
+    (outcome,) = _train_stack(dataset, split, config, [config.terms])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome[0], _test_result(outcome, dataset, split, config.terms, config)
 
 
 def evaluate(state, dataset: EncodedDataset, indices, terms=(),
@@ -349,29 +393,49 @@ def dataset_for_split(source, split) -> EncodedDataset:
     raise ConfigError(f"unsupported dataset source {type(source).__name__}")
 
 
-def _train_cell(dataset, split, base_config: TrainConfig, key: CellKey, iteration: int):
+def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int) -> dict:
+    """Train one iteration of a (template, variant) group's cells in lockstep.
+
+    Cells whose terms all have zero weight train bit-identically to
+    BCE-only, so they share one model; its best state is evaluated once
+    per such cell, with that cell's terms.  Returns {key: RunResult}.
+    """
     network = base_config.network
     if network.input_dim != dataset.X.shape[1]:
         # per-split encoding can shift the one-hot width with the vocabulary
         network = replace(network, input_dim=dataset.X.shape[1])
-    config = replace(base_config, network=network, terms=key.terms(),
-                     seed=base_config.seed + iteration)
-    try:
-        _, result = train_model(dataset, split, config)
-        result.iteration = iteration
-        return result
-    except DivergenceError as exc:
-        return RunResult(
-            accuracy=float("nan"),
-            report=None,
-            bce=float("nan"),
-            per_term=(),
-            best_epoch=-1,
-            seed=config.seed,
-            iteration=iteration,
-            diverged=True,
-            divergence_epoch=exc.epoch,
-        )
+    config = replace(base_config, network=network, seed=base_config.seed + iteration)
+    model_of, term_sets, inert_model = {}, [], None
+    for key in keys:
+        terms = key.terms()
+        if all(t.alpha == 0.0 for t in terms):
+            if inert_model is None:
+                inert_model = len(term_sets)
+                term_sets.append(terms)
+            model_of[key] = inert_model
+        else:
+            model_of[key] = len(term_sets)
+            term_sets.append(terms)
+    outcomes = _train_stack(dataset, split, config, term_sets)
+
+    results = {}
+    for key in keys:
+        outcome = outcomes[model_of[key]]
+        if isinstance(outcome, DivergenceError):
+            results[key] = RunResult(
+                accuracy=float("nan"),
+                report=None,
+                bce=float("nan"),
+                per_term=(),
+                best_epoch=-1,
+                seed=config.seed,
+                iteration=iteration,
+                diverged=True,
+                divergence_epoch=outcome.epoch,
+            )
+        else:
+            results[key] = _test_result(outcome, dataset, split, key.terms(), config, iteration)
+    return results
 
 
 _WORKER_CTX: dict = {}
@@ -386,15 +450,15 @@ def _init_worker(source, base_config, plan):
 
 
 def _worker_task(task):
-    key, iteration = task
+    iteration, keys = task
     split = _WORKER_CTX["splits"][iteration]
     encoded = _WORKER_CTX["encoded"]
     if iteration not in encoded:
         if len(encoded) >= 2:  # bound per-worker memory
             encoded.pop(next(iter(encoded)))
         encoded[iteration] = dataset_for_split(_WORKER_CTX["source"], split)
-    result = _train_cell(encoded[iteration], split, _WORKER_CTX["base_config"], key, iteration)
-    return key, iteration, result
+    return iteration, _train_group(encoded[iteration], split, _WORKER_CTX["base_config"], keys,
+                                   iteration)
 
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
@@ -402,9 +466,10 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     """Train every grid cell for every Monte Carlo iteration and aggregate.
 
     ``source`` is a RawTable (re-encoded per split) or a pre-encoded
-    EncodedDataset.  Cells and iterations are independent; with jobs > 1
-    they execute in a process pool, and aggregation is deterministic in
-    the task identity rather than completion order.
+    EncodedDataset.  One task is one iteration of one (template, variant)
+    group, trained in lockstep; tasks are independent, and with jobs > 1
+    they execute in a process pool.  Aggregation is deterministic in the
+    task identity rather than completion order.
     """
     iterations = plan.iterations if grid.iterations is None else grid.iterations
     if iterations < 1 or iterations > plan.iterations:
@@ -412,22 +477,28 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
             f"grid iterations {iterations} out of range for plan with {plan.iterations}"
         )
     keys = list(grid.cells())
-    # iteration-major order so one encoding serves many consecutive cells
-    tasks = [(key, it) for it in range(iterations) for key in keys]
+    groups: dict = {}
+    for key in keys:
+        groups.setdefault((key.measures, key.variant), []).append(key)
+    # iteration-major order so one encoding serves consecutive tasks
+    tasks = [(it, group) for it in range(iterations) for group in groups.values()]
 
     results: dict = {}
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(source, base_config, plan)
         ) as pool:
-            for key, it, result in pool.map(_worker_task, tasks, chunksize=1):
-                results[(key, it)] = result
+            for it, group_results in pool.map(_worker_task, tasks, chunksize=1):
+                for key, result in group_results.items():
+                    results[(key, it)] = result
     else:
         splits = mc_splits(source.n_rows, plan)
         for it in range(iterations):
             dataset = dataset_for_split(source, splits[it])
-            for key in keys:
-                results[(key, it)] = _train_cell(dataset, splits[it], base_config, key, it)
+            for group in groups.values():
+                for key, result in _train_group(dataset, splits[it], base_config, group,
+                                                it).items():
+                    results[(key, it)] = result
 
     cells = []
     for key in sorted(keys, key=lambda k: k.sort_key()):

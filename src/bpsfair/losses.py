@@ -4,7 +4,9 @@ The training objective is mean binary cross-entropy plus a weighted sum of
 fairness penalties.  Each penalty is (1 - soft BPS)^k, where soft BPS is a
 min/max ratio of differentiable per-group measure approximations built
 from the model's output probabilities.  Everything here is expressed with
-respect to those probabilities; gradients are analytic.
+respect to those probabilities; gradients are analytic.  The combined
+loss also takes the (M, n) outputs of a stack of M models, with one term
+tuple per model, and evaluates every model exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -182,12 +184,22 @@ _RATE_SPEC = {
 }
 
 
-def _measure_and_grad(kind, variant, mode, probs, labels, mask, want_grad):
-    """Soft measure over ``mask`` and, optionally, its gradient wrt probs.
+def _masked_sum(w, mask):
+    """Row sums of ``w[:, mask]`` for an (M, n) array.
 
-    The gradient vector has full length; entries outside ``mask`` are 0.
-    Denominators are clamped to DENOM_EPS so an empty (group, class) cell
-    yields measure 0 rather than a division blowup.
+    The gather is made C-contiguous first: each row is then summed with
+    numpy's pairwise summation, exactly like a 1-D ``np.sum(w[i][mask])``.
+    """
+    return np.ascontiguousarray(w[:, mask]).sum(axis=1)
+
+
+def _measure_and_grad(kind, variant, mode, probs, labels, mask, want_grad):
+    """Soft measure of every row of ``probs`` (M, n) over ``mask``.
+
+    Returns the (M,) measures and, optionally, their (M, n) gradients wrt
+    probs; entries outside ``mask`` are 0.  Denominators are clamped to
+    DENOM_EPS so an empty (group, class) cell yields measure 0 rather
+    than a division blowup.
     """
     w_pos = _pos_weight(variant, probs)
     w_pos_g = _pos_weight_grad(variant, probs) if want_grad else None
@@ -196,45 +208,48 @@ def _measure_and_grad(kind, variant, mode, probs, labels, mask, want_grad):
         cond_label, use_pos = _RATE_SPEC[kind]
         cond = mask & (labels == cond_label)
         w = w_pos if use_pos else 1.0 - w_pos
-        num = float(np.sum(w[cond]))
+        num = _masked_sum(w, cond)
         if mode is DenominatorMode.RATE:
             den = float(np.count_nonzero(cond))
             den_moves = False
         else:
-            den = float(np.sum(w[mask]))
+            den = _masked_sum(w, mask)
             den_moves = True
     elif kind is MeasureKind.STP:
         cond = mask
         use_pos = True
-        num = float(np.sum(w_pos[mask]))
+        num = _masked_sum(w_pos, mask)
         den = float(np.count_nonzero(mask))
         den_moves = False
     elif kind is MeasureKind.ACC:
         cond = mask
         use_pos = None  # per-sample sign depends on the label
         correct = np.where(labels == 1, w_pos, 1.0 - w_pos)
-        num = float(np.sum(correct[mask]))
+        num = _masked_sum(correct, mask)
         den = float(np.count_nonzero(mask))
         den_moves = False
     else:
         raise ConfigError(f"unknown measure kind {kind!r}")
 
-    den_c = max(den, DENOM_EPS)
+    den_c = np.maximum(den, DENOM_EPS)
     m = num / den_c
     if not want_grad:
         return m, None
 
     grad = np.zeros_like(probs)
+    col_den = den_c[:, None] if den_moves else den_c  # per row only when it moves
     if kind is MeasureKind.ACC:
         sign = np.where(labels == 1, 1.0, -1.0)
-        grad[cond] = sign[cond] * w_pos_g[cond] / den_c
+        grad[:, cond] = sign[cond] * w_pos_g[:, cond] / col_den
         return m, grad
 
     sign = 1.0 if use_pos else -1.0
-    grad[cond] = sign * w_pos_g[cond] / den_c
-    if den_moves and den > DENOM_EPS:
+    grad[:, cond] = sign * w_pos_g[:, cond] / col_den
+    if den_moves:
         # quotient rule: the denominator sums the weight over the whole group
-        grad[mask] -= num * sign * w_pos_g[mask] / (den_c * den_c)
+        moved = (num * sign)[:, None] * w_pos_g[:, mask] / (den_c * den_c)[:, None]
+        # rows with a vanishing denominator keep the plain term (select, never scale by 0)
+        grad[:, mask] -= np.where((den > DENOM_EPS)[:, None], moved, 0.0)
     return m, grad
 
 
@@ -248,16 +263,16 @@ def soft_measure(kind, variant, mode, probs, labels, group_mask) -> float:
         raise InputShapeError(f"group_mask shape {mask.shape} != probs shape {probs.shape}")
     if not mask.any():
         raise UndefinedMeasureError(kind.value, None, f"soft {kind.value}: empty group selection")
-    m, _ = _measure_and_grad(kind, variant, mode, probs, labels, mask, want_grad=False)
-    return m
+    m, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask, want_grad=False)
+    return float(m[0])
 
 
-def _check_vectors(probs, labels):
+def _check_vectors(probs, labels, probs_ndims=(1,)):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    if probs.ndim != 1 or labels.ndim != 1:
-        raise InputShapeError("probs and labels must be one-dimensional")
-    if probs.shape != labels.shape:
+    if probs.ndim not in probs_ndims or labels.ndim != 1:
+        raise InputShapeError(f"probs must have {probs_ndims} dimensions and labels one")
+    if probs.shape[-1:] != labels.shape:
         raise InputShapeError(f"probs shape {probs.shape} != labels shape {labels.shape}")
     return probs, labels.astype(np.int64)
 
@@ -272,18 +287,23 @@ def _two_group_masks(groups, n):
     return groups == present[0], groups == present[1]
 
 
-def _ratio_and_grad(m0, d0, m1, d1, want_grad):
-    """min/max ratio of two measures; ties route the subgradient through group 0."""
+def _ratio(m0, m1):
+    """min/max ratio of two measures (Python floats); 1 when both are 0."""
     if max(m0, m1) == 0.0:
-        grad = np.zeros_like(d0) if want_grad else None
-        return 1.0, grad
-    if m0 <= m1:
-        r = m0 / m1
-        grad = (d0 * m1 - m0 * d1) / (m1 * m1) if want_grad else None
-    else:
-        r = m1 / m0
-        grad = (d1 * m0 - m1 * d0) / (m0 * m0) if want_grad else None
-    return r, grad
+        return 1.0
+    return m0 / m1 if m0 <= m1 else m1 / m0
+
+
+def _ratio_grad(m0, d0, m1, d1):
+    """Per-row gradient of ``_ratio``; ties route the subgradient through group 0."""
+    first = m0 <= m1
+    lo, hi = np.where(first, m0, m1), np.where(first, m1, m0)
+    dlo = np.where(first[:, None], d0, d1)
+    dhi = np.where(first[:, None], d1, d0)
+    zero = np.where(m1 > m0, m1, m0) == 0.0  # Python's max(m0, m1), NaN included
+    hi = np.where(zero, 1.0, hi)  # the ratio is the constant 1 there
+    grad = (dlo * hi[:, None] - lo[:, None] * dhi) / (hi * hi)[:, None]
+    return np.where(zero[:, None], 0.0, grad)
 
 
 def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
@@ -292,10 +312,9 @@ def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
     mode = DenominatorMode(mode)
     probs, labels = _check_vectors(probs, labels)
     mask0, mask1 = _two_group_masks(groups, probs.size)
-    m0, _ = _measure_and_grad(kind, variant, mode, probs, labels, mask0, want_grad=False)
-    m1, _ = _measure_and_grad(kind, variant, mode, probs, labels, mask1, want_grad=False)
-    r, _ = _ratio_and_grad(m0, None, m1, None, want_grad=False)
-    return r
+    m0, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask0, want_grad=False)
+    m1, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask1, want_grad=False)
+    return _ratio(float(m0[0]), float(m1[0]))
 
 
 def fairness_loss(term: FairnessTerm, probs, labels, groups,
@@ -305,15 +324,12 @@ def fairness_loss(term: FairnessTerm, probs, labels, groups,
     return (1.0 - r) ** term.power
 
 
-def binary_cross_entropy(probs, labels, want_grad=False):
-    """Mean BCE with probabilities clamped to [BCE_EPS, 1 - BCE_EPS].
-
-    The gradient is zero where the clamp is active.
-    """
-    probs, labels = _check_vectors(probs, labels)
-    n = probs.size
+def _bce(probs, labels, want_grad):
+    """Per-row mean BCE of (M, n) probabilities and, optionally, its gradient."""
+    n = probs.shape[-1]
+    labels = labels.astype(np.float64)  # exact for 0/1; spares mixed-type loops
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    bce = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1.0 - p)))
+    bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1.0 - p), axis=-1)
     if not want_grad:
         return bce, None
     inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)
@@ -321,19 +337,53 @@ def binary_cross_entropy(probs, labels, want_grad=False):
     return bce, grad
 
 
-def _term_cell_masks(term, labels, mask0, mask1):
-    """Conditioning-class masks of a term for both groups."""
-    if term.kind in _RATE_SPEC:
-        cond_label, _ = _RATE_SPEC[term.kind]
-        return mask0 & (labels == cond_label), mask1 & (labels == cond_label)
-    return mask0, mask1
+def binary_cross_entropy(probs, labels, want_grad=False):
+    """Mean BCE with probabilities clamped to [BCE_EPS, 1 - BCE_EPS].
+
+    The gradient is zero where the clamp is active.
+    """
+    probs, labels = _check_vectors(probs, labels)
+    bce, grad = _bce(probs[None], labels, want_grad)
+    return float(bce[0]), (grad[0] if want_grad else None)
+
+
+def _term_cells_present(kind, labels, mask0, mask1):
+    """True when both groups have rows in the term's conditioning class."""
+    if kind in _RATE_SPEC:
+        cond_label, _ = _RATE_SPEC[kind]
+        in_class = labels == cond_label
+        return bool((mask0 & in_class).any() and (mask1 & in_class).any())
+    return bool(mask0.any() and mask1.any())
+
+
+def _term_columns(term_sets):
+    """Terms by position across models; each position must share kind and variant."""
+    sizes = {len(terms) for terms in term_sets}
+    if len(sizes) > 1:
+        raise ConfigError(f"stacked models need the same number of terms, got {sorted(sizes)}")
+    columns = list(zip(*term_sets))
+    for column in columns:
+        head = column[0]
+        if any(t.kind is not head.kind or (t.variant is not head.variant
+                                           and t.variant != head.variant) for t in column):
+            raise ConfigError("stacked models' terms must share kind and variant per position")
+    return columns
 
 
 def _evaluate(terms, probs, labels, groups, mode, want_grad):
-    probs, labels = _check_vectors(probs, labels)
+    probs, labels = _check_vectors(probs, labels, probs_ndims=(1, 2))
     mode = DenominatorMode(mode)
+    stacked = probs.ndim == 2
+    if stacked:
+        term_sets = [tuple(t) for t in terms]
+        if len(term_sets) != probs.shape[0]:
+            raise InputShapeError(
+                f"{probs.shape[0]} stacked models need as many term tuples, got {len(term_sets)}")
+    else:
+        term_sets = [tuple(terms)]
+        probs = probs[None]
     groups = np.asarray(groups)
-    if groups.ndim != 1 or groups.size != probs.size:
+    if groups.ndim != 1 or groups.size != labels.size:
         raise InputShapeError("groups must be a vector matching probs")
     present = np.unique(groups)
     if present.size > 2:
@@ -342,29 +392,41 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
     if two_groups:
         mask0, mask1 = groups == present[0], groups == present[1]
 
-    bce, grad = binary_cross_entropy(probs, labels, want_grad=want_grad)
-    total = bce
-    per_term = []
-    for term in terms:
-        skipped = not two_groups
-        if not skipped:
-            cell0, cell1 = _term_cell_masks(term, labels, mask0, mask1)
-            skipped = not (cell0.any() and cell1.any())
-        if skipped:
+    bce, grad = _bce(probs, labels, want_grad)
+    bce = bce.tolist()
+    totals = list(bce)
+    per_term = [[] for _ in term_sets]
+    for column in _term_columns(term_sets):
+        kind, variant = column[0].kind, column[0].variant
+        if not (two_groups and _term_cells_present(kind, labels, mask0, mask1)):
             # an empty (group, class) cell would make the ratio meaningless
-            per_term.append(TermValue(term=term, soft_bps=1.0, term_loss=0.0, skipped=True))
+            for term_values, term in zip(per_term, column):
+                term_values.append(TermValue(term=term, soft_bps=1.0, term_loss=0.0,
+                                             skipped=True))
             continue
-        m0, d0 = _measure_and_grad(term.kind, term.variant, mode, probs, labels, mask0, want_grad)
-        m1, d1 = _measure_and_grad(term.kind, term.variant, mode, probs, labels, mask1, want_grad)
-        r, dr = _ratio_and_grad(m0, d0, m1, d1, want_grad)
-        loss = (1.0 - r) ** term.power
-        if term.alpha != 0.0:  # zero-weight terms must leave BCE bit-identical
-            total += term.alpha * loss
-            if want_grad:
-                grad += term.alpha * term.power * (1.0 - r) ** (term.power - 1) * -dr
-        per_term.append(TermValue(term=term, soft_bps=r, term_loss=loss))
-    value = LossValue(total=total, bce=bce, per_term=tuple(per_term))
-    return value, (grad if want_grad else None)
+        m0, d0 = _measure_and_grad(kind, variant, mode, probs, labels, mask0, want_grad)
+        m1, d1 = _measure_and_grad(kind, variant, mode, probs, labels, mask1, want_grad)
+        weights = []  # (row, d total / d ratio) of the terms that train
+        for i, (term, r) in enumerate(zip(column, map(_ratio, m0.tolist(), m1.tolist()))):
+            loss = (1.0 - r) ** term.power
+            if term.alpha != 0.0:  # zero-weight terms must leave BCE bit-identical
+                totals[i] += term.alpha * loss
+                weights.append((i, term.alpha * term.power * (1.0 - r) ** (term.power - 1)))
+            per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
+        if want_grad and weights:
+            dr = _ratio_grad(m0, d0, m1, d1)
+            rows, coef = (np.array(v) for v in zip(*weights))
+            if rows.size == len(term_sets):
+                grad += coef[:, None] * -dr
+            else:
+                grad[rows] += coef[:, None] * -dr[rows]
+    values = tuple(
+        LossValue(total=total, bce=b, per_term=tuple(term_values))
+        for total, b, term_values in zip(totals, bce, per_term)
+    )
+    if not stacked:
+        return values[0], (grad[0] if want_grad else None)
+    return values, grad
 
 
 def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
@@ -374,6 +436,11 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
     Terms whose (group, class) cell is empty in this batch (or with fewer
     than two groups present) contribute zero and are marked ``skipped``;
     with an empty term list the result is exactly the BCE.
+
+    With (M, n) probabilities from a stack of models, ``terms`` holds one
+    term tuple per model and the result is a tuple of M LossValues.  The
+    tuples must match in length, kind and variant position by position;
+    alpha and power may differ.
     """
     value, _ = _evaluate(terms, probs, labels, groups, mode, want_grad=False)
     return value
@@ -381,12 +448,15 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
 
 def loss_gradient(terms: Sequence[FairnessTerm], probs, labels, groups,
                   mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> np.ndarray:
-    """Analytic d(total)/d(prob_i) of the combined loss, one entry per sample."""
+    """Analytic d(total)/d(prob_i) of the combined loss, shaped like ``probs``."""
     _, grad = _evaluate(terms, probs, labels, groups, mode, want_grad=True)
     return grad
 
 
 def combined_loss_and_gradient(terms, probs, labels, groups,
                                mode: DenominatorMode = DenominatorMode.AS_WRITTEN):
-    """Single-pass (LossValue, gradient) evaluation used by the training loop."""
+    """Single-pass (LossValue, gradient) evaluation used by the training loop.
+
+    Stacked (M, n) probabilities give (tuple of M LossValues, (M, n) gradient).
+    """
     return _evaluate(terms, probs, labels, groups, mode, want_grad=True)

@@ -4,6 +4,12 @@ Layer order inside each hidden block is linear -> activation -> dropout
 (train only, inverted scaling) -> batch norm.  The output layer is a
 single logistic unit.  All math is float64 numpy; gradients are exact,
 which the test suite verifies against central finite differences.
+
+Every state array may carry a leading model axis of length M.  Such a
+stack holds M models of one architecture that train in lockstep: they
+share the minibatch and the dropout masks, and every operation acts on
+each model separately, so a stacked step is bit-identical to M single
+steps.  ``state[i]`` is model i as a plain single-model state.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,10 +82,13 @@ class NetworkConfig:
 
 @dataclass
 class NetworkState:
-    """Weights, biases, and per-layer batch-norm parameters and running stats."""
+    """Weights, biases, and per-layer batch-norm parameters and running stats.
+
+    A stack of M models puts a leading axis of length M on every array.
+    """
 
     config: NetworkConfig
-    weights: list  # one (fan_in, fan_out) matrix per layer, output last
+    weights: list  # one ([M,] fan_in, fan_out) matrix per layer, output last
     biases: list
     bn_scale: list  # per hidden layer; empty lists when batch norm is off
     bn_shift: list
@@ -108,6 +117,29 @@ class NetworkState:
             bn_var=[v.copy() for v in self.bn_var],
         )
 
+    @property
+    def models(self) -> int | None:
+        """Number of stacked models M, or None for a single model."""
+        w = self.weights[0]
+        return w.shape[0] if w.ndim == 3 else None
+
+    def __getitem__(self, index) -> "NetworkState":
+        """Model ``index`` of a stack as a single-model state of views.
+
+        An index array or slice selects a smaller stack instead.
+        """
+        if self.models is None:
+            raise StateError("only a stack of models can be indexed")
+        return NetworkState(
+            config=self.config,
+            weights=[w[index] for w in self.weights],
+            biases=[b[index] for b in self.biases],
+            bn_scale=[g[index] for g in self.bn_scale],
+            bn_shift=[d[index] for d in self.bn_shift],
+            bn_mean=[m[index] for m in self.bn_mean],
+            bn_var=[v[index] for v in self.bn_var],
+        )
+
 
 @dataclass
 class ForwardCache:
@@ -131,29 +163,41 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __getitem__(self, index) -> "AdamState":
+        """The moments of the stacked models selected by ``index``."""
+        return replace(self, m=[m[index] for m in self.m], v=[v[index] for v in self.v])
 
-def init(config: NetworkConfig) -> NetworkState:
-    """Fresh state: weights ~ N(0, 2/fan_in), zero biases, identity batch norm."""
+
+def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
+    """Fresh state: weights ~ N(0, 2/fan_in), zero biases, identity batch norm.
+
+    With ``models`` set, returns a stack of that many identical copies.
+    """
+    if models is not None and models < 1:
+        raise ConfigError(f"models must be positive, got {models}")
+    lead = () if models is None else (models,)
     rng = np.random.default_rng(config.seed)
     dims = [config.input_dim, *config.widths, 1]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        weights.append(np.broadcast_to(w, lead + w.shape).copy())
+        biases.append(np.zeros(lead + (fan_out,)))
     bn_scale, bn_shift, bn_mean, bn_var = [], [], [], []
     if config.use_batch_norm:
         for width in config.widths:
-            bn_scale.append(np.ones(width))
-            bn_shift.append(np.zeros(width))
-            bn_mean.append(np.zeros(width))
-            bn_var.append(np.ones(width))
+            bn_scale.append(np.ones(lead + (width,)))
+            bn_shift.append(np.zeros(lead + (width,)))
+            bn_mean.append(np.zeros(lead + (width,)))
+            bn_var.append(np.ones(lead + (width,)))
     return NetworkState(config, weights, biases, bn_scale, bn_shift, bn_mean, bn_var)
 
 
 def _activate(z, act):
     if act == "relu":
         return np.maximum(z, 0.0)
-    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+    # equals where(z > 0, z, slope * z) bit for bit, including -0.0, inf and NaN
+    return np.maximum(z, LEAKY_SLOPE * z)
 
 
 def _activate_grad(z, act):
@@ -166,12 +210,25 @@ def _logistic(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _rows(v):
+    """Per-unit vector ([M,] width) as a row that broadcasts over the batch axis."""
+    return v[..., None, :]
+
+
+def _t(a):
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
+
+
 def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=None):
     """Run the network; returns (probs, cache) in train mode, (probs, None) in eval.
 
-    Train mode samples fresh dropout masks from ``rng`` (or reuses
+    ``probs`` has shape (n,) for a single model and (M, n) for a stack,
+    whose models all see the same input rows.  Train mode samples fresh
+    dropout masks of shape (n, width) from ``rng`` (or reuses
     ``dropout_masks``, one boolean array per hidden layer, which gradient
-    checks rely on) and updates batch-norm running statistics in place.
+    checks rely on), shared by every stacked model, and updates
+    batch-norm running statistics in place.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -189,26 +246,32 @@ def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=
     cache = ForwardCache(x=X) if train else None
     h = X
     for l, (width, act) in enumerate(cfg.hidden):
-        z = h @ state.weights[l] + state.biases[l]
+        z = h @ state.weights[l] + _rows(state.biases[l])
         a = _activate(z, act)
         mask = None
         if train and p_drop > 0.0:
-            mask = dropout_masks[l] if dropout_masks is not None else rng.random(a.shape) >= p_drop
+            if dropout_masks is not None:
+                mask = dropout_masks[l]
+            else:
+                mask = rng.random(a.shape[-2:]) >= p_drop
             a_dropped = a * mask / (1.0 - p_drop)
         else:
             a_dropped = a
         if cfg.use_batch_norm:
             if train:
-                mu = a_dropped.mean(axis=0)
-                var = a_dropped.var(axis=0)
+                mu = a_dropped.mean(axis=-2, keepdims=True)
+                var = a_dropped.var(axis=-2, keepdims=True)
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 xhat = (a_dropped - mu) * inv_std
-                state.bn_mean[l] = BN_MOMENTUM * state.bn_mean[l] + (1 - BN_MOMENTUM) * mu
-                state.bn_var[l] = BN_MOMENTUM * state.bn_var[l] + (1 - BN_MOMENTUM) * var
+                # in place, so views of a stack (state[i]) see the update
+                state.bn_mean[l][...] = (BN_MOMENTUM * state.bn_mean[l]
+                                         + (1 - BN_MOMENTUM) * mu[..., 0, :])
+                state.bn_var[l][...] = (BN_MOMENTUM * state.bn_var[l]
+                                        + (1 - BN_MOMENTUM) * var[..., 0, :])
             else:
-                inv_std = 1.0 / np.sqrt(state.bn_var[l] + BN_EPS)
-                xhat = (a_dropped - state.bn_mean[l]) * inv_std
-            out = state.bn_scale[l] * xhat + state.bn_shift[l]
+                inv_std = 1.0 / np.sqrt(_rows(state.bn_var[l]) + BN_EPS)
+                xhat = (a_dropped - _rows(state.bn_mean[l])) * inv_std
+            out = _rows(state.bn_scale[l]) * xhat + _rows(state.bn_shift[l])
         else:
             xhat, inv_std, out = None, None, a_dropped
         if train:
@@ -216,7 +279,7 @@ def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=
                 {"h_in": h, "z": z, "mask": mask, "xhat": xhat, "inv_std": inv_std}
             )
         h = out
-    z_out = (h @ state.weights[-1] + state.biases[-1]).ravel()
+    z_out = (h @ state.weights[-1] + _rows(state.biases[-1]))[..., 0]
     probs = np.clip(_logistic(z_out), 1e-12, 1.0 - 1e-12)
     if train:
         cache.final_in = h
@@ -227,10 +290,10 @@ def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=
 def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
     """Gradients of a scalar loss wrt every trainable parameter.
 
-    ``dloss_dprobs`` is d(loss)/d(output probability) per sample; the
-    chain through the logistic, batch norm (batch statistics), dropout
-    masks, and activations is applied here.  Returns arrays in the order
-    of ``state.parameters()``.
+    ``dloss_dprobs`` is d(loss)/d(output probability) per sample, shaped
+    like the forward's ``probs``; the chain through the logistic, batch
+    norm (batch statistics), dropout masks, and activations is applied
+    here.  Returns arrays in the order of ``state.parameters()``.
     """
     cfg = state.config
     dprobs = np.asarray(dloss_dprobs, dtype=np.float64)
@@ -243,27 +306,28 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
 
     n = cache.x.shape[0]
     probs = cache.probs
-    dz = (dprobs * probs * (1.0 - probs))[:, None]  # through the logistic
+    dz = (dprobs * probs * (1.0 - probs))[..., None]  # through the logistic
     grads_w = [None] * len(state.weights)
     grads_b = [None] * len(state.biases)
     grads_scale = [None] * len(state.bn_scale)
     grads_shift = [None] * len(state.bn_shift)
 
-    grads_w[-1] = cache.final_in.T @ dz
-    grads_b[-1] = dz.sum(axis=0)
-    dh = dz @ state.weights[-1].T
+    grads_w[-1] = _t(cache.final_in) @ dz
+    grads_b[-1] = dz.sum(axis=-2)
+    dh = dz @ _t(state.weights[-1])
 
     for l in range(len(cfg.hidden) - 1, -1, -1):
         layer = cache.layers[l]
         _, act = cfg.hidden[l]
         if cfg.use_batch_norm:
             xhat, inv_std = layer["xhat"], layer["inv_std"]
-            grads_scale[l] = (dh * xhat).sum(axis=0)
-            grads_shift[l] = dh.sum(axis=0)
-            dxhat = dh * state.bn_scale[l]
+            grads_scale[l] = (dh * xhat).sum(axis=-2)
+            grads_shift[l] = dh.sum(axis=-2)
+            dxhat = dh * _rows(state.bn_scale[l])
             # batch-statistics backward: mean and variance both depend on the batch
             du = (inv_std / n) * (
-                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+                n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
             )
         else:
             du = dh
@@ -272,9 +336,10 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
         else:
             da = du
         dz = da * _activate_grad(layer["z"], act)
-        grads_w[l] = layer["h_in"].T @ dz
-        grads_b[l] = dz.sum(axis=0)
-        dh = dz @ state.weights[l].T
+        grads_w[l] = _t(layer["h_in"]) @ dz
+        grads_b[l] = dz.sum(axis=-2)
+        if l:
+            dh = dz @ _t(state.weights[l])
 
     grads = []
     for l in range(len(cfg.hidden)):
@@ -299,7 +364,10 @@ def init_adam(state: NetworkState, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -
 
 
 def adam_step(state: NetworkState, adam: AdamState, grads):
-    """One bias-corrected Adam update, in place; returns (state, adam)."""
+    """One bias-corrected Adam update, in place; returns (state, adam).
+
+    Elementwise, so a stack of models takes one step per model at once.
+    """
     params = state.parameters()
     if len(grads) != len(params):
         raise StateError(f"expected {len(params)} gradient arrays, got {len(grads)}")
@@ -310,8 +378,10 @@ def adam_step(state: NetworkState, adam: AdamState, grads):
     bc1 = 1.0 - adam.beta1 ** adam.t
     bc2 = 1.0 - adam.beta2 ** adam.t
     for i, (p, g) in enumerate(zip(params, grads)):
-        adam.m[i] = adam.beta1 * adam.m[i] + (1.0 - adam.beta1) * g
-        adam.v[i] = adam.beta2 * adam.v[i] + (1.0 - adam.beta2) * (g * g)
+        adam.m[i] *= adam.beta1
+        adam.m[i] += (1.0 - adam.beta1) * g
+        adam.v[i] *= adam.beta2
+        adam.v[i] += (1.0 - adam.beta2) * (g * g)
         p -= adam.lr * (adam.m[i] / bc1) / (np.sqrt(adam.v[i] / bc2) + adam.eps)
     return state, adam
 
@@ -339,8 +409,11 @@ def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
     Layout: 8-byte magic, little-endian uint32 format version, uint32
     JSON-header length, the UTF-8 JSON header (config, metadata, array
     manifest), then each array as raw little-endian float64 in manifest
-    order.  Round-trips are bit-exact.
+    order.  Round-trips are bit-exact.  A stack is serialized one model
+    at a time (``state[i]``).
     """
+    if state.models is not None:
+        raise StateError("serialize one model of a stack at a time")
     arrays = _state_arrays(state)
     cfg = state.config
     header = {

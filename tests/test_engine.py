@@ -1,5 +1,8 @@
 """Training loop, evaluation, grid search, and aggregation behavior."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,11 @@ from bpsfair.engine import (
     train_model,
 )
 from bpsfair.errors import ConfigError, DivergenceError
-from bpsfair.losses import FairnessTerm, SoftVariant
+from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.engine import RunResult
+from bpsfair.report import emit_results
 
 
 def separable_setup(n=600, seed=5):
@@ -218,13 +222,17 @@ class TestRunGrid:
             assert c1.means == c2.means
             assert c1.variances == c2.variances
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
         serial = run_grid(table, base, grid, plan, jobs=1)
         parallel = run_grid(table, base, grid, plan, jobs=2)
         for c1, c2 in zip(serial.cells, parallel.cells):
             assert c1.key == c2.key
             assert c1.means == c2.means
+        emit_results(serial, tmp_path / "serial")
+        emit_results(parallel, tmp_path / "parallel")
+        runs = (tmp_path / "serial" / "runs.csv").read_bytes()
+        assert runs == (tmp_path / "parallel" / "runs.csv").read_bytes()
 
     def test_means_bounded_by_run_extremes(self):
         table, base, grid, plan = tiny_grid_inputs()
@@ -265,6 +273,85 @@ class TestRunGrid:
         terms = key.terms()
         assert [t.alpha for t in terms] == [pytest.approx(0.1), pytest.approx(0.125)]
         assert key.measures_label == "FPR+FNR*1.25"
+
+
+def mixed_grid_inputs(mode, alphas=(0.0, 0.3, 1.0)):
+    """Two templates x two variants x powers {1,3} x alphas, batch norm and dropout."""
+    table = synthesize_biased(n=400, base_rate_g0=0.35, base_rate_g1=0.5,
+                              feature_dim=3, noise=0.3, seed=23)
+    plan = SplitPlan(iterations=2, train_fraction=0.7, val_fraction=0.1, base_seed=23)
+    base = TrainConfig(
+        network=NetworkConfig(input_dim=3, hidden=((6, "relu"), (5, "leaky_relu")),
+                              dropout_rate=0.2, use_batch_norm=True, seed=0),
+        batch_size=64, epochs=4, lr=0.01, seed=31, denominator_mode=mode,
+    )
+    grid = GridSpec(templates=[[("FPR", 1.0), ("FNR", 1.25)], [("STP", 1.0)]],
+                    variants=[SoftVariant.continuous(), SoftVariant.sigmoided(10.0)],
+                    powers=[1, 3], alphas=alphas)
+    return table, base, grid, plan
+
+
+def solo_run(table, base, plan, key, iteration):
+    """The cell's run trained on its own with train_model (RunResult or DivergenceError)."""
+    split = mc_splits(table.n_rows, plan)[iteration]
+    config = replace(base, terms=key.terms(), seed=base.seed + iteration)
+    try:
+        return train_model(dataset_for_split(table, split), split, config)[1]
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_run(grid_run, solo):
+    assert grid_run.accuracy == solo.accuracy
+    assert grid_run.bce == solo.bce
+    assert grid_run.best_epoch == solo.best_epoch
+    for kind in MeasureKind:
+        assert grid_run.report[kind] == solo.report[kind]
+    assert len(grid_run.per_term) == len(solo.per_term)
+    for mine, theirs in zip(grid_run.per_term, solo.per_term):
+        assert mine.term_loss == theirs.term_loss
+        assert mine.soft_bps == theirs.soft_bps
+
+
+# sha256 of runs.csv for mixed_grid_inputs, as written by the per-cell training loop
+MIXED_RUNS_SHA256 = {
+    DenominatorMode.AS_WRITTEN: "8b72f81122d74a040b211e7aa1d37c49c6038ec0b85159cbae951163dcb02751",
+    DenominatorMode.RATE: "7ed9b739c883b36f55c7e40cc31e1401b8cab74ae1de13b5dd801622201ad3e1",
+}
+
+
+class TestLockstepGrid:
+    @pytest.mark.parametrize("mode", list(DenominatorMode), ids=lambda m: m.value)
+    def test_every_cell_matches_solo_training(self, mode, tmp_path):
+        table, base, grid, plan = mixed_grid_inputs(mode)
+        result = run_grid(table, base, grid, plan)
+        assert len(result.cells) == 24
+        for cell in result.cells:
+            for it, run in enumerate(cell.runs):
+                assert not run.diverged
+                assert_same_run(run, solo_run(table, base, plan, cell.key, it))
+        emit_results(result, tmp_path)
+        digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+        assert digest == MIXED_RUNS_SHA256[mode]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_cell_flagged_while_neighbours_finish(self):
+        # an overflowing weight makes that cell's gradient infinite, then its loss NaN
+        table, base, grid, plan = mixed_grid_inputs(DenominatorMode.RATE,
+                                                    alphas=(0.0, 0.3, 1e308))
+        result = run_grid(table, base, grid, plan)
+        n_diverged = 0
+        for cell in result.cells:
+            for it, run in enumerate(cell.runs):
+                solo = solo_run(table, base, plan, cell.key, it)
+                if isinstance(solo, DivergenceError):
+                    assert run.diverged and run.divergence_epoch == solo.epoch
+                    n_diverged += 1
+                else:
+                    assert not run.diverged
+                    assert_same_run(run, solo)
+        assert 0 < n_diverged < sum(len(c.runs) for c in result.cells)
+        assert all(c.n_success == 2 for c in result.cells if c.key.alpha < 1.0)
 
 
 class TestAdultFormatPipeline:

@@ -18,6 +18,7 @@ from bpsfair.losses import (
     SoftVariant,
     binary_cross_entropy,
     combined_loss,
+    combined_loss_and_gradient,
     fairness_loss,
     loss_gradient,
     parse_term,
@@ -420,6 +421,39 @@ class TestLossGradient:
         # r = m0/m1 with m0 = m1 = 0.5: d r/d p = +1/(2 m1) for group 0, -m0/(2 m1^2) for group 1
         assert extra[0] == pytest.approx(-(1.0 / (2 * 0.5)), rel=1e-9)
         assert extra[2] == pytest.approx(0.5 / (2 * 0.25), rel=1e-9)
+
+
+class TestStackedLoss:
+    @pytest.mark.parametrize("mode", [AS_WRITTEN, RATE])
+    @pytest.mark.parametrize("kinds", [(MeasureKind.FPR, MeasureKind.FNR),
+                                       (MeasureKind.STP,), (MeasureKind.ACC,)])
+    def test_rows_equal_single_model_calls(self, kinds, mode):
+        rng = np.random.default_rng(stable_seed(kinds, mode))
+        probs, labels, groups = random_fixture(rng, n=24)
+        stack = np.stack([probs, rng.uniform(0.05, 0.95, 24), probs[::-1].copy()])
+        stack[1, :3] = 0.0  # an empty-weight corner for the ratio
+        term_sets = [
+            tuple(FairnessTerm(k, SIG, alpha, power) for k in kinds)
+            for alpha, power in ((0.0, 2), (0.7, 1), (0.3, 3))
+        ]
+        values, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        for i, terms in enumerate(term_sets):
+            alone, alone_grad = combined_loss_and_gradient(terms, stack[i], labels, groups, mode)
+            assert values[i] == alone
+            np.testing.assert_array_equal(grad[i], alone_grad)
+
+    def test_terms_must_line_up(self):
+        probs, labels, groups = random_fixture(np.random.default_rng(3))
+        stack = np.stack([probs, probs])
+        fpr = FairnessTerm(MeasureKind.FPR, CONT, 0.5, 1)
+        with pytest.raises(ConfigError):
+            combined_loss([(fpr,), (FairnessTerm(MeasureKind.FNR, CONT, 0.5, 1),)],
+                          stack, labels, groups)
+        with pytest.raises(ConfigError):
+            combined_loss([(fpr,), (FairnessTerm(MeasureKind.FPR, SIG, 0.5, 1),)],
+                          stack, labels, groups)
+        with pytest.raises(InputShapeError):
+            combined_loss([(fpr,)], stack, labels, groups)
 
 
 class TestTermParsing:

@@ -335,3 +335,49 @@ class TestReproducibility:
             probs, _ = forward(state, X, mode="train", rng=np.random.default_rng(99))
             out.append(probs)
         np.testing.assert_array_equal(out[0], out[1])
+
+
+class TestModelStack:
+    CFG = tiny_config(input_dim=4, hidden=((6, "relu"), (5, "leaky_relu")),
+                      use_batch_norm=True, dropout_rate=0.25, seed=41)
+
+    def step(self, state, X, dprobs, adam=None):
+        """One train-mode forward, backward and Adam step; returns (probs, adam)."""
+        adam = adam or init_adam(state, lr=0.01)
+        probs, cache = forward(state, X, mode="train", rng=np.random.default_rng(7))
+        adam_step(state, adam, backward(state, cache, dprobs))
+        return probs, adam
+
+    def test_init_stacks_identical_models(self):
+        single, stack = init(self.CFG), init(self.CFG, models=3)
+        assert single.models is None and stack.models == 3
+        for i in range(3):
+            assert serialize(stack[i]) == serialize(single)
+        with pytest.raises(StateError):
+            serialize(stack)
+
+    def test_nan_slice_leaves_neighbours_bit_identical(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(10, 4))
+        dprobs = rng.normal(size=10)
+        stack = init(self.CFG, models=3)
+        for w in stack.weights:
+            w[2] *= 1.5  # slices 0 and 2 differ
+            w[1] = np.nan
+        singles = [stack[i].copy() for i in (0, 2)]
+
+        probs, adam = self.step(stack, X, np.stack([dprobs] * 3))
+        assert np.isnan(probs[1]).all()
+        for (i, single) in zip((0, 2), singles):
+            single_probs, single_adam = self.step(single, X, dprobs)
+            np.testing.assert_array_equal(probs[i], single_probs)
+            assert serialize(stack[i]) == serialize(single)
+            for m, single_m in zip(adam[i].m + adam[i].v, single_adam.m + single_adam.v):
+                np.testing.assert_array_equal(m, single_m)
+
+    def test_sub_stack_selection_copies(self):
+        stack = init(self.CFG, models=3)
+        sub = stack[[0, 2]]
+        assert sub.models == 2
+        sub.weights[0][:] = 0.0
+        assert np.all(stack.weights[0] != 0.0)
