@@ -59,36 +59,6 @@ def _load_table(cfg: RunConfig, dataset_override):
     return load_csv(path, cfg.schema), path
 
 
-def _schema_to_dict(schema: DatasetSchema) -> dict:
-    return {
-        "label": schema.label,
-        "positive_label": schema.positive_label,
-        "negative_label": schema.negative_label,
-        "sensitive": schema.sensitive,
-        "sensitive_map": dict(schema.sensitive_map),
-        "categorical": list(schema.categorical),
-        "continuous": list(schema.continuous),
-        "ignore": list(schema.ignore),
-        "label_aliases": dict(schema.label_aliases),
-        "missing_token": schema.missing_token,
-    }
-
-
-def _schema_from_dict(d: dict) -> DatasetSchema:
-    return DatasetSchema(
-        label=d["label"],
-        positive_label=d["positive_label"],
-        negative_label=d.get("negative_label", "0"),
-        sensitive=d["sensitive"],
-        sensitive_map={k: int(v) for k, v in d["sensitive_map"].items()},
-        categorical=tuple(d["categorical"]),
-        continuous=tuple(d["continuous"]),
-        ignore=tuple(d.get("ignore", ())),
-        label_aliases=d.get("label_aliases", {}),
-        missing_token=d.get("missing_token", "?"),
-    )
-
-
 def _report_to_dict(report: BpsReport) -> dict:
     out = {}
     for kind, entry in report.entries.items():
@@ -146,7 +116,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metadata = {
-        "schema": _schema_to_dict(table.schema),
+        "schema": table.schema.to_dict(),
         "encoder": encoder.to_dict(),
         "feature_names": list(dataset.feature_names),
     }
@@ -214,7 +184,7 @@ def cmd_evaluate(args) -> int:
         state, metadata = load_model(args.model)
         if args.dataset is None:
             raise ConfigError("evaluating a model artifact needs --dataset")
-        schema = _schema_from_dict(metadata["schema"])
+        schema = DatasetSchema.from_dict(metadata["schema"])
         encoder = EncoderState.from_dict(metadata["encoder"])
         table = load_csv(args.dataset, schema)
         dataset = apply_encoder(table, encoder)

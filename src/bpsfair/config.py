@@ -67,18 +67,7 @@ def _require_mapping(doc, section, optional=False):
 
 def _parse_schema(block) -> DatasetSchema:
     try:
-        return DatasetSchema(
-            label=block["label"],
-            positive_label=str(block["positive_label"]),
-            negative_label=str(block.get("negative_label", "0")),
-            sensitive=block["sensitive"],
-            sensitive_map={str(k): int(v) for k, v in block["sensitive_map"].items()},
-            categorical=tuple(block.get("categorical", ())),
-            continuous=tuple(block.get("continuous", ())),
-            ignore=tuple(block.get("ignore", ())),
-            label_aliases={str(k): str(v) for k, v in block.get("label_aliases", {}).items()},
-            missing_token=block.get("missing_token", "?"),
-        )
+        return DatasetSchema.from_dict(block)
     except KeyError as exc:
         raise ConfigError(f"dataset schema is missing {exc}")
 

@@ -74,6 +74,40 @@ class DatasetSchema:
     def used_columns(self):
         return (self.label, self.sensitive) + self.categorical + self.continuous
 
+    def to_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "positive_label": self.positive_label,
+            "negative_label": self.negative_label,
+            "sensitive": self.sensitive,
+            "sensitive_map": dict(self.sensitive_map),
+            "categorical": list(self.categorical),
+            "continuous": list(self.continuous),
+            "ignore": list(self.ignore),
+            "label_aliases": dict(self.label_aliases),
+            "missing_token": self.missing_token,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DatasetSchema":
+        """Inverse of ``to_dict``; also reads hand-written config blocks.
+
+        Labels and sensitive values are coerced to strings and group codes
+        to ints.  A missing required key raises KeyError.
+        """
+        return cls(
+            label=d["label"],
+            positive_label=str(d["positive_label"]),
+            negative_label=str(d.get("negative_label", "0")),
+            sensitive=d["sensitive"],
+            sensitive_map={str(k): int(v) for k, v in d["sensitive_map"].items()},
+            categorical=tuple(d.get("categorical", ())),
+            continuous=tuple(d.get("continuous", ())),
+            ignore=tuple(d.get("ignore", ())),
+            label_aliases={str(k): str(v) for k, v in d.get("label_aliases", {}).items()},
+            missing_token=d.get("missing_token", MISSING_TOKEN),
+        )
+
 
 @dataclass
 class RawTable:

@@ -44,6 +44,7 @@ __all__ = [
     "evaluate",
     "run_grid",
     "aggregate",
+    "mean_and_variance",
     "run_scalars",
     "dataset_for_split",
 ]
@@ -368,14 +369,20 @@ def aggregate(runs) -> tuple[dict, dict, int, int]:
         for k, v in run_scalars(r).items():
             tables.setdefault(k, []).append(v)
     for k, vals in tables.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        arr = arr[~np.isnan(arr)]
-        if arr.size == 0:
-            means[k], variances[k] = np.nan, np.nan
-        else:
-            means[k] = float(arr.mean())
-            variances[k] = float(arr.var(ddof=1)) if arr.size > 1 else 0.0
+        means[k], variances[k] = mean_and_variance(vals)
     return means, variances, len(ok), n_diverged
+
+
+def mean_and_variance(values) -> tuple[float, float]:
+    """Mean and unbiased variance of the values that are not None or NaN.
+
+    One value has variance 0 by convention; none gives (NaN, NaN).
+    """
+    kept = [v for v in values if v is not None and not math.isnan(v)]
+    if not kept:
+        return np.nan, np.nan
+    arr = np.array(kept, dtype=np.float64)
+    return float(arr.mean()), float(arr.var(ddof=1)) if arr.size > 1 else 0.0
 
 
 def dataset_for_split(source, split) -> EncodedDataset:

@@ -2,9 +2,10 @@
 
 The training objective is mean binary cross-entropy plus a weighted sum of
 fairness penalties.  Each penalty is (1 - soft BPS)^k, where soft BPS is a
-min/max ratio of differentiable per-group measure approximations built
-from the model's output probabilities.  Everything here is expressed with
-respect to those probabilities; gradients are analytic.  The combined
+min/max ratio of differentiable per-group measure approximations: the
+measure spec of ``metrics`` evaluated on tables of soft weights of the
+model's output probabilities.  Everything here is expressed with respect
+to those probabilities; gradients are analytic.  The combined
 loss also takes the (M, n) outputs of a stack of M models, with one term
 tuple per model, and evaluates every model exactly as it would alone.
 """
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputShapeError, UndefinedMeasureError
-from .metrics import MeasureKind
+from .metrics import MeasureKind, measure_coefficients, measure_parts
 
 __all__ = [
     "SoftVariant",
@@ -162,95 +163,54 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
-def _pos_weight(variant: SoftVariant, probs: np.ndarray) -> np.ndarray:
-    if variant.is_sigmoided:
-        return _sigmoid(variant.beta * (probs - 0.5))
-    return probs
+def _weights(variant: SoftVariant, probs: np.ndarray, want_grad: bool):
+    """Positive-side soft weights w(prob) and, when sigmoided and wanted, w'(prob).
 
-
-def _pos_weight_grad(variant: SoftVariant, probs: np.ndarray) -> np.ndarray:
-    if variant.is_sigmoided:
-        s = _sigmoid(variant.beta * (probs - 0.5))
-        return variant.beta * s * (1.0 - s)
-    return np.ones_like(probs)
-
-
-# kind -> (conditioning label, True if the positive-side weight is summed)
-_RATE_SPEC = {
-    MeasureKind.FPR: (0, True),
-    MeasureKind.FNR: (1, False),
-    MeasureKind.TPR: (1, True),
-    MeasureKind.TNR: (0, False),
-}
-
-
-def _masked_sum(w, mask):
-    """Row sums of ``w[:, mask]`` for an (M, n) array.
-
-    The gather is made C-contiguous first: each row is then summed with
-    numpy's pairwise summation, exactly like a 1-D ``np.sum(w[i][mask])``.
+    The continuous weight is the probability itself: its w' is 1, returned
+    as None so no multiply by ones is spent.
     """
-    return np.ascontiguousarray(w[:, mask]).sum(axis=1)
+    if not variant.is_sigmoided:
+        return probs, None
+    s = _sigmoid(variant.beta * (probs - 0.5))
+    return s, (variant.beta * s * (1.0 - s) if want_grad else None)
 
 
-def _measure_and_grad(kind, variant, mode, probs, labels, mask, want_grad):
-    """Soft measure of every row of ``probs`` (M, n) over ``mask``.
+def _tables(w, cell, counts):
+    """(M, G, 2, 2) tables of (M, n) weights: P[g, y] sums w per cell, N counts rows.
 
-    Returns the (M,) measures and, optionally, their (M, n) gradients wrt
-    probs; entries outside ``mask`` are 0.  Denominators are clamped to
-    DENOM_EPS so an empty (group, class) cell yields measure 0 rather
-    than a division blowup.
+    ``cell`` is each row's cell 2*group + label and ``counts`` the (G, 2)
+    row counts N; every model's cells are summed in row order.
     """
-    w_pos = _pos_weight(variant, probs)
-    w_pos_g = _pos_weight_grad(variant, probs) if want_grad else None
+    models, cells = w.shape[0], counts.size
+    index = cell + cells * np.arange(models)[:, None]
+    sums = np.bincount(index.ravel(), weights=w.ravel(), minlength=models * cells)
+    tables = np.empty((models,) + counts.shape + (2,))
+    tables[:, :, 0] = sums.reshape(models, *counts.shape)
+    tables[:, :, 1] = counts
+    return tables
 
-    if kind in _RATE_SPEC:
-        cond_label, use_pos = _RATE_SPEC[kind]
-        cond = mask & (labels == cond_label)
-        w = w_pos if use_pos else 1.0 - w_pos
-        num = _masked_sum(w, cond)
-        if mode is DenominatorMode.RATE:
-            den = float(np.count_nonzero(cond))
-            den_moves = False
-        else:
-            den = _masked_sum(w, mask)
-            den_moves = True
-    elif kind is MeasureKind.STP:
-        cond = mask
-        use_pos = True
-        num = _masked_sum(w_pos, mask)
-        den = float(np.count_nonzero(mask))
-        den_moves = False
-    elif kind is MeasureKind.ACC:
-        cond = mask
-        use_pos = None  # per-sample sign depends on the label
-        correct = np.where(labels == 1, w_pos, 1.0 - w_pos)
-        num = _masked_sum(correct, mask)
-        den = float(np.count_nonzero(mask))
-        den_moves = False
-    else:
-        raise ConfigError(f"unknown measure kind {kind!r}")
 
+def _counts(cell, n_groups):
+    return np.bincount(cell, minlength=2 * n_groups).reshape(n_groups, 2)
+
+
+def _measure(kind, mode, tables, want_grad):
+    """Soft measures of (..., 2, 2) tables and, optionally, d measure / d P[y].
+
+    Denominators are clamped to DENOM_EPS so an empty (group, class) cell
+    yields measure 0 rather than a division blowup; a clamped denominator
+    is held constant in the gradient.
+    """
+    coef = measure_coefficients(kind, mode is DenominatorMode.AS_WRITTEN)
+    parts = measure_parts(coef, tables)
+    num, den = parts[..., 0], parts[..., 1]
     den_c = np.maximum(den, DENOM_EPS)
     m = num / den_c
     if not want_grad:
         return m, None
-
-    grad = np.zeros_like(probs)
-    col_den = den_c[:, None] if den_moves else den_c  # per row only when it moves
-    if kind is MeasureKind.ACC:
-        sign = np.where(labels == 1, 1.0, -1.0)
-        grad[:, cond] = sign[cond] * w_pos_g[:, cond] / col_den
-        return m, grad
-
-    sign = 1.0 if use_pos else -1.0
-    grad[:, cond] = sign * w_pos_g[:, cond] / col_den
-    if den_moves:
-        # quotient rule: the denominator sums the weight over the whole group
-        moved = (num * sign)[:, None] * w_pos_g[:, mask] / (den_c * den_c)[:, None]
-        # rows with a vanishing denominator keep the plain term (select, never scale by 0)
-        grad[:, mask] -= np.where((den > DENOM_EPS)[:, None], moved, 0.0)
-    return m, grad
+    # quotient rule; select, never scale by 0, where the denominator is clamped
+    moving = np.where(den > DENOM_EPS, m, 0.0)
+    return m, (coef[0, 0] - coef[1, 0] * moving[..., None]) / den_c[..., None]
 
 
 def soft_measure(kind, variant, mode, probs, labels, group_mask) -> float:
@@ -263,8 +223,10 @@ def soft_measure(kind, variant, mode, probs, labels, group_mask) -> float:
         raise InputShapeError(f"group_mask shape {mask.shape} != probs shape {probs.shape}")
     if not mask.any():
         raise UndefinedMeasureError(kind.value, None, f"soft {kind.value}: empty group selection")
-    m, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask, want_grad=False)
-    return float(m[0])
+    w, _ = _weights(variant, probs[None, mask], want_grad=False)
+    cell = labels[mask]
+    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 1)), want_grad=False)
+    return float(m[0, 0])
 
 
 def _check_vectors(probs, labels, probs_ndims=(1,)):
@@ -277,14 +239,18 @@ def _check_vectors(probs, labels, probs_ndims=(1,)):
     return probs, labels.astype(np.int64)
 
 
-def _two_group_masks(groups, n):
+def _cells(groups, labels):
+    """The sorted group values present and each row's cell 2*group + label.
+
+    With two groups present, group index 0/1 is the sorted group value.
+    """
     groups = np.asarray(groups)
-    if groups.ndim != 1 or groups.size != n:
+    if groups.ndim != 1 or groups.size != labels.size:
         raise InputShapeError("groups must be a vector matching probs")
     present = np.unique(groups)
     if present.size != 2:
-        raise InputShapeError(f"expected exactly two group values, found {present.tolist()}")
-    return groups == present[0], groups == present[1]
+        return present, labels
+    return present, labels + 2 * (groups == present[1])
 
 
 def _ratio(m0, m1):
@@ -294,16 +260,13 @@ def _ratio(m0, m1):
     return m0 / m1 if m0 <= m1 else m1 / m0
 
 
-def _ratio_grad(m0, d0, m1, d1):
-    """Per-row gradient of ``_ratio``; ties route the subgradient through group 0."""
-    first = m0 <= m1
-    lo, hi = np.where(first, m0, m1), np.where(first, m1, m0)
-    dlo = np.where(first[:, None], d0, d1)
-    dhi = np.where(first[:, None], d1, d0)
-    zero = np.where(m1 > m0, m1, m0) == 0.0  # Python's max(m0, m1), NaN included
-    hi = np.where(zero, 1.0, hi)  # the ratio is the constant 1 there
-    grad = (dlo * hi[:, None] - lo[:, None] * dhi) / (hi * hi)[:, None]
-    return np.where(zero[:, None], 0.0, grad)
+def _ratio_grad(m0, m1):
+    """d _ratio / d (m0, m1); ties route the subgradient through group 0."""
+    if max(m0, m1) == 0.0:
+        return 0.0, 0.0  # the ratio is the constant 1 there
+    if m0 <= m1:
+        return 1.0 / m1, -m0 / (m1 * m1)
+    return -m1 / (m0 * m0), 1.0 / m0
 
 
 def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
@@ -311,10 +274,12 @@ def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
     kind = MeasureKind(kind)
     mode = DenominatorMode(mode)
     probs, labels = _check_vectors(probs, labels)
-    mask0, mask1 = _two_group_masks(groups, probs.size)
-    m0, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask0, want_grad=False)
-    m1, _ = _measure_and_grad(kind, variant, mode, probs[None], labels, mask1, want_grad=False)
-    return _ratio(float(m0[0]), float(m1[0]))
+    present, cell = _cells(groups, labels)
+    if present.size != 2:
+        raise InputShapeError(f"expected exactly two group values, found {present.tolist()}")
+    w, _ = _weights(variant, probs[None], want_grad=False)
+    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)), want_grad=False)
+    return _ratio(*m[0].tolist())
 
 
 def fairness_loss(term: FairnessTerm, probs, labels, groups,
@@ -347,15 +312,6 @@ def binary_cross_entropy(probs, labels, want_grad=False):
     return float(bce[0]), (grad[0] if want_grad else None)
 
 
-def _term_cells_present(kind, labels, mask0, mask1):
-    """True when both groups have rows in the term's conditioning class."""
-    if kind in _RATE_SPEC:
-        cond_label, _ = _RATE_SPEC[kind]
-        in_class = labels == cond_label
-        return bool((mask0 & in_class).any() and (mask1 & in_class).any())
-    return bool(mask0.any() and mask1.any())
-
-
 def _term_columns(term_sets):
     """Terms by position across models; each position must share kind and variant."""
     sizes = {len(terms) for terms in term_sets}
@@ -382,44 +338,55 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
     else:
         term_sets = [tuple(terms)]
         probs = probs[None]
-    groups = np.asarray(groups)
-    if groups.ndim != 1 or groups.size != labels.size:
-        raise InputShapeError("groups must be a vector matching probs")
-    present = np.unique(groups)
+    present, cell = _cells(groups, labels)
     if present.size > 2:
         raise InputShapeError(f"training losses support two groups, found {present.tolist()}")
-    two_groups = present.size == 2
-    if two_groups:
-        mask0, mask1 = groups == present[0], groups == present[1]
+    counts = _counts(cell, 2) if present.size == 2 else None
 
     bce, grad = _bce(probs, labels, want_grad)
     bce = bce.tolist()
     totals = list(bce)
     per_term = [[] for _ in term_sets]
+    models = len(term_sets)
+    trains = np.zeros(models, dtype=bool)  # rows with a term of nonzero weight
+    by_variant = {}  # variant -> (tables, w'(probs) or None, d total / d P)
     for column in _term_columns(term_sets):
         kind, variant = column[0].kind, column[0].variant
-        if not (two_groups and _term_cells_present(kind, labels, mask0, mask1)):
-            # an empty (group, class) cell would make the ratio meaningless
+        # both groups need rows in the term's conditioning class, which the
+        # fixed denominator counts; otherwise the ratio would be meaningless
+        if counts is None or not (counts @ measure_coefficients(kind)[1, 1]).all():
             for term_values, term in zip(per_term, column):
                 term_values.append(TermValue(term=term, soft_bps=1.0, term_loss=0.0,
                                              skipped=True))
             continue
-        m0, d0 = _measure_and_grad(kind, variant, mode, probs, labels, mask0, want_grad)
-        m1, d1 = _measure_and_grad(kind, variant, mode, probs, labels, mask1, want_grad)
-        weights = []  # (row, d total / d ratio) of the terms that train
-        for i, (term, r) in enumerate(zip(column, map(_ratio, m0.tolist(), m1.tolist()))):
+        if variant not in by_variant:
+            w, dw = _weights(variant, probs, want_grad)
+            by_variant[variant] = (_tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
+        tables, _, d_total = by_variant[variant]
+        m, dm = _measure(kind, mode, tables, want_grad)
+        slopes = []  # per row: d total / d (m0, m1)
+        for i, (term, (m0, m1)) in enumerate(zip(column, m.tolist())):
+            r = _ratio(m0, m1)
             loss = (1.0 - r) ** term.power
             if term.alpha != 0.0:  # zero-weight terms must leave BCE bit-identical
                 totals[i] += term.alpha * loss
-                weights.append((i, term.alpha * term.power * (1.0 - r) ** (term.power - 1)))
-            per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
-        if want_grad and weights:
-            dr = _ratio_grad(m0, d0, m1, d1)
-            rows, coef = (np.array(v) for v in zip(*weights))
-            if rows.size == len(term_sets):
-                grad += coef[:, None] * -dr
+                trains[i] = True
+                slope = -term.alpha * term.power * (1.0 - r) ** (term.power - 1)
+                d0, d1 = _ratio_grad(m0, m1)
+                slopes.append((slope * d0, slope * d1))
             else:
-                grad[rows] += coef[:, None] * -dr[rows]
+                slopes.append((0.0, 0.0))
+            per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
+        if want_grad:
+            d_total += np.array(slopes)[..., None] * dm
+    if want_grad and trains.any():
+        for _, dw, d_total in by_variant.values():
+            # the per-sample gradient is a gather: d total / d P[g_i, y_i] * w'(prob_i)
+            step = d_total.reshape(models, 4)[:, cell]
+            if dw is not None:
+                step *= dw
+            # rows whose terms all have zero weight are left out, never added as 0
+            np.add(grad, step, out=grad, where=trains[:, None])
     values = tuple(
         LossValue(total=total, bce=b, per_term=tuple(term_values))
         for total, b, term_values in zip(totals, bce, per_term)

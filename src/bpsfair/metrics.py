@@ -1,8 +1,10 @@
-"""Hard per-group statistical measures and the Bias Parity Score (BPS).
+"""Per-group statistical measures, their shared formula, and the Bias Parity Score.
 
-All functions here operate on hard (thresholded) predictions.  BPS scales
-the min/max ratio of a per-group measure to a percentage: 100 is perfect
-parity between groups, 0 is maximal bias.
+Every measure, hard or soft, is a ratio num/den of sums over one group's
+(group x label) table.  The hard measures here evaluate it on 0/1
+predictions; ``losses`` evaluates the same spec on soft weights.  BPS
+scales the min/max ratio of a per-group measure to a percentage: 100 is
+perfect parity between groups, 0 is maximal bias.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import EmptyInputError, InputShapeError, SchemaError, UndefinedMeasureError
+from .errors import DataError, EmptyInputError, InputShapeError, SchemaError, UndefinedMeasureError
 
 __all__ = [
     "MeasureKind",
+    "measure_coefficients",
+    "measure_parts",
     "GroupConfusion",
     "BpsEntry",
     "BpsReport",
@@ -46,6 +50,43 @@ class MeasureKind(str, Enum):
     STP = "STP"
 
 
+# One group's table is T[0, y] = P[y], the positive-side weight summed over
+# the group's rows with label y, and T[1, y] = N[y], the number of those
+# rows.  The weight is the 0/1 prediction for hard measures and w(prob) for
+# soft ones.  Per kind: the coefficients on (P[0], P[1], N[0], N[1]) of the
+# numerator, of the fixed denominator and, for the four rates, of the
+# as-written denominator, which sums the numerator's own weight over the
+# whole group.
+_SPEC = {
+    MeasureKind.FPR: ((1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0)),
+    MeasureKind.FNR: ((0, -1, 0, 1), (0, 0, 0, 1), (-1, -1, 1, 1)),
+    MeasureKind.TPR: ((0, 1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0)),
+    MeasureKind.TNR: ((-1, 0, 1, 0), (0, 0, 1, 0), (-1, -1, 1, 1)),
+    MeasureKind.ACC: ((-1, 1, 1, 0), (0, 0, 1, 1), None),
+    MeasureKind.STP: ((1, 1, 0, 0), (0, 0, 1, 1), None),
+}
+_COEFFICIENTS = {
+    (kind, as_written): np.array((num, written if as_written and written else fixed),
+                                 dtype=np.int64).reshape(2, 2, 2)
+    for kind, (num, fixed, written) in _SPEC.items()
+    for as_written in (False, True)
+}
+
+
+def measure_coefficients(kind, as_written: bool = False) -> np.ndarray:
+    """Coefficients [num/den, P/N, label] of one measure on a (2, 2) table.
+
+    ``as_written`` selects the denominator that moves with the weights;
+    STP and ACC divide by the group size either way.
+    """
+    return _COEFFICIENTS[(MeasureKind(kind), bool(as_written))]
+
+
+def measure_parts(coefficients: np.ndarray, tables) -> np.ndarray:
+    """(num, den) of one measure over (..., 2, 2) tables, shaped (..., 2)."""
+    return (tables[..., None, :, :] * coefficients).sum(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class GroupConfusion:
     """Confusion-matrix counts for one sensitive-attribute group."""
@@ -67,8 +108,9 @@ class BpsEntry:
 
     ``group_values`` maps group id to the measure value, or None where the
     measure is undefined (empty conditioning class).  ``bps`` is None when
-    any group value is undefined; ``undefined_groups`` then lists the
-    offending groups so callers can flag rather than abort.
+    any group value is undefined, listed in ``undefined_groups``, or when
+    fewer than two groups are present; such entries are flagged so
+    callers can report rather than abort.
     """
 
     kind: MeasureKind
@@ -79,7 +121,7 @@ class BpsEntry:
 
     @property
     def flagged(self) -> bool:
-        return bool(self.undefined_groups)
+        return self.bps is None
 
 
 @dataclass(frozen=True)
@@ -99,10 +141,30 @@ def _as_binary_vector(name: str, values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise InputShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr = arr.astype(np.int64)
+    # checked before the cast, which would truncate 0.7 to 0
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise InputShapeError(f"{name} must contain only 0/1 values")
-    return arr
+    return arr.astype(np.int64)
+
+
+def _count_tables(predictions, labels, groups):
+    """Group ids and their (G, 2, 2) tables of predicted-positive and row counts."""
+    preds = _as_binary_vector("predictions", predictions)
+    y = _as_binary_vector("labels", labels)
+    g = np.asarray(groups)
+    if g.ndim != 1:
+        raise InputShapeError(f"groups must be one-dimensional, got shape {g.shape}")
+    g = g.astype(np.int64)
+    if not (preds.size == y.size == g.size):
+        raise InputShapeError(
+            f"length mismatch: predictions {preds.size}, labels {y.size}, groups {g.size}"
+        )
+    if preds.size == 0:
+        raise EmptyInputError("cannot compute confusion counts on empty input")
+    gids, index = np.unique(g, return_inverse=True)
+    # counts[g, y, prediction]
+    counts = np.bincount(index * 4 + y * 2 + preds, minlength=4 * gids.size).reshape(-1, 2, 2)
+    return gids.tolist(), np.stack((counts[:, :, 1], counts.sum(axis=2)), axis=1)
 
 
 def confusion(predictions, labels, groups) -> tuple[GroupConfusion, ...]:
@@ -120,43 +182,17 @@ def confusion(predictions, labels, groups) -> tuple[GroupConfusion, ...]:
     tuple of GroupConfusion
         One entry per distinct group value, ordered by group id.
     """
-    preds = _as_binary_vector("predictions", predictions)
-    y = _as_binary_vector("labels", labels)
-    g = np.asarray(groups)
-    if g.ndim != 1:
-        raise InputShapeError(f"groups must be one-dimensional, got shape {g.shape}")
-    g = g.astype(np.int64)
-    if not (preds.size == y.size == g.size):
-        raise InputShapeError(
-            f"length mismatch: predictions {preds.size}, labels {y.size}, groups {g.size}"
-        )
-    if preds.size == 0:
-        raise EmptyInputError("cannot compute confusion counts on empty input")
-
-    out = []
-    for gid in np.unique(g):
-        mask = g == gid
-        p, t = preds[mask], y[mask]
-        out.append(
-            GroupConfusion(
-                group_id=int(gid),
-                tp=int(np.sum((p == 1) & (t == 1))),
-                fp=int(np.sum((p == 1) & (t == 0))),
-                tn=int(np.sum((p == 0) & (t == 0))),
-                fn=int(np.sum((p == 0) & (t == 1))),
-            )
-        )
-    return tuple(out)
-
-
-def _total_confusion(parts: tuple[GroupConfusion, ...]) -> GroupConfusion:
-    return GroupConfusion(
-        group_id=-1,
-        tp=sum(c.tp for c in parts),
-        fp=sum(c.fp for c in parts),
-        tn=sum(c.tn for c in parts),
-        fn=sum(c.fn for c in parts),
+    gids, tables = _count_tables(predictions, labels, groups)
+    return tuple(
+        GroupConfusion(group_id=gid, tp=tp, fp=fp, tn=n0 - fp, fn=n1 - tp)
+        for gid, ((fp, tp), (n0, n1)) in zip(gids, tables.tolist())
     )
+
+
+def _hard_values(kind: MeasureKind, tables) -> list:
+    """Hard measure of each (2, 2) count table, or None where its denominator is 0."""
+    parts = measure_parts(measure_coefficients(kind), np.asarray(tables, dtype=np.int64))
+    return [num / den if den else None for num, den in parts.reshape(-1, 2).tolist()]
 
 
 def hard_measure(kind: MeasureKind, c: GroupConfusion) -> float:
@@ -168,21 +204,10 @@ def hard_measure(kind: MeasureKind, c: GroupConfusion) -> float:
         If the measure's denominator count is zero.
     """
     kind = MeasureKind(kind)
-    if kind is MeasureKind.FPR:
-        num, den = c.fp, c.fp + c.tn
-    elif kind is MeasureKind.TNR:
-        num, den = c.tn, c.tn + c.fp
-    elif kind is MeasureKind.FNR:
-        num, den = c.fn, c.fn + c.tp
-    elif kind is MeasureKind.TPR:
-        num, den = c.tp, c.tp + c.fn
-    elif kind is MeasureKind.ACC:
-        num, den = c.tp + c.tn, c.total
-    else:  # STP: positivity rate
-        num, den = c.tp + c.fp, c.total
-    if den == 0:
+    (value,) = _hard_values(kind, ((c.fp, c.tp), (c.fp + c.tn, c.tp + c.fn)))
+    if value is None:
         raise UndefinedMeasureError(kind.value, c.group_id)
-    return num / den
+    return value
 
 
 def bps_binary(m0: float, m1: float) -> float:
@@ -223,39 +248,29 @@ def bps_report(predictions, labels, groups) -> BpsReport:
     reported as flagged entries with ``bps=None`` instead of raising, so a
     degenerate evaluation slice never aborts a run.  With exactly two
     groups the BPS is the pairwise ratio; with more, parity is averaged
-    against the whole-population value.
+    against the whole-population value.  A single group has no parity to
+    score: every entry is flagged.
     """
-    parts = confusion(predictions, labels, groups)
-    pop = _total_confusion(parts)
+    gids, tables = _count_tables(predictions, labels, groups)
+    population = tables.sum(axis=0)
     entries = {}
     for kind in MeasureKind:
-        group_values: dict[int, float | None] = {}
-        undefined = []
-        for c in parts:
-            try:
-                group_values[c.group_id] = hard_measure(kind, c)
-            except UndefinedMeasureError:
-                group_values[c.group_id] = None
-                undefined.append(c.group_id)
-        try:
-            pop_value = hard_measure(kind, pop)
-        except UndefinedMeasureError:
-            pop_value = None
-
-        bps: float | None = None
-        if not undefined:
-            defined = {gid: v for gid, v in group_values.items() if v is not None}
-            if len(defined) == 2:
-                v0, v1 = defined.values()
-                bps = bps_binary(v0, v1)
-            elif pop_value is not None:
-                bps = bps_multiclass(defined, pop_value)
+        values = _hard_values(kind, tables)
+        (pop_value,) = _hard_values(kind, population)
+        group_values = dict(zip(gids, values))
+        undefined = tuple(gid for gid, v in group_values.items() if v is None)
+        if undefined or len(gids) < 2:
+            bps = None
+        elif len(gids) == 2:
+            bps = bps_binary(*values)
+        else:
+            bps = bps_multiclass(group_values, pop_value)
         entries[kind] = BpsEntry(
             kind=kind,
             group_values=group_values,
             population_value=pop_value,
             bps=bps,
-            undefined_groups=tuple(undefined),
+            undefined_groups=undefined,
         )
     return BpsReport(entries=entries)
 
@@ -264,7 +279,11 @@ PREDICTION_DUMP_COLUMNS = ("y_true", "y_prob", "group")
 
 
 def read_prediction_dump(path):
-    """Read a ``y_true, y_prob, group`` CSV into numpy vectors."""
+    """Read a ``y_true, y_prob, group`` CSV into numpy vectors.
+
+    ``y_true`` must be 0/1 and ``y_prob`` a probability in [0, 1]; rows
+    that break this or do not parse raise DataError listing them.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -274,14 +293,27 @@ def read_prediction_dump(path):
         for col in PREDICTION_DUMP_COLUMNS:
             if col not in header:
                 raise SchemaError(f"{path}: missing column {col!r} in header {header}")
-        idx = {col: header.index(col) for col in PREDICTION_DUMP_COLUMNS}
+        i_true, i_prob, i_group = (header.index(col) for col in PREDICTION_DUMP_COLUMNS)
         y_true, y_prob, group = [], [], []
-        for row in reader:
+        bad_rows = []
+        for row_no, row in enumerate(reader):
             if not row:
                 continue
-            y_true.append(int(row[idx["y_true"]]))
-            y_prob.append(float(row[idx["y_prob"]]))
-            group.append(int(row[idx["group"]]))
+            try:
+                t, p, g = int(row[i_true]), float(row[i_prob]), int(row[i_group])
+            except (ValueError, IndexError):
+                bad_rows.append((row_no, f"unparseable row {row!r}"))
+                continue
+            if t not in (0, 1) or not 0.0 <= p <= 1.0:  # NaN fails the range check
+                bad_rows.append((row_no, f"y_true {t} / y_prob {p} out of range"))
+                continue
+            y_true.append(t)
+            y_prob.append(p)
+            group.append(g)
+    if bad_rows:
+        preview = "; ".join(f"row {r}: {msg}" for r, msg in bad_rows[:5])
+        raise DataError(f"{path}: {len(bad_rows)} unusable row(s): {preview}",
+                        rows=[r for r, _ in bad_rows])
     if not y_true:
         raise EmptyInputError(f"{path}: prediction dump has no data rows")
     return np.array(y_true), np.array(y_prob), np.array(group)

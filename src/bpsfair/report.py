@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import GridResult, run_scalars
+from .engine import GridResult, mean_and_variance, run_scalars
 from .errors import ConfigError
 from .metrics import MeasureKind, bps_binary
 
@@ -149,15 +149,7 @@ def cells_from_runs(rows):
         cell["n_runs"] = len(ok)
         cell["n_diverged"] = len(runs) - len(ok)
         for col in scalar_cols:
-            vals = np.array(
-                [r[col] for r in ok if r.get(col) is not None and not math.isnan(r.get(col, float("nan")))]
-            )
-            if vals.size == 0:
-                cell[f"mean_{col}"] = float("nan")
-                cell[f"var_{col}"] = float("nan")
-            else:
-                cell[f"mean_{col}"] = float(vals.mean())
-                cell[f"var_{col}"] = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
+            cell[f"mean_{col}"], cell[f"var_{col}"] = mean_and_variance(r.get(col) for r in ok)
         cells.append(cell)
     return cells
 

@@ -157,6 +157,13 @@ class TestEvaluate:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_malformed_prediction_dump_exits_2(self, workspace, capsys):
+        dump = workspace / "dump.csv"
+        dump.write_text("y_true,y_prob,group\n1,0.9,0\n0,nan,1\n0,abc,1\n")
+        assert main(["evaluate", "--predictions", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 unusable row(s)" in err
+
     def test_needs_exactly_one_input(self, workspace, capsys):
         assert main(["evaluate"]) == 2
         assert main(["evaluate", "--predictions", "a", "--model", "b"]) == 2

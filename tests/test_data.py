@@ -297,3 +297,33 @@ class TestSchemaValidation:
         with pytest.raises(ConfigError):
             DatasetSchema(label="y", positive_label="1", sensitive="g",
                           sensitive_map={"a": 0, "b": 2}, continuous=("x",))
+
+
+class TestSchemaDict:
+    def test_round_trip(self):
+        schema = DatasetSchema(
+            label="income", positive_label=">50K", negative_label="<=50K", sensitive="sex",
+            sensitive_map={"Male": 1, "Female": 0}, categorical=("race",),
+            continuous=("age", "hours"), ignore=("fnlwgt",),
+            label_aliases={">50K.": ">50K"}, missing_token="NA",
+        )
+        d = schema.to_dict()
+        assert list(d) == ["label", "positive_label", "negative_label", "sensitive",
+                           "sensitive_map", "categorical", "continuous", "ignore",
+                           "label_aliases", "missing_token"]
+        assert DatasetSchema.from_dict(d) == schema
+        assert DatasetSchema.from_dict(adult_preset().to_dict()) == adult_preset()
+
+    def test_from_dict_coerces_and_defaults(self):
+        schema = DatasetSchema.from_dict({
+            "label": "y", "positive_label": 1, "sensitive": "g",
+            "sensitive_map": {0: "0", 1: 1}, "continuous": ["x"],
+        })
+        assert schema.positive_label == "1"
+        assert schema.negative_label == "0"
+        assert schema.sensitive_map == {"0": 0, "1": 1}
+        assert schema.missing_token == "?"
+
+    def test_missing_key(self):
+        with pytest.raises(KeyError):
+            DatasetSchema.from_dict({"label": "y", "positive_label": "1", "continuous": ["x"]})

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsfair.errors import ConfigError, InputShapeError, UndefinedMeasureError
 from bpsfair.losses import (
@@ -128,6 +130,20 @@ class TestSoftMeasure:
                     continue
                 soft = soft_measure(kind, CONT, RATE, probs, labels, mask)
                 assert soft == pytest.approx(hard, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
+    def test_zero_one_weights_equal_hard_measure_exactly(self, rows):
+        # one formula: the soft measure on 0/1 weights is the hard measure
+        preds, labels = (np.array(col) for col in zip(*rows))
+        (c,) = confusion(preds, labels, np.zeros(preds.size, dtype=int))
+        mask = np.ones(preds.size, dtype=bool)
+        for kind in ALL_KINDS:
+            try:
+                hard = hard_measure(kind, c)
+            except UndefinedMeasureError:
+                continue
+            assert soft_measure(kind, CONT, RATE, preds.astype(float), labels, mask) == hard
 
     def test_sigmoided_rate_converges_to_hard_at_large_beta(self):
         rng = np.random.default_rng(103)
@@ -441,6 +457,29 @@ class TestStackedLoss:
             alone, alone_grad = combined_loss_and_gradient(terms, stack[i], labels, groups, mode)
             assert values[i] == alone
             np.testing.assert_array_equal(grad[i], alone_grad)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        kinds=st.lists(st.sampled_from(ALL_KINDS), min_size=0, max_size=3),
+        variant=st.sampled_from([CONT, SIG, SoftVariant.sigmoided(6.0)]),
+        mode=st.sampled_from([AS_WRITTEN, RATE]),
+        weights=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.5]), st.integers(1, 4)),
+                         min_size=1, max_size=5),
+    )
+    def test_any_stack_row_equals_its_single_model_call(self, seed, n, kinds, variant, mode,
+                                                        weights):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.0, 1.0, (len(weights), n))
+        labels, groups = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        term_sets = [tuple(FairnessTerm(k, variant, alpha, power) for k in kinds)
+                     for alpha, power in weights]
+        values, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        for i, terms in enumerate(term_sets):
+            alone, alone_grad = combined_loss_and_gradient(terms, stack[i], labels, groups, mode)
+            assert values[i] == alone
+            assert grad[i].tobytes() == alone_grad.tobytes()
 
     def test_terms_must_line_up(self):
         probs, labels, groups = random_fixture(np.random.default_rng(3))

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpsfair.errors import EmptyInputError, InputShapeError, SchemaError, UndefinedMeasureError
+from bpsfair.errors import (
+    DataError,
+    EmptyInputError,
+    InputShapeError,
+    SchemaError,
+    UndefinedMeasureError,
+)
 from bpsfair.metrics import (
     GroupConfusion,
     MeasureKind,
@@ -68,6 +76,18 @@ class TestConfusion:
     def test_non_binary_rejected(self):
         with pytest.raises(InputShapeError):
             confusion([2, 0], [1, 0], [0, 0])
+
+    @pytest.mark.parametrize("bad", [0.7, 2, -1, float("nan")])
+    def test_non_binary_rejected_before_the_integer_cast(self, bad):
+        # a cast first would count 0.7 as 0
+        with pytest.raises(InputShapeError):
+            confusion([bad, 0], [1, 0], [0, 0])
+        with pytest.raises(InputShapeError):
+            confusion([1, 0], [bad, 0], [0, 0])
+
+    def test_bool_and_float_zero_one_accepted(self):
+        (c,) = confusion(np.array([True, False, True]), np.array([1.0, 0.0, 0.0]), [0, 0, 0])
+        assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 0)
 
 
 class TestHardMeasure:
@@ -243,6 +263,27 @@ class TestBpsReport:
         assert entry.bps is None
         assert rep[MeasureKind.ACC].bps is not None
 
+    def test_single_group_is_flagged_not_scored_fair(self):
+        rep = bps_report([1, 0, 1, 0], [1, 0, 0, 1], [3, 3, 3, 3])
+        for kind in MeasureKind:
+            entry = rep[kind]
+            assert entry.bps is None
+            assert entry.flagged
+            assert entry.undefined_groups == ()
+            assert entry.group_values == {3: entry.population_value}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=40))
+    def test_bps_in_range_and_symmetric_under_group_swap(self, rows):
+        preds, labels, groups = (np.array(col) for col in zip(*rows))
+        rep = bps_report(preds, labels, groups)
+        swapped = bps_report(preds, labels, 1 - groups)
+        for kind in MeasureKind:
+            bps = rep.bps(kind)
+            assert bps is None or 0.0 <= bps <= 100.0
+            assert swapped.bps(kind) == bps
+
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(43)
         preds = rng.integers(0, 2, 300)
@@ -286,3 +327,12 @@ class TestPredictionDump:
         path.write_text("y_true,prob,group\n1,0.5,0\n")
         with pytest.raises(SchemaError):
             evaluate_prediction_dump(path)
+
+    @pytest.mark.parametrize("row", ["0,nan,0", "0,1.5,1", "1,-0.1,0", "2,0.5,1",
+                                     "1,0.5", "x,0.5,0", "1,0.5,g"])
+    def test_malformed_rows_are_data_errors(self, tmp_path, row):
+        path = tmp_path / "dump.csv"
+        path.write_text(f"y_true,y_prob,group\n1,0.9,0\n{row}\n0,0.2,1\n")
+        with pytest.raises(DataError) as info:
+            evaluate_prediction_dump(path)
+        assert info.value.rows == (1,)
