@@ -40,16 +40,33 @@ __all__ = [
     "CellKey",
     "CellResult",
     "GridResult",
+    "CELL_FIELDS",
+    "RUN_FIELDS",
+    "scalar_columns",
+    "select_cell",
     "train_model",
     "evaluate",
     "run_grid",
     "aggregate",
+    "cell_statistics",
     "mean_and_variance",
     "run_scalars",
     "dataset_for_split",
 ]
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0 baseline + 0.1 .. 1.0
+
+# The run/cell schema of runs.csv and cells.csv; scalar_columns lists what run_scalars emits.
+CELL_FIELDS = ("measures", "variant", "beta", "power", "alpha")
+RUN_FIELDS = CELL_FIELDS + ("iteration", "seed", "diverged", "divergence_epoch")
+
+
+def scalar_columns(n_terms: int) -> tuple:
+    """Scalar columns of runs with up to ``n_terms`` fairness terms, in CSV order."""
+    names = [kind.value.lower() for kind in MeasureKind]
+    return (("accuracy", "bce", "best_epoch") + tuple(f"bps_{m}" for m in names)
+            + tuple(f"{m}_g{slot}" for m in names for slot in (0, 1))
+            + tuple(f"term{i}_{part}" for i in range(n_terms) for part in ("loss", "soft_bps")))
 
 
 @dataclass(frozen=True)
@@ -291,8 +308,10 @@ class CellKey:
             for kind, scale in self.measures
         )
 
-    def sort_key(self):
-        return (self.measures_label, str(self.variant), self.power, self.alpha)
+    def fields(self) -> dict:
+        """The cell's CELL_FIELDS values; cells are listed in their order everywhere."""
+        return dict(zip(CELL_FIELDS, (self.measures_label, self.variant.name,
+                                      self.variant.beta, self.power, self.alpha)))
 
 
 @dataclass
@@ -314,23 +333,24 @@ class GridResult:
     cells: tuple
     plan: SplitPlan
 
-    def cell(self, **selectors) -> CellResult:
-        """Find the unique cell matching keyword selectors (measures_label, alpha, ...)."""
-        matches = []
-        for c in self.cells:
-            key = c.key
-            fields = {
-                "measures_label": key.measures_label,
-                "variant": key.variant.name,
-                "beta": key.variant.beta,
-                "power": key.power,
-                "alpha": key.alpha,
-            }
-            if all(fields[k] == v for k, v in selectors.items()):
-                matches.append(c)
-        if len(matches) != 1:
-            raise KeyError(f"selectors {selectors} matched {len(matches)} cells")
-        return matches[0]
+    def cell(self, **selector) -> CellResult:
+        """The unique cell matching CELL_FIELDS selectors (measures, alpha, ...)."""
+        return select_cell(self.cells, selector, lambda c: c.key.fields())
+
+
+def select_cell(cells, selector: dict, fields=lambda cell: cell):
+    """The unique cell whose ``fields(cell)`` match every selector entry.
+
+    Selector keys are CELL_FIELDS names; an unknown key, no match or
+    several matches raise ConfigError.
+    """
+    unknown = sorted(set(selector) - set(CELL_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown cell selector fields {unknown}; expected {CELL_FIELDS}")
+    matches = [c for c in cells if all(fields(c)[k] == v for k, v in selector.items())]
+    if len(matches) != 1:
+        raise ConfigError(f"cell selector {selector} matched {len(matches)} cells")
+    return matches[0]
 
 
 def run_scalars(run: RunResult) -> dict:
@@ -358,19 +378,23 @@ def aggregate(runs) -> tuple[dict, dict, int, int]:
     Diverged runs are excluded from the statistics and counted
     separately; a single successful run has variance 0 by convention.
     """
-    ok = [r for r in runs if not r.diverged]
-    n_diverged = len(runs) - len(ok)
-    means: dict = {}
-    variances: dict = {}
-    if not ok:
-        return means, variances, 0, n_diverged
-    tables: dict = {}
-    for r in ok:
-        for k, v in run_scalars(r).items():
-            tables.setdefault(k, []).append(v)
-    for k, vals in tables.items():
-        means[k], variances[k] = mean_and_variance(vals)
-    return means, variances, len(ok), n_diverged
+    rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
+    columns = dict.fromkeys(k for row in rows for k in row if k != "diverged")
+    return cell_statistics(rows, columns)
+
+
+def cell_statistics(rows, columns) -> tuple[dict, dict, int, int]:
+    """(means, variances, n_success, n_diverged) of one cell's run rows.
+
+    A row maps scalar columns to values and ``diverged`` to a flag, as a
+    row of runs.csv does.  Each column's mean and unbiased variance come
+    from the rows that did not diverge; the others are only counted.
+    """
+    ok = [row for row in rows if not row["diverged"]]
+    means, variances = {}, {}
+    for col in columns:
+        means[col], variances[col] = mean_and_variance([row.get(col) for row in ok])
+    return means, variances, len(ok), len(rows) - len(ok)
 
 
 def mean_and_variance(values) -> tuple[float, float]:
@@ -508,7 +532,7 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
                     results[(key, it)] = result
 
     cells = []
-    for key in sorted(keys, key=lambda k: k.sort_key()):
+    for key in sorted(keys, key=lambda k: tuple(k.fields().values())):
         runs = tuple(results[(key, it)] for it in range(iterations))
         means, variances, n_ok, n_div = aggregate(runs)
         cells.append(

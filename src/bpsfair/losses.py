@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputShapeError, UndefinedMeasureError
-from .metrics import MeasureKind, measure_coefficients, measure_parts
+from .metrics import MeasureKind, _as_binary_vector, measure_coefficients, measure_parts
 
 __all__ = [
     "SoftVariant",
@@ -58,6 +58,8 @@ class SoftVariant:
             raise ConfigError(f"unknown soft variant {self.name!r}")
         if self.name == "sigmoided" and self.beta <= 0:
             raise ConfigError(f"sigmoid sharpness must be positive, got {self.beta}")
+        if self.name == "continuous" and self.beta != 1.0:
+            raise ConfigError(f"beta only applies to sigmoided weights, got {self.beta:g}")
 
     @classmethod
     def continuous(cls) -> "SoftVariant":
@@ -127,10 +129,7 @@ def parse_term(spec: str) -> FairnessTerm:
     except ValueError:
         raise ConfigError(f"bad term spec {spec!r}: unknown measure {kind_s!r}")
     beta = float(parts[4]) if len(parts) == 5 else 1.0
-    variant_s = variant_s.strip().lower()
-    if variant_s == "continuous" and len(parts) == 5:
-        raise ConfigError(f"bad term spec {spec!r}: beta only applies to sigmoided terms")
-    variant = SoftVariant(variant_s, beta)
+    variant = SoftVariant(variant_s.strip().lower(), beta)
     try:
         alpha = float(alpha_s)
         power = int(power_s)
@@ -236,7 +235,7 @@ def _check_vectors(probs, labels, probs_ndims=(1,)):
         raise InputShapeError(f"probs must have {probs_ndims} dimensions and labels one")
     if probs.shape[-1:] != labels.shape:
         raise InputShapeError(f"probs shape {probs.shape} != labels shape {labels.shape}")
-    return probs, labels.astype(np.int64)
+    return probs, _as_binary_vector("labels", labels)
 
 
 def _cells(groups, labels):

@@ -142,7 +142,7 @@ def _as_binary_vector(name: str, values) -> np.ndarray:
     if arr.ndim != 1:
         raise InputShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     # checked before the cast, which would truncate 0.7 to 0
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise InputShapeError(f"{name} must contain only 0/1 values")
     return arr.astype(np.int64)
 
@@ -154,6 +154,11 @@ def _count_tables(predictions, labels, groups):
     g = np.asarray(groups)
     if g.ndim != 1:
         raise InputShapeError(f"groups must be one-dimensional, got shape {g.shape}")
+    # checked before the cast, which would truncate group 0.5 to 0
+    if g.dtype.kind not in "biu" and not (
+        g.dtype.kind == "f" and np.all(np.isfinite(g) & (g == np.trunc(g)))
+    ):
+        raise InputShapeError("groups must be integer ids")
     g = g.astype(np.int64)
     if not (preds.size == y.size == g.size):
         raise InputShapeError(

@@ -1,8 +1,9 @@
 """Results persistence: runs.csv, cells.csv, plot series, comparison tables.
 
-Everything here is a pure transformation of stored run rows.  Numeric
-output uses a fixed 6-significant-digit format so emitted files are
-byte-for-byte reproducible from the same results.
+Everything here is a pure transformation of stored run rows, laid out
+by ``engine``'s run/cell schema.  Numeric output uses a fixed
+6-significant-digit format so emitted files are byte-for-byte
+reproducible from the same results.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import GridResult, mean_and_variance, run_scalars
+from .engine import (
+    CELL_FIELDS,
+    RUN_FIELDS,
+    GridResult,
+    cell_statistics,
+    run_scalars,
+    scalar_columns,
+    select_cell,
+)
 from .errors import ConfigError
-from .metrics import MeasureKind, bps_binary
+from .metrics import bps_binary
 
 __all__ = [
     "runs_table_from_grid",
@@ -35,14 +44,6 @@ __all__ = [
     "file_digest",
     "fmt",
 ]
-
-CELL_FIELDS = ("measures", "variant", "beta", "power", "alpha")
-RUN_FIELDS = CELL_FIELDS + ("iteration", "seed", "diverged", "divergence_epoch")
-BASE_SCALARS = ("accuracy", "bce", "best_epoch")
-GROUP_SCALARS = tuple(
-    f"{kind.value.lower()}_g{slot}" for kind in MeasureKind for slot in (0, 1)
-)
-BPS_SCALARS = tuple(f"bps_{kind.value.lower()}" for kind in MeasureKind)
 
 
 def fmt(value) -> str:
@@ -61,32 +62,15 @@ def fmt(value) -> str:
     return f"{v:.6g}"
 
 
-def _scalar_columns(max_terms: int):
-    cols = list(BASE_SCALARS) + list(BPS_SCALARS) + list(GROUP_SCALARS)
-    for i in range(max_terms):
-        cols += [f"term{i}_loss", f"term{i}_soft_bps"]
-    return cols
-
-
 def runs_table_from_grid(result: GridResult):
     """Flatten a GridResult into per-run row dicts."""
     rows = []
     for cell in result.cells:
-        key = cell.key
+        fields = cell.key.fields()
         for run in cell.runs:
-            row = {
-                "measures": key.measures_label,
-                "variant": key.variant.name,
-                "beta": key.variant.beta,
-                "power": key.power,
-                "alpha": key.alpha,
-                "iteration": run.iteration,
-                "seed": run.seed,
-                "diverged": run.diverged,
-                "divergence_epoch": run.divergence_epoch,
-            }
-            row.update(run_scalars(run))
-            rows.append(row)
+            rows.append({**fields, "iteration": run.iteration, "seed": run.seed,
+                         "diverged": run.diverged, "divergence_epoch": run.divergence_epoch,
+                         **run_scalars(run)})
     return rows
 
 
@@ -102,7 +86,7 @@ def _max_terms(rows) -> int:
 
 def write_runs_csv(rows, path):
     """One row per training run, fixed documented column order."""
-    columns = list(RUN_FIELDS) + _scalar_columns(_max_terms(rows))
+    columns = RUN_FIELDS + scalar_columns(_max_terms(rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -134,22 +118,17 @@ def read_runs_csv(path):
 
 
 def cells_from_runs(rows):
-    """Group runs by cell and compute means and unbiased variances."""
+    """Group runs by cell, in CELL_FIELDS order, with means and unbiased variances."""
     groups: dict = {}
     for row in rows:
-        key = tuple(row[f] for f in CELL_FIELDS)
-        groups.setdefault(key, []).append(row)
-    max_terms = _max_terms(rows)
-    scalar_cols = _scalar_columns(max_terms)
+        groups.setdefault(tuple(row[f] for f in CELL_FIELDS), []).append(row)
+    columns = scalar_columns(_max_terms(rows))
     cells = []
     for key in sorted(groups):
-        runs = groups[key]
-        ok = [r for r in runs if not r.get("diverged")]
-        cell = dict(zip(CELL_FIELDS, key))
-        cell["n_runs"] = len(ok)
-        cell["n_diverged"] = len(runs) - len(ok)
-        for col in scalar_cols:
-            cell[f"mean_{col}"], cell[f"var_{col}"] = mean_and_variance(r.get(col) for r in ok)
+        means, variances, n_ok, n_diverged = cell_statistics(groups[key], columns)
+        cell = dict(zip(CELL_FIELDS, key), n_runs=n_ok, n_diverged=n_diverged)
+        for col in columns:
+            cell[f"mean_{col}"], cell[f"var_{col}"] = means[col], variances[col]
         cells.append(cell)
     return cells
 
@@ -158,7 +137,7 @@ def write_cells_csv(cells, path):
     if not cells:
         raise ConfigError("no cells to write")
     stat_cols = [c for c in cells[0] if c not in CELL_FIELDS + ("n_runs", "n_diverged")]
-    columns = list(CELL_FIELDS) + ["n_runs", "n_diverged"] + stat_cols
+    columns = [*CELL_FIELDS, "n_runs", "n_diverged", *stat_cols]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -166,7 +145,7 @@ def write_cells_csv(cells, path):
             writer.writerow([fmt(cell.get(c)) for c in columns])
 
 
-def emit_results(result_or_rows, out_dir):
+def emit_results(result: GridResult, out_dir):
     """Write runs.csv and cells.csv; returns the stored run rows.
 
     cells.csv is aggregated from the re-read runs.csv, so stored results
@@ -175,11 +154,7 @@ def emit_results(result_or_rows, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = (
-        runs_table_from_grid(result_or_rows)
-        if isinstance(result_or_rows, GridResult)
-        else result_or_rows
-    )
+    rows = runs_table_from_grid(result)
     if not rows:
         raise ConfigError("no run results to emit")
     write_runs_csv(rows, out / "runs.csv")
@@ -210,7 +185,7 @@ def emit_plot_series(cells, out_dir, measures=None):
             (cell["measures"], cell["variant"], cell["beta"], cell["power"]), []
         ).append(cell)
 
-    bps_cols = [f"mean_{c}" for c in BPS_SCALARS]
+    bps_cols = [f"mean_{c}" for c in scalar_columns(0) if c.startswith("bps_")]
     written = []
     for (meas, variant, beta, power), cell_list in sorted(series.items()):
         if measures is not None and meas not in measures:
@@ -254,23 +229,6 @@ def literature_constants() -> dict:
     return json.loads(blob)
 
 
-def _find_cell(cells, selector):
-    matches = []
-    for cell in cells:
-        checks = (
-            ("measures", cell["measures"]),
-            ("variant", cell["variant"]),
-            ("beta", cell["beta"]),
-            ("power", cell["power"]),
-            ("alpha", cell["alpha"]),
-        )
-        if all(key not in selector or selector[key] == value for key, value in checks):
-            matches.append(cell)
-    if len(matches) != 1:
-        raise ConfigError(f"cell selector {selector} matched {len(matches)} cells")
-    return matches[0]
-
-
 def emit_comparison_tables(cells, out_dir, table_rows):
     """Write the p-rule/accuracy table and the per-group FPR/FNR table.
 
@@ -299,7 +257,7 @@ def emit_comparison_tables(cells, out_dir, table_rows):
              fmt(100.0 * baseline["mean_accuracy"]), "this run"]
         )
         for label, selector in table_rows.items():
-            cell = _find_cell(cells, selector)
+            cell = select_cell(cells, selector)
             writer.writerow(
                 [label, fmt(cell["mean_bps_stp"]), fmt(100.0 * cell["mean_accuracy"]),
                  "this run"]
@@ -319,7 +277,7 @@ def emit_comparison_tables(cells, out_dir, table_rows):
                  fmt(row["group1_with"]), fmt(row["bps"]), "literature"]
             )
         for label, selector in table_rows.items():
-            cell = _find_cell(cells, selector)
+            cell = select_cell(cells, selector)
             for measure in ("fpr", "fnr"):
                 with_g0 = cell[f"mean_{measure}_g0"]
                 with_g1 = cell[f"mean_{measure}_g1"]

@@ -218,6 +218,16 @@ class TestConfigParsing:
         cfg = load_config(cfg_path)
         assert cfg.grid.variants[0].beta == 5.0
 
+    def test_continuous_beta_variant_rejected(self, tmp_path):
+        # it would share runs.csv labels and series files with plain continuous
+        cfg_path = write_config(
+            tmp_path / "cfg.yaml",
+            grid={"measures": [["FPR"]], "variants": ["continuous", "continuous:3"],
+                  "powers": [1], "alphas": [0.1]},
+        )
+        with pytest.raises(ConfigError):
+            load_config(cfg_path)
+
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("wat: {}\n")

@@ -1,5 +1,6 @@
 """Training loop, evaluation, grid search, and aggregation behavior."""
 
+import csv
 import hashlib
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 
 from bpsfair.data import SplitPlan, mc_splits, synthesize_biased
 from bpsfair.engine import (
+    CELL_FIELDS,
+    RUN_FIELDS,
     GridSpec,
     TrainConfig,
     aggregate,
@@ -15,6 +18,7 @@ from bpsfair.engine import (
     evaluate,
     run_grid,
     run_scalars,
+    scalar_columns,
     train_model,
 )
 from bpsfair.errors import ConfigError, DivergenceError
@@ -22,7 +26,7 @@ from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.engine import RunResult
-from bpsfair.report import emit_results
+from bpsfair.report import emit_results, fmt, read_runs_csv
 
 
 def separable_setup(n=600, seed=5):
@@ -318,6 +322,11 @@ MIXED_RUNS_SHA256 = {
     DenominatorMode.AS_WRITTEN: "8b72f81122d74a040b211e7aa1d37c49c6038ec0b85159cbae951163dcb02751",
     DenominatorMode.RATE: "7ed9b739c883b36f55c7e40cc31e1401b8cab74ae1de13b5dd801622201ad3e1",
 }
+# sha256 of cells.csv for mixed_grid_inputs, as written while report kept its own cell schema
+MIXED_CELLS_SHA256 = {
+    DenominatorMode.AS_WRITTEN: "01939cc39c8a993f55ba621ab4089ef5cc61439c80ea4923faf9cb2c3382090a",
+    DenominatorMode.RATE: "172f6914fa02d31264a17568358602a88ce667af50ff4b92484ae96c814ac865",
+}
 
 
 class TestLockstepGrid:
@@ -415,3 +424,58 @@ class TestRunScalars:
                 network=NetworkConfig(input_dim=3, hidden=((4, "relu"),), use_batch_norm=True),
                 batch_size=1,
             )
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCellSchema:
+    @pytest.mark.parametrize("mode", list(DenominatorMode), ids=lambda m: m.value)
+    def test_mixed_grid_csvs_pinned(self, mode, tmp_path):
+        table, base, grid, plan = mixed_grid_inputs(mode)
+        emit_results(run_grid(table, base, grid, plan), tmp_path)
+        assert sha256_of(tmp_path / "runs.csv") == MIXED_RUNS_SHA256[mode]
+        assert sha256_of(tmp_path / "cells.csv") == MIXED_CELLS_SHA256[mode]
+
+    def test_multi_beta_grid_lists_cells_in_one_order(self, tmp_path):
+        table, base, _, plan = tiny_grid_inputs()
+        grid = GridSpec(templates=[[("FPR", 1.0)]],
+                        variants=[SoftVariant.sigmoided(10.0), SoftVariant.sigmoided(2.0)],
+                        powers=[1], alphas=[0.1, 0.0])
+        result = run_grid(table, base, grid, plan)
+        emit_results(result, tmp_path)
+        order = [tuple(c.key.fields().values()) for c in result.cells]
+        assert [(beta, alpha) for _, _, beta, _, alpha in order] == [
+            (2.0, 0.0), (2.0, 0.1), (10.0, 0.0), (10.0, 0.1)]
+        runs = read_runs_csv(tmp_path / "runs.csv")
+        assert list(dict.fromkeys(tuple(r[f] for f in CELL_FIELDS) for r in runs)) == order
+        with open(tmp_path / "cells.csv", newline="") as fh:
+            cells = [tuple(row[f] for f in CELL_FIELDS) for row in csv.DictReader(fh)]
+        assert cells == [tuple(fmt(v) for v in fields) for fields in order]
+
+    def test_cell_selector(self):
+        table, base, grid, plan = tiny_grid_inputs()
+        result = run_grid(table, base, grid, plan)
+        cell = result.cell(measures="FPR", variant="continuous", beta=1.0, power=1, alpha=0.1)
+        assert cell.key.alpha == 0.1
+        for selector in ({"measures_label": "FPR", "alpha": 0.1},  # not a cell field
+                         {"alpha": 0.7},  # no cell
+                         {"measures": "FPR"}):  # two cells
+            with pytest.raises(ConfigError):
+                result.cell(**selector)
+
+    def test_every_run_scalar_is_a_runs_csv_column(self, tmp_path):
+        table, base, _, plan = tiny_grid_inputs()
+        grid = GridSpec(templates=[[("FNR", 1.0), ("STP", 0.5)]],
+                        variants=[SoftVariant.continuous()], powers=[2], alphas=[0.0, 0.2])
+        result = run_grid(table, base, grid, plan)
+        emit_results(result, tmp_path)
+        with open(tmp_path / "runs.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == list(RUN_FIELDS + scalar_columns(2))
+        for cell in result.cells:
+            for run in cell.runs:
+                scalars = run_scalars(run)
+                assert {"term1_soft_bps", "stp_g1"} <= set(scalars)
+                assert set(scalars) <= set(header)

@@ -528,3 +528,30 @@ class TestTermParsing:
             FairnessTerm(MeasureKind.FPR, CONT, alpha=0.1, power=0)
         with pytest.raises(ConfigError):
             SoftVariant.sigmoided(0.0)
+
+
+class TestLabelCheck:
+    def test_bce_rejects_fractional_labels(self):
+        # a cast first would read label 0.7 as 0
+        with pytest.raises(InputShapeError):
+            binary_cross_entropy([0.6, 0.4], [0.7, 1.0])
+
+    @pytest.mark.parametrize("terms", [(), (FairnessTerm(MeasureKind.FPR, CONT, 0.5, 1),)],
+                             ids=["bce-only", "fpr-term"])
+    def test_combined_loss_rejects_fractional_labels(self, terms):
+        with pytest.raises(InputShapeError):
+            combined_loss(terms, [0.6, 0.4, 0.3, 0.2], [0.7, 1.0, 0.0, 1.0], [0, 0, 1, 1])
+
+    def test_float_and_bool_labels_accepted(self):
+        expected, _ = binary_cross_entropy([0.6, 0.4], [0, 1])
+        assert binary_cross_entropy([0.6, 0.4], [0.0, 1.0])[0] == expected
+        assert binary_cross_entropy([0.6, 0.4], [False, True])[0] == expected
+
+
+class TestContinuousBeta:
+    def test_variant_and_term_spec_reject_beta(self):
+        with pytest.raises(ConfigError):
+            SoftVariant("continuous", 3.0)
+        with pytest.raises(ConfigError):
+            parse_term("FPR:continuous:0.1:1:2")
+        assert SoftVariant("continuous", 1.0) == SoftVariant.continuous()

@@ -336,3 +336,20 @@ class TestPredictionDump:
         with pytest.raises(DataError) as info:
             evaluate_prediction_dump(path)
         assert info.value.rows == (1,)
+
+
+class TestGroupIds:
+    def test_non_integer_group_ids_rejected(self):
+        # a cast first would count groups 0.5 and 0.2 as group 0
+        with pytest.raises(InputShapeError):
+            confusion([1, 0, 1], [1, 0, 0], [0.5, 1.7, 0.2])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a"])
+    def test_unusable_group_ids_rejected(self, bad):
+        with pytest.raises(InputShapeError):
+            confusion([1, 0], [1, 0], [0, bad])
+
+    def test_integer_valued_floats_and_bools_accepted(self):
+        expected = confusion([1, 0, 1], [1, 0, 0], [0, 1, 0])
+        assert confusion([1, 0, 1], [1, 0, 0], [0.0, 1.0, 0.0]) == expected
+        assert confusion([1, 0, 1], [1, 0, 0], [False, True, False]) == expected

@@ -205,6 +205,13 @@ class TestComparisonTables:
             seeds.setdefault(r["alpha"], set()).add(r["seed"])
         assert seeds[0.0] == seeds[0.5]
 
+    @pytest.mark.parametrize("selector", [{"measures_label": "STP", "alpha": 0.5}, {"alpha": 0.7}],
+                             ids=["unknown-field", "no-match"])
+    def test_selector_errors(self, grid_result, tmp_path, selector):
+        rows = emit_results(grid_result, tmp_path)
+        with pytest.raises(ConfigError):
+            emit_comparison_tables(cells_from_runs(rows), tmp_path, {"Arch": selector})
+
     def test_ambiguous_selector_rejected(self, grid_result, tmp_path):
         rows = emit_results(grid_result, tmp_path)
         cells = cells_from_runs(rows)
