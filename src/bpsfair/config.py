@@ -112,7 +112,11 @@ def _parse_network(block) -> dict:
 def _parse_variant(spec) -> SoftVariant:
     if isinstance(spec, str) and ":" in spec:
         name, beta = spec.split(":", 1)
-        return SoftVariant(name.strip().lower(), float(beta))
+        try:
+            beta = float(beta)
+        except ValueError:
+            raise ConfigError(f"bad variant {spec!r}: beta not numeric")
+        return SoftVariant(name.strip().lower(), beta)
     return SoftVariant(str(spec).strip().lower())
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -194,8 +196,12 @@ class SplitPlan:
 def load_csv(path, schema: DatasetSchema) -> RawTable:
     """Read and type-check a headered CSV against a schema.
 
-    Rows containing the missing-value token in any used column are
-    dropped (and counted); unparseable numerics raise a row-level error.
+    Blank rows are skipped.  Rows containing the missing-value token in
+    any used column are dropped (and counted).  Rows shorter than the
+    used columns need, with an unmapped sensitive value, an unparseable
+    numeric or a label that is neither the positive nor the negative one
+    (after ``label_aliases``) raise one DataError listing them.  Each
+    used column is built in one pass over the rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -207,62 +213,89 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
             if col not in header:
                 raise SchemaError(f"{path}: column {col!r} not found in header")
         col_idx = {col: header.index(col) for col in schema.used_columns}
+        records = list(reader)
 
-        categorical = {c: [] for c in schema.categorical}
-        continuous_raw = {c: [] for c in schema.continuous}
-        labels, groups, row_indices = [], [], []
-        dropped = 0
-        bad_rows = []
-        for row_no, row in enumerate(reader):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cells = {col: row[i].strip() for col, i in col_idx.items()}
-            if any(v == schema.missing_token for v in cells.values()):
-                dropped += 1
-                continue
-            label_raw = schema.label_aliases.get(cells[schema.label], cells[schema.label])
-            group_raw = cells[schema.sensitive]
-            if group_raw not in schema.sensitive_map:
-                bad_rows.append((row_no, f"unmapped sensitive value {group_raw!r}"))
-                continue
-            parsed = {}
-            ok = True
-            for c in schema.continuous:
-                try:
-                    parsed[c] = float(cells[c])
-                except ValueError:
-                    bad_rows.append((row_no, f"non-numeric value {cells[c]!r} in column {c!r}"))
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for c in schema.categorical:
-                categorical[c].append(cells[c])
-            for c in schema.continuous:
-                continuous_raw[c].append(parsed[c])
-            labels.append(1 if label_raw == schema.positive_label else 0)
-            groups.append(schema.sensitive_map[group_raw])
-            row_indices.append(row_no)
+    # row numbers count every record after the header; a row is blank when
+    # all its cells are whitespace
+    n_fields = np.fromiter(map(len, records), np.int64, len(records))
+    blank = np.fromiter(map(len, map(str.strip, map("".join, records))), np.int64,
+                        len(records)) == 0
+    width = max(col_idx.values()) + 1
+    bad_rows = [(r, f"short row: {n_fields[r]} of {width} field(s)")
+                for r in np.flatnonzero(~blank & (n_fields < width)).tolist()]
+    rows = np.flatnonzero(~blank & (n_fields >= width))
+    full = list(map(records.__getitem__, rows.tolist()))
+    cells = {col: list(map(str.strip, map(itemgetter(i), full))) for col, i in col_idx.items()}
+
+    missing = np.zeros(rows.size, dtype=bool)
+    for values in cells.values():
+        if schema.missing_token in values:
+            missing |= np.fromiter(map(schema.missing_token.__eq__, values), bool, rows.size)
+    ok = ~missing
+
+    def reject(failed, message):
+        failed &= ok  # a row is reported once, for its first failed check
+        bad_rows.extend((int(rows[i]), message(i)) for i in np.flatnonzero(failed))
+        ok[failed] = False
+
+    sensitive = cells[schema.sensitive]
+    groups = np.fromiter(map(schema.sensitive_map.get, sensitive, repeat(-1)), np.int64,
+                         rows.size)
+    reject(groups < 0, lambda i: f"unmapped sensitive value {sensitive[i]!r}")
+    parse = np.flatnonzero(ok)
+    parse_rows = parse.tolist()
+    continuous = {}
+    for c in schema.continuous:
+        column = cells[c]
+        values = continuous[c] = np.full(rows.size, np.nan)
+        try:
+            values[parse] = list(map(float, map(column.__getitem__, parse_rows)))
+        except ValueError:
+            parsed = [_parse_float(column[i]) for i in parse_rows]
+            failed = np.zeros(rows.size, dtype=bool)
+            failed[parse] = [v is None for v in parsed]
+            reject(failed, lambda i: f"non-numeric value {column[i]!r} in column {c!r}")
+            values[parse] = [np.nan if v is None else v for v in parsed]
+    label_values = cells[schema.label]
+    codes = {schema.negative_label: 0, schema.positive_label: 1}
+    code_of = {v: codes.get(schema.label_aliases.get(v, v), -1) for v in set(label_values)}
+    labels = np.fromiter(map(code_of.__getitem__, label_values), np.int64, rows.size)
+    reject(labels < 0, lambda i: f"unknown label {label_values[i]!r}")
 
     if bad_rows:
+        bad_rows.sort()
         preview = "; ".join(f"row {r}: {msg}" for r, msg in bad_rows[:5])
         raise DataError(
             f"{path}: {len(bad_rows)} unusable row(s): {preview}",
             rows=[r for r, _ in bad_rows],
         )
-    if not labels:
+    if not ok.any():
         raise EmptyInputError(f"{path}: no usable rows after filtering")
+    dropped = int(missing.sum())
     if dropped:
         log.info("%s: dropped %d row(s) containing %r", path, dropped, schema.missing_token)
+    keep = np.flatnonzero(ok)
     return RawTable(
         schema=schema,
-        categorical=categorical,
-        continuous={c: np.array(v, dtype=np.float64) for c, v in continuous_raw.items()},
-        labels=np.array(labels, dtype=np.int64),
-        groups=np.array(groups, dtype=np.int64),
-        row_indices=np.array(row_indices, dtype=np.int64),
+        categorical={c: _values_at(cells[c], keep) for c in schema.categorical},
+        continuous={c: values[keep] for c, values in continuous.items()},
+        labels=labels[keep],
+        groups=groups[keep],
+        row_indices=rows[keep].astype(np.int64),
         dropped_count=dropped,
     )
+
+
+def _parse_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _values_at(values: list, idx) -> list:
+    """values[i] for every i in an index array."""
+    return list(map(values.__getitem__, idx.tolist()))
 
 
 def fit_encoder(table: RawTable, rows=None) -> EncoderState:
@@ -278,7 +311,9 @@ def fit_encoder(table: RawTable, rows=None) -> EncoderState:
         raise EmptyInputError("cannot fit an encoder on zero rows")
     schema = table.schema
     vocabularies = {
-        c: tuple(sorted(set(table.categorical[c][i] for i in idx))) for c in schema.categorical
+        c: tuple(sorted(set(table.categorical[c] if rows is None
+                            else _values_at(table.categorical[c], idx))))
+        for c in schema.categorical
     }
     means, stds, constant = {}, {}, []
     for c in schema.continuous:
@@ -295,35 +330,31 @@ def fit_encoder(table: RawTable, rows=None) -> EncoderState:
 
 
 def apply_encoder(table: RawTable, encoder: EncoderState, rows=None) -> EncodedDataset:
-    """Encode rows into the design matrix; unseen categories map to all-zero blocks."""
+    """Encode rows into the design matrix; unseen categories map to all-zero blocks.
+
+    Continuous columns come first, then one one-hot block per categorical
+    column, set by one assignment from each row's integer column codes.
+    """
     idx = np.arange(table.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     schema = table.schema
     n = idx.size
-    blocks, names = [], []
-    for c in schema.continuous:
-        if c in encoder.constant_columns:
-            blocks.append(np.zeros((n, 1)))
-        else:
-            vals = table.continuous[c][idx]
-            blocks.append(((vals - encoder.means[c]) / encoder.stds[c])[:, None])
-        names.append(c)
-    unseen = 0
-    for c in schema.categorical:
-        vocab = encoder.vocabularies[c]
-        pos = {v: j for j, v in enumerate(vocab)}
-        block = np.zeros((n, len(vocab)))
-        col = table.categorical[c]
-        for i, row in enumerate(idx):
-            j = pos.get(col[row])
-            if j is None:
-                unseen += 1
-            else:
-                block[i, j] = 1.0
-        blocks.append(block)
-        names.extend(f"{c}={v}" for v in vocab)
+    names = list(schema.continuous)
+    # hot[k, i]: the design-matrix column of row i's value of categorical column k, -1 if unseen
+    hot = np.empty((len(schema.categorical), n), dtype=np.int64)
+    for k, c in enumerate(schema.categorical):
+        column = {v: len(names) + j for j, v in enumerate(encoder.vocabularies[c])}
+        values = table.categorical[c] if rows is None else _values_at(table.categorical[c], idx)
+        hot[k] = np.fromiter(map(column.get, values, repeat(-1)), np.int64, n)
+        names.extend(f"{c}={v}" for v in encoder.vocabularies[c])
+    X = np.zeros((n, len(names)))
+    for j, c in enumerate(schema.continuous):
+        if c not in encoder.constant_columns:
+            X[:, j] = (table.continuous[c][idx] - encoder.means[c]) / encoder.stds[c]
+    seen = hot >= 0
+    X[np.broadcast_to(np.arange(n), hot.shape)[seen], hot[seen]] = 1.0
+    unseen = hot.size - int(np.count_nonzero(seen))
     if unseen:
         log.info("encoder: %d unseen categorical value(s) mapped to zero blocks", unseen)
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return EncodedDataset(
         X=X,
         A=table.groups[idx].copy(),

@@ -391,10 +391,20 @@ def cell_statistics(rows, columns) -> tuple[dict, dict, int, int]:
     from the rows that did not diverge; the others are only counted.
     """
     ok = [row for row in rows if not row["diverged"]]
-    means, variances = {}, {}
-    for col in columns:
-        means[col], variances[col] = mean_and_variance([row.get(col) for row in ok])
-    return means, variances, len(ok), len(rows) - len(ok)
+    columns = tuple(columns)
+    # one contiguous row per column: a row's sum is the pairwise sum of a 1-D
+    # column, so mean and var equal mean_and_variance's bit for bit; None reads as NaN
+    block = np.array([list(map(row.get, columns)) for row in ok], dtype=np.float64)
+    block = np.ascontiguousarray(block.reshape(len(ok), len(columns)).T)
+    holes = np.isnan(block).any(axis=1)
+    if len(ok) > 1:
+        means, variances = block.mean(axis=1).tolist(), block.var(axis=1, ddof=1).tolist()
+    else:  # one run has variance 0 by convention; with none, every column is a hole
+        means, variances = block.sum(axis=1).tolist(), [0.0] * len(columns)
+        holes |= not ok
+    for j in np.flatnonzero(holes).tolist():
+        means[j], variances[j] = mean_and_variance(block[j])
+    return dict(zip(columns, means)), dict(zip(columns, variances)), len(ok), len(rows) - len(ok)
 
 
 def mean_and_variance(values) -> tuple[float, float]:

@@ -128,7 +128,10 @@ def parse_term(spec: str) -> FairnessTerm:
         kind = MeasureKind(kind_s.strip().upper())
     except ValueError:
         raise ConfigError(f"bad term spec {spec!r}: unknown measure {kind_s!r}")
-    beta = float(parts[4]) if len(parts) == 5 else 1.0
+    try:
+        beta = float(parts[4]) if len(parts) == 5 else 1.0
+    except ValueError:
+        raise ConfigError(f"bad term spec {spec!r}: beta not numeric")
     variant = SoftVariant(variant_s.strip().lower(), beta)
     try:
         alpha = float(alpha_s)

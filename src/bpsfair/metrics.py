@@ -10,6 +10,8 @@ perfect parity between groups, 0 is maximal bias.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -281,24 +283,63 @@ def bps_report(predictions, labels, groups) -> BpsReport:
 
 
 PREDICTION_DUMP_COLUMNS = ("y_true", "y_prob", "group")
+_DUMP_DTYPE = [("y_true", np.int64), ("y_prob", np.float64), ("group", np.int64)]
+# numpy's C parser reads these as csv.reader and int()/float() do only in plain
+# ASCII text without quotes or control characters (it strips \x1c-\x1f, and
+# takes some non-ASCII letters for digits), so other text goes row by row.
+_NOT_PLAIN = '"\x7f' + "".join(map(chr, (*range(0x09), *range(0x0e, 0x20))))
 
 
 def read_prediction_dump(path):
     """Read a ``y_true, y_prob, group`` CSV into numpy vectors.
 
     ``y_true`` must be 0/1 and ``y_prob`` a probability in [0, 1]; rows
-    that break this or do not parse raise DataError listing them.
+    that break this or do not parse raise DataError listing them.  Plain
+    ASCII dumps are parsed a column at a time by numpy's C parser; the
+    row-by-row reader handles every other file and names the offending
+    rows of a dump that fails the parse or the range checks.
     """
+    with open(path, encoding="utf-8") as fh:  # universal newlines split rows as csv.reader does
+        text = fh.read()
+    if not text or not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        return _read_dump_rows(path)
+    header_line, _, body = text.partition("\n")
+    header = _dump_header(path, next(csv.reader([header_line])))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            # older numpy reads an int64 cell such as 0.7 through float(), with
+            # only a DeprecationWarning, where int() rejects it
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(io.StringIO(body), dtype=_DUMP_DTYPE, delimiter=",",
+                               comments=None, usecols=header, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return _read_dump_rows(path)
+    y_true, y_prob, group = (np.ascontiguousarray(table[c]) for c in PREDICTION_DUMP_COLUMNS)
+    if not (((y_true == 0) | (y_true == 1)).all() and ((y_prob >= 0.0) & (y_prob <= 1.0)).all()):
+        return _read_dump_rows(path)
+    if not y_true.size:
+        raise EmptyInputError(f"{path}: prediction dump has no data rows")
+    return y_true, y_prob, group
+
+
+def _dump_header(path, header):
+    """Positions of the dump columns in a header row."""
+    header = [h.strip() for h in header]
+    for col in PREDICTION_DUMP_COLUMNS:
+        if col not in header:
+            raise SchemaError(f"{path}: missing column {col!r} in header {header}")
+    return tuple(header.index(col) for col in PREDICTION_DUMP_COLUMNS)
+
+
+def _read_dump_rows(path):
+    """Row-by-row reader of a prediction dump; names the rows that fail."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            i_true, i_prob, i_group = _dump_header(path, next(reader))
         except StopIteration:
             raise EmptyInputError(f"{path}: empty prediction dump")
-        for col in PREDICTION_DUMP_COLUMNS:
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r} in header {header}")
-        i_true, i_prob, i_group = (header.index(col) for col in PREDICTION_DUMP_COLUMNS)
         y_true, y_prob, group = [], [], []
         bad_rows = []
         for row_no, row in enumerate(reader):

@@ -194,16 +194,18 @@ def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
 
 
 def _activate(z, act):
+    """The activation of z, written into z."""
     if act == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     # equals where(z > 0, z, slope * z) bit for bit, including -0.0, inf and NaN
-    return np.maximum(z, LEAKY_SLOPE * z)
+    return np.maximum(z, LEAKY_SLOPE * z, out=z)
 
 
-def _activate_grad(z, act):
+def _activate_grad(positive, act):
+    """Activation derivative from the mask of positive pre-activations."""
     if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        return positive.astype(np.float64)
+    return np.where(positive, 1.0, LEAKY_SLOPE)
 
 
 def _logistic(z):
@@ -246,39 +248,45 @@ def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=
     cache = ForwardCache(x=X) if train else None
     h = X
     for l, (width, act) in enumerate(cfg.hidden):
-        z = h @ state.weights[l] + _rows(state.biases[l])
-        a = _activate(z, act)
+        # a is one fresh array that every elementwise step below updates in place
+        a = h @ state.weights[l]
+        a += _rows(state.biases[l])
+        positive = a > 0.0 if train else None
+        _activate(a, act)
         mask = None
         if train and p_drop > 0.0:
             if dropout_masks is not None:
                 mask = dropout_masks[l]
             else:
                 mask = rng.random(a.shape[-2:]) >= p_drop
-            a_dropped = a * mask / (1.0 - p_drop)
-        else:
-            a_dropped = a
+            a *= mask
+            a /= 1.0 - p_drop
+        xhat, inv_std = None, None
         if cfg.use_batch_norm:
             if train:
-                mu = a_dropped.mean(axis=-2, keepdims=True)
-                var = a_dropped.var(axis=-2, keepdims=True)
+                mu = a.mean(axis=-2, keepdims=True)
+                a -= mu
+                # np.var's own steps, sharing a - mu with xhat
+                var = (a * a).sum(axis=-2, keepdims=True) / a.shape[-2]
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
-                xhat = (a_dropped - mu) * inv_std
+                a *= inv_std
+                xhat = a
+                a = xhat * _rows(state.bn_scale[l])
                 # in place, so views of a stack (state[i]) see the update
                 state.bn_mean[l][...] = (BN_MOMENTUM * state.bn_mean[l]
                                          + (1 - BN_MOMENTUM) * mu[..., 0, :])
                 state.bn_var[l][...] = (BN_MOMENTUM * state.bn_var[l]
                                         + (1 - BN_MOMENTUM) * var[..., 0, :])
             else:
-                inv_std = 1.0 / np.sqrt(_rows(state.bn_var[l]) + BN_EPS)
-                xhat = (a_dropped - _rows(state.bn_mean[l])) * inv_std
-            out = _rows(state.bn_scale[l]) * xhat + _rows(state.bn_shift[l])
-        else:
-            xhat, inv_std, out = None, None, a_dropped
+                a -= _rows(state.bn_mean[l])
+                a *= 1.0 / np.sqrt(_rows(state.bn_var[l]) + BN_EPS)
+                a *= _rows(state.bn_scale[l])
+            a += _rows(state.bn_shift[l])
         if train:
             cache.layers.append(
-                {"h_in": h, "z": z, "mask": mask, "xhat": xhat, "inv_std": inv_std}
+                {"h_in": h, "positive": positive, "mask": mask, "xhat": xhat, "inv_std": inv_std}
             )
-        h = out
+        h = a
     z_out = (h @ state.weights[-1] + _rows(state.biases[-1]))[..., 0]
     probs = np.clip(_logistic(z_out), 1e-12, 1.0 - 1e-12)
     if train:
@@ -335,7 +343,7 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
             da = du * layer["mask"] / (1.0 - cfg.dropout_rate)
         else:
             da = du
-        dz = da * _activate_grad(layer["z"], act)
+        dz = da * _activate_grad(layer["positive"], act)
         grads_w[l] = _t(layer["h_in"]) @ dz
         grads_b[l] = dz.sum(axis=-2)
         if l:

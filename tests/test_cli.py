@@ -228,6 +228,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(cfg_path)
 
+    def test_non_numeric_beta_variant_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path / "cfg.yaml",
+            grid={"measures": [["FPR"]], "variants": ["sigmoided:sharp"], "powers": [1],
+                  "alphas": [0.1]},
+        )
+        with pytest.raises(ConfigError, match="beta not numeric"):
+            load_config(cfg_path)
+        code = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("wat: {}\n")

@@ -1,10 +1,15 @@
 """CSV loading, encoding, split plans, presets, and the synthetic generator."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsfair.data import (
     DatasetSchema,
+    RawTable,
     SplitPlan,
     adult_preset,
     apply_encoder,
@@ -70,6 +75,38 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(EmptyInputError):
             load_csv(p, TOY_SCHEMA)
+
+    def test_short_row_is_unusable_row(self, tmp_path):
+        # the row used to escape as a bare IndexError
+        p = tmp_path / "synth.csv"
+        p.write_text("f0,f1,group,label\n0.5,1.5,0,1\n1.0\n2.0,0.5,1,0\n")
+        with pytest.raises(DataError, match="row 1: short row") as exc:
+            load_csv(p, synthetic_preset(2))
+        assert exc.value.rows == (1,)
+
+    def test_unknown_label_is_unusable_row(self, tmp_path):
+        # the label used to load silently as 0
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, ["red,1.0,a,yes", "blue,2.0,b,maybe", "red,3.0,a,no"])
+        with pytest.raises(DataError, match="unknown label 'maybe'") as exc:
+            load_csv(p, TOY_SCHEMA)
+        assert exc.value.rows == (1,)
+
+    def test_rows_reported_in_order_with_their_first_failure(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, ["red,x,c,maybe", "red,1.0,a,yes", "red", "red,1.0,a,maybe",
+                          "blue,y,a,no"])
+        with pytest.raises(DataError) as exc:
+            load_csv(p, TOY_SCHEMA)
+        assert exc.value.rows == (0, 2, 3, 4)
+        assert "row 0: unmapped sensitive value 'c'; row 2: short row" in str(exc.value)
+        assert "row 4: non-numeric value 'y' in column 'size'" in str(exc.value)
+
+    def test_blank_rows_skipped_but_counted_in_row_numbers(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, ["red,1.0,a,yes", "", " , ,", "blue,2.0,b,no"])
+        table = load_csv(p, TOY_SCHEMA)
+        np.testing.assert_array_equal(table.row_indices, [0, 3])
 
 
 class TestEncoder:
@@ -186,6 +223,182 @@ class TestMcSplits:
             SplitPlan(iterations=1, train_fraction=0.95, val_fraction=0.1)
         with pytest.raises(ConfigError):
             SplitPlan(iterations=0)
+
+
+FUZZ_SCHEMA = DatasetSchema(
+    label="outcome",
+    positive_label="yes",
+    negative_label="no",
+    sensitive="grp",
+    sensitive_map={"a": 0, "b": 1},
+    categorical=("color",),
+    continuous=("size", "weight"),
+    label_aliases={"yes.": "yes", "no.": "no"},
+)
+
+
+def load_csv_rows(path, schema):
+    """Per-row oracle of load_csv: its kept columns by name, and the dropped-row count."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyInputError("empty")
+        if any(col not in header for col in schema.used_columns):
+            raise SchemaError("header")
+        idx = {col: header.index(col) for col in schema.used_columns}
+        out = {"cat": {c: [] for c in schema.categorical},
+               "num": {c: [] for c in schema.continuous},
+               "labels": [], "groups": [], "rows": []}
+        dropped, bad = 0, []
+        for row_no, row in enumerate(reader):
+            if all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(idx.values()):
+                bad.append(row_no)
+                continue
+            cells = {col: row[i].strip() for col, i in idx.items()}
+            if schema.missing_token in cells.values():
+                dropped += 1
+                continue
+            if cells[schema.sensitive] not in schema.sensitive_map:
+                bad.append(row_no)
+                continue
+            try:
+                nums = [float(cells[c]) for c in schema.continuous]
+            except ValueError:
+                bad.append(row_no)
+                continue
+            label = schema.label_aliases.get(cells[schema.label], cells[schema.label])
+            if label not in (schema.positive_label, schema.negative_label):
+                bad.append(row_no)
+                continue
+            for c in schema.categorical:
+                out["cat"][c].append(cells[c])
+            for c, v in zip(schema.continuous, nums):
+                out["num"][c].append(v)
+            out["labels"].append(int(label == schema.positive_label))
+            out["groups"].append(schema.sensitive_map[cells[schema.sensitive]])
+            out["rows"].append(row_no)
+    if bad:
+        raise DataError("bad rows", rows=bad)
+    if not out["rows"]:
+        raise EmptyInputError("no rows")
+    return out, dropped
+
+
+def reader_outcome(read, *args):
+    """A reader's result, or its error; any other exception fails the test."""
+    try:
+        return "ok", read(*args)
+    except DataError as exc:
+        return "DataError", exc.rows
+    except (SchemaError, EmptyInputError) as exc:
+        return type(exc).__name__, None
+
+
+@st.composite
+def mutated_csv_texts(draw, headers, columns):
+    """A headered CSV text whose rows mix valid cells, mutations and blank lines.
+
+    ``headers`` lists valid header lines first and a broken one last;
+    ``columns`` holds one (valid cells, invalid cells) pair per column.
+    About half the texts are clean; the others draw invalid cells, edit
+    rows (truncate, extend, blank, whitespace only) and may be cut short.
+    """
+    clean = draw(st.booleans())
+    lines = [draw(st.sampled_from(headers[:-1] if clean else headers))]
+    for _ in range(draw(st.integers(0, 10))):
+        cells = [draw(st.sampled_from(valid if clean else valid + invalid))
+                 for valid, invalid in columns]
+        edit = "keep" if clean else draw(
+            st.sampled_from(["keep", "keep", "truncate", "extend", "blank", "spaces"]))
+        cut = draw(st.integers(0, len(columns) - 1))
+        if edit == "truncate":
+            cells = cells[:cut]
+        elif edit == "extend":
+            cells.append("extra")
+        elif edit == "blank":
+            cells = []
+        elif edit == "spaces":
+            cells = [" \t"] * cut
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    if not clean and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+CSV_HEADERS = ["color,size,weight,grp,outcome", "outcome , grp,weight,size,color,note",
+               "color,size,grp,outcome"]
+CSV_COLUMNS = [
+    (["red", "blue", " red ", "?", '"blue"', '"r,e\nd"', ""], []),
+    (["1.0", "-2.5", " 3 ", "1e-3", "nan", "?", '"4.5"'], ["x", "1_0", "١", ""]),
+    (["0.5", "7", "inf", "-0"], ["", "?"]),
+    (["a", "b", " b ", '"a"'], ["c", "?"]),
+    (["yes", "no", "yes.", "no.", " yes "], ["maybe", "?", ""]),
+]
+
+
+class TestColumnReaderFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(mutated_csv_texts(CSV_HEADERS, CSV_COLUMNS))
+    def test_load_csv_equals_row_oracle(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        p.write_bytes(text.encode("utf-8"))
+        got = reader_outcome(load_csv, p, FUZZ_SCHEMA)
+        want = reader_outcome(load_csv_rows, p, FUZZ_SCHEMA)
+        assert got[0] == want[0]
+        if got[0] == "DataError":
+            assert got[1] == tuple(want[1])
+        if got[0] != "ok":
+            return
+        table, (expected, dropped) = got[1], want[1]
+        assert table.dropped_count == dropped
+        assert table.categorical == expected["cat"]
+        for c, values in expected["num"].items():
+            assert table.continuous[c].tobytes() == np.array(values, dtype=np.float64).tobytes()
+        for field, key in (("labels", "labels"), ("groups", "groups"), ("row_indices", "rows")):
+            arr = getattr(table, field)
+            assert arr.dtype == np.int64 and arr.tolist() == expected[key]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from(["u", "v", "w", "x", "y"]),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=30),
+           st.data())
+    def test_encoder_equals_row_oracle(self, values, data):
+        n = len(values)
+        table = RawTable(
+            schema=FUZZ_SCHEMA,
+            categorical={"color": [v for v, _ in values]},
+            continuous={"size": np.array([x for _, x in values]), "weight": np.ones(n)},
+            labels=np.zeros(n, dtype=np.int64),
+            groups=np.zeros(n, dtype=np.int64),
+            row_indices=np.arange(n, dtype=np.int64),
+        )
+        fit_rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n))
+        enc = fit_encoder(table, rows=fit_rows)
+        ds = apply_encoder(table, enc, rows=rows)
+        idx = range(n) if rows is None else rows
+        vocab = sorted({table.categorical["color"][i] for i in fit_rows})
+        assert enc.vocabularies["color"] == tuple(vocab)
+        expected = np.zeros((len(idx), 2 + len(vocab)))
+        unseen = 0
+        for out_row, i in enumerate(idx):
+            if "size" not in enc.constant_columns:
+                expected[out_row, 0] = (table.continuous["size"][i] - enc.means["size"]) \
+                    / enc.stds["size"]
+            value = table.categorical["color"][i]
+            if value in vocab:
+                expected[out_row, 2 + vocab.index(value)] = 1.0
+            else:
+                unseen += 1
+        assert ds.X.tobytes() == expected.tobytes()
+        assert ds.feature_names == ("size", "weight", *(f"color={v}" for v in vocab))
+        assert ds.unseen_categorical_count == unseen
 
 
 class TestAdultPreset:

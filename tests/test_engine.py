@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsfair.data import SplitPlan, mc_splits, synthesize_biased
 from bpsfair.engine import (
@@ -14,8 +16,10 @@ from bpsfair.engine import (
     GridSpec,
     TrainConfig,
     aggregate,
+    cell_statistics,
     dataset_for_split,
     evaluate,
+    mean_and_variance,
     run_grid,
     run_scalars,
     scalar_columns,
@@ -164,6 +168,32 @@ class TestAggregate:
         means, _, n_ok, n_div = aggregate(runs)
         assert means["accuracy"] == pytest.approx(0.85)
         assert (n_ok, n_div) == (2, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(
+        st.booleans(),
+        st.lists(st.one_of(st.none(), st.just(float("nan")),
+                           st.floats(-1e9, 1e9), st.floats(0.0, 1.0)),
+                 min_size=3, max_size=3),
+    ), max_size=40), st.integers(1, 200))
+    def test_cell_statistics_equal_per_column_oracle(self, runs, repeat):
+        # repeating the rows reaches the multi-block pairwise sums of long columns
+        columns = ("a", "b", "c")
+        rows = []
+        for _ in range(repeat if len(runs) < 5 else 1):
+            for diverged, values in runs:
+                row = {"diverged": diverged}
+                # a None value is a missing column
+                row.update((c, v) for c, v in zip(columns, values) if v is not None)
+                rows.append(row)
+        means, variances, n_ok, n_div = cell_statistics(rows, columns)
+        ok = [row for row in rows if not row["diverged"]]
+        assert (n_ok, n_div) == (len(ok), len(rows) - len(ok))
+        for col in columns:
+            want = mean_and_variance([row.get(col) for row in ok])
+            got = (means[col], variances[col])
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert all(type(v) is float for v in got)
 
     def test_all_diverged_flagged(self):
         means, variances, n_ok, n_div = aggregate([self.run_with(0.1, diverged=True)])

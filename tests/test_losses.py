@@ -515,7 +515,7 @@ class TestTermParsing:
     @pytest.mark.parametrize(
         "bad",
         ["FPR:sigmoided:0.05", "XYZ:continuous:1:1", "FPR:continuous:1:1:2.0",
-         "FPR:continuous:x:1", "FPR:linear:1:1"],
+         "FPR:continuous:x:1", "FPR:linear:1:1", "FPR:sigmoided:0.1:1:sharp"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):

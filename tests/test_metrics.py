@@ -1,5 +1,8 @@
 """Hard measures and BPS: definitional cases, oracles, and invariants."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from bpsfair.metrics import (
     confusion,
     evaluate_prediction_dump,
     hard_measure,
+    read_prediction_dump,
 )
 
 
@@ -329,13 +333,152 @@ class TestPredictionDump:
             evaluate_prediction_dump(path)
 
     @pytest.mark.parametrize("row", ["0,nan,0", "0,1.5,1", "1,-0.1,0", "2,0.5,1",
-                                     "1,0.5", "x,0.5,0", "1,0.5,g"])
+                                     "1,0.5", "x,0.5,0", "1,0.5,g",
+                                     "0.7,0.5,0", "1,0.5,0.5", "1,0.5,1e3"])
     def test_malformed_rows_are_data_errors(self, tmp_path, row):
         path = tmp_path / "dump.csv"
         path.write_text(f"y_true,y_prob,group\n1,0.9,0\n{row}\n0,0.2,1\n")
         with pytest.raises(DataError) as info:
             evaluate_prediction_dump(path)
         assert info.value.rows == (1,)
+
+
+def read_dump_rows(path):
+    """Per-row oracle of read_prediction_dump: int()/float() on each csv.reader row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyInputError("empty")
+        if any(col not in header for col in ("y_true", "y_prob", "group")):
+            raise SchemaError("header")
+        i_true, i_prob, i_group = (header.index(c) for c in ("y_true", "y_prob", "group"))
+        rows, bad = [], []
+        for row_no, row in enumerate(reader):
+            if not row:
+                continue
+            try:
+                t, p, g = int(row[i_true]), float(row[i_prob]), int(row[i_group])
+            except (ValueError, IndexError):
+                bad.append(row_no)
+                continue
+            if t not in (0, 1) or not 0.0 <= p <= 1.0:
+                bad.append(row_no)
+                continue
+            rows.append((t, p, g))
+    if bad:
+        raise DataError("bad rows", rows=bad)
+    if not rows:
+        raise EmptyInputError("no rows")
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def dump_outcome(read, path):
+    """A reader's result, or its error; any other exception fails the test."""
+    try:
+        return "ok", read(path)
+    except DataError as exc:
+        return "DataError", tuple(exc.rows)
+    except (SchemaError, EmptyInputError) as exc:
+        return type(exc).__name__, None
+
+
+DUMP_HEADERS = [("y_true", "y_prob", "group"), ("group", " y_prob ", "y_true", "note"),
+                ("y_true", "prob", "group")]
+# (valid, invalid) cells per column; the invalid ones cover what int()/float()
+# reject, what numpy's C parser reads differently, fractional integers and quoting
+DUMP_CELLS = {
+    "y_true": (["0", "1", " 1", "0 ", "+1", "-0"], ["2", "-1", "1.0", "0.7", "x", ""]),
+    " y_prob ": (["0.5", "0.125", "1e-3", ".25", "1.0", "0", "1", " 0.75 "],
+                 ["nan", "inf", "1.5", "-0.1", "x", "", "0.5\x1c", "1_0"]),
+    "group": (["0", "1", "3", "-2", " 1"], ["0.5", "1e3", "g", "١", "99999999999999999999"]),
+    "note": (["a", "", "b c"], ['"q"', '"a\n1"', '"x,y"']),
+}
+DUMP_CELLS["y_prob"] = DUMP_CELLS["prob"] = DUMP_CELLS[" y_prob "]
+
+
+@st.composite
+def mutated_dumps(draw):
+    """Dump texts: valid ones, ones with a single invalid cell, and ones with
+    mutated, quoted, short and blank rows."""
+    mode = draw(st.sampled_from(["clean", "one bad cell", "mutated"]))
+    mutated = mode == "mutated"
+    header = draw(st.sampled_from(DUMP_HEADERS if mutated else DUMP_HEADERS[:-1]))
+    rows = []
+    for _ in range(draw(st.integers(1 if mode == "one bad cell" else 0, 10))):
+        cells = [draw(st.sampled_from(sum(DUMP_CELLS[col], []) if mutated else DUMP_CELLS[col][0]))
+                 for col in header]
+        if mutated:
+            cells = cells[: draw(st.integers(0, len(cells) + 1))]
+        rows.append(cells)
+    if mode == "one bad cell":
+        r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(header) - 1))
+        rows[r][c] = draw(st.sampled_from(DUMP_CELLS[header[c]][1]))
+    lines = [",".join(header)] + [",".join(cells) for cells in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    if mutated and draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestPredictionDumpFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(mutated_dumps())
+    def test_column_reader_equals_row_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("dump") / "dump.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got, want = dump_outcome(read_prediction_dump, path), dump_outcome(read_dump_rows, path)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            for a, b in zip(got[1], want[1]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tolist() == b.tolist() and (a.dtype == object or a.tobytes() == b.tobytes())
+        else:
+            assert got[1] == want[1]
+
+    # numpy's C parser strips \x1c-\x1f around numbers and reads some letters
+    # (U+01FE) as digits, where int() and float() reject them
+    @pytest.mark.parametrize("row", ["1,0.5\x1c,0", "1,0.5,\x1f1", "1,0.5,\u01fe",
+                                     "\u0661,0.5,1", '"1",0.5,1'])
+    def test_cells_the_c_parser_reads_differently_go_row_by_row(self, tmp_path, row):
+        path = tmp_path / "dump.csv"
+        path.write_bytes(f"y_true,y_prob,group\n0,0.25,1\n{row}\n".encode("utf-8"))
+        got, want = dump_outcome(read_prediction_dump, path), dump_outcome(read_dump_rows, path)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert [a.tolist() for a in got[1]] == [b.tolist() for b in want[1]]
+        else:
+            assert got[1] == want[1] == (1,)
+
+    def test_integer_via_float_deprecation_goes_row_by_row(self, tmp_path, monkeypatch):
+        # older numpy parses an int64 cell 0.7 as 0 and only warns; mimic it
+        path = tmp_path / "dump.csv"
+        path.write_text("y_true,y_prob,group\n1,0.9,0\n0.7,0.5,0\n")
+
+        def truncating_loadtxt(text, dtype, **kw):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([(1, 0.9, 0), (0, 0.5, 0)], dtype=dtype)
+
+        monkeypatch.setattr("bpsfair.metrics.np.loadtxt", truncating_loadtxt)
+        with pytest.raises(DataError) as info:
+            read_prediction_dump(path)
+        assert info.value.rows == (1,)
+
+    def test_plain_dump_is_parsed_by_columns(self, tmp_path, monkeypatch):
+        path = tmp_path / "dump.csv"
+        path.write_text("group,y_prob,y_true,note\n1,0.25,0,a\n\n0, 1.0 ,1,b\n")
+
+        def no_row_reader(path):
+            raise AssertionError("a plain valid dump needs no row-by-row reader")
+
+        monkeypatch.setattr("bpsfair.metrics._read_dump_rows", no_row_reader)
+        y_true, y_prob, group = read_prediction_dump(path)
+        assert y_true.tolist() == [0, 1] and y_prob.tolist() == [0.25, 1.0]
+        assert group.tolist() == [1, 0]
+        assert y_true.dtype == group.dtype == np.int64 and y_true.flags.c_contiguous
 
 
 class TestGroupIds:

@@ -17,6 +17,11 @@ from bpsfair.network import (
 )
 
 
+def _rows_of(v):
+    """A per-unit vector broadcast over the batch axis, stacked or not."""
+    return v[..., None, :]
+
+
 def tiny_config(**kw):
     defaults = dict(input_dim=2, hidden=((2, "relu"),), dropout_rate=0.0,
                     use_batch_norm=False, seed=0)
@@ -118,6 +123,45 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward(state, np.zeros((4, 2)), mode="train")
 
+    @pytest.mark.parametrize("models", [None, 3])
+    def test_inputs_parameters_and_cached_inputs_left_unchanged(self, models):
+        # every elementwise step writes into the layer's own fresh array
+        cfg = tiny_config(input_dim=3, hidden=((6, "leaky_relu"), (4, "relu")),
+                          dropout_rate=0.25, use_batch_norm=True, seed=8)
+        state = init(cfg, models=models)
+        rng = np.random.default_rng(4)
+        for p in state.parameters():
+            p += rng.normal(scale=0.3, size=p.shape)
+        X = rng.normal(size=(7, 3))
+        X_before = X.copy()
+        params_before = [p.copy() for p in state.parameters()]
+        masks = [rng.random((7, w)) >= 0.25 for w in cfg.widths]
+
+        forward(state, X, mode="eval")
+        _, cache = forward(state, X, mode="train", dropout_masks=masks)
+        np.testing.assert_array_equal(X, X_before)
+        for p, before in zip(state.parameters(), params_before):
+            np.testing.assert_array_equal(p, before)
+
+        # each cached h_in equals the previous layer's output, recomputed
+        # with fresh arrays from the cached xhat, and the last feeds the output layer
+        assert cache.layers[0]["h_in"] is X
+        outputs = [_rows_of(state.bn_scale[l]) * layer["xhat"] + _rows_of(state.bn_shift[l])
+                   for l, layer in enumerate(cache.layers)]
+        for layer, expected in zip(cache.layers[1:], outputs):
+            np.testing.assert_array_equal(layer["h_in"], expected)
+        np.testing.assert_array_equal(cache.final_in, outputs[-1])
+        h = X
+        for l, (layer, (_, act)) in enumerate(zip(cache.layers, cfg.hidden)):
+            z = h @ state.weights[l] + _rows_of(state.biases[l])
+            np.testing.assert_array_equal(layer["positive"], z > 0.0)
+            a = np.maximum(z, 0.0) if act == "relu" else np.where(z > 0, z, LEAKY_SLOPE * z)
+            a = a * masks[l] / 0.75
+            xhat = (a - a.mean(axis=-2, keepdims=True)) / np.sqrt(
+                a.var(axis=-2, keepdims=True) + 1e-5)
+            np.testing.assert_allclose(layer["xhat"], xhat, rtol=1e-12, atol=1e-12)
+            h = outputs[l]
+
     def test_running_stats_updated_only_in_train(self):
         state = init(tiny_config(use_batch_norm=True, seed=5))
         X = np.random.default_rng(1).normal(size=(8, 2))
@@ -138,8 +182,7 @@ class TestForward:
         trials = 10_000
         for _ in range(trials):
             _, cache = forward(state, X, mode="train", rng=rng)
-            a = np.maximum(cache.layers[0]["z"], 0.0)
-            acc += a * cache.layers[0]["mask"] / (1.0 - cfg.dropout_rate)
+            acc += cache.final_in  # the dropped activation (one layer, no batch norm)
         np.testing.assert_allclose(acc / trials, reference, rtol=0.02, atol=1e-12)
 
 
