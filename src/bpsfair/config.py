@@ -54,6 +54,24 @@ class RunConfig:
         )
 
 
+_KIND_NAMES = {int: "an integer", float: "a number",
+               DenominatorMode: f"one of {[m.value for m in DenominatorMode]}"}
+
+
+def _typed(kind, value, key):
+    """``kind(value)``; a value that does not convert raises ConfigError naming ``key``.
+
+    An integer field takes no fractional, infinite or NaN number, which int()
+    would truncate or reject with an OverflowError.
+    """
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+
+
 def _require_mapping(doc, section, optional=False):
     block = doc.get(section)
     if block is None:
@@ -80,7 +98,7 @@ def _parse_dataset(block):
     if preset == "adult":
         schema = adult_preset()
     elif preset == "synthetic":
-        schema = synthetic_preset(int(block.get("feature_dim", 6)))
+        schema = synthetic_preset(_typed(int, block.get("feature_dim", 6), "dataset.feature_dim"))
     elif preset is not None:
         raise ConfigError(f"unknown dataset preset {preset!r}")
     elif "schema" in block:
@@ -102,10 +120,10 @@ def _parse_network(block) -> dict:
         if len(activations) != len(widths):
             raise ConfigError("per-layer activation list must match hidden widths")
     return {
-        "hidden": tuple((int(w), a) for w, a in zip(widths, activations)),
-        "dropout_rate": float(block.get("dropout", 0.0)),
+        "hidden": tuple((_typed(int, w, "network.hidden"), a) for w, a in zip(widths, activations)),
+        "dropout_rate": _typed(float, block.get("dropout", 0.0), "network.dropout"),
         "use_batch_norm": bool(block.get("batch_norm", False)),
-        "seed": int(block.get("seed", 0)),
+        "seed": _typed(int, block.get("seed", 0), "network.seed"),
     }
 
 
@@ -129,7 +147,7 @@ def _parse_measures_entry(entry):
         text = str(item)
         if "*" in text:
             kind, scale = text.split("*", 1)
-            template.append((kind.strip().upper(), float(scale)))
+            template.append((kind.strip().upper(), _typed(float, scale, "grid.measures scale")))
         else:
             template.append((text.strip().upper(), 1.0))
     return tuple(template)
@@ -141,15 +159,15 @@ def _parse_grid(block) -> GridSpec | None:
     measures = block.get("measures", [["FPR"]])
     templates = tuple(_parse_measures_entry(entry) for entry in measures)
     variants = tuple(_parse_variant(v) for v in block.get("variants", ["continuous"]))
-    powers = tuple(int(p) for p in block.get("powers", (1, 2, 3, 4)))
-    alphas = tuple(float(a) for a in block.get("alphas", DEFAULT_ALPHAS))
+    powers = tuple(_typed(int, p, "grid.powers") for p in block.get("powers", (1, 2, 3, 4)))
+    alphas = tuple(_typed(float, a, "grid.alphas") for a in block.get("alphas", DEFAULT_ALPHAS))
     iterations = block.get("iterations")
     return GridSpec(
         templates=templates,
         variants=variants,
         powers=powers,
         alphas=alphas,
-        iterations=None if iterations is None else int(iterations),
+        iterations=None if iterations is None else _typed(int, iterations, "grid.iterations"),
     )
 
 
@@ -167,11 +185,11 @@ def _parse_table_rows(block) -> dict:
         if "variant" in entry:
             selector["variant"] = str(entry.pop("variant"))
         if "beta" in entry:
-            selector["beta"] = float(entry.pop("beta"))
+            selector["beta"] = _typed(float, entry.pop("beta"), "report.tables beta")
         if "power" in entry:
-            selector["power"] = int(entry.pop("power"))
+            selector["power"] = _typed(int, entry.pop("power"), "report.tables power")
         if "alpha" in entry:
-            selector["alpha"] = float(entry.pop("alpha"))
+            selector["alpha"] = _typed(float, entry.pop("alpha"), "report.tables alpha")
         if entry:
             raise ConfigError(f"unknown table-row fields {sorted(entry)}")
         rows[label] = selector
@@ -195,17 +213,18 @@ def load_config(path) -> RunConfig:
     network = _parse_network(_require_mapping(doc, "network")) if "network" in doc else None
 
     training_block = _require_mapping(doc, "training", optional=True) or {}
-    mode = DenominatorMode(training_block.pop("denominator_mode", "as_written"))
+    mode = _typed(DenominatorMode, training_block.pop("denominator_mode", "as_written"),
+                  "training.denominator_mode")
     training = {
-        "batch_size": int(training_block.pop("batch_size", 256)),
-        "epochs": int(training_block.pop("epochs", 100)),
-        "lr": float(training_block.pop("lr", 0.001)),
-        "seed": int(training_block.pop("seed", 0)),
+        "batch_size": _typed(int, training_block.pop("batch_size", 256), "training.batch_size"),
+        "epochs": _typed(int, training_block.pop("epochs", 100), "training.epochs"),
+        "lr": _typed(float, training_block.pop("lr", 0.001), "training.lr"),
+        "seed": _typed(int, training_block.pop("seed", 0), "training.seed"),
         "keep_trace": bool(training_block.pop("keep_trace", False)),
     }
     for extra in ("beta1", "beta2", "adam_eps"):
         if extra in training_block:
-            training[extra] = float(training_block.pop(extra))
+            training[extra] = _typed(float, training_block.pop(extra), f"training.{extra}")
     if training_block:
         raise ConfigError(f"unknown [training] fields {sorted(training_block)}")
 
@@ -214,10 +233,11 @@ def load_config(path) -> RunConfig:
 
     split_block = _require_mapping(doc, "split", optional=True) or {}
     plan = SplitPlan(
-        iterations=int(split_block.get("iterations", 10)),
-        train_fraction=float(split_block.get("train_fraction", 0.70)),
-        val_fraction=float(split_block.get("val_fraction", 0.10)),
-        base_seed=int(split_block.get("base_seed", 0)),
+        iterations=_typed(int, split_block.get("iterations", 10), "split.iterations"),
+        train_fraction=_typed(float, split_block.get("train_fraction", 0.70),
+                              "split.train_fraction"),
+        val_fraction=_typed(float, split_block.get("val_fraction", 0.10), "split.val_fraction"),
+        base_seed=_typed(int, split_block.get("base_seed", 0), "split.base_seed"),
     )
 
     report_block = _require_mapping(doc, "report", optional=True) or {}

@@ -203,17 +203,20 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
     (after ``label_aliases``) raise one DataError listing them.  Each
     used column is built in one pass over the rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty")
-        for col in schema.used_columns:
-            if col not in header:
-                raise SchemaError(f"{path}: column {col!r} not found in header")
-        col_idx = {col: header.index(col) for col in schema.used_columns}
-        records = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise EmptyInputError(f"{path}: file is empty")
+            for col in schema.used_columns:
+                if col not in header:
+                    raise SchemaError(f"{path}: column {col!r} not found in header")
+            col_idx = {col: header.index(col) for col in schema.used_columns}
+            records = list(reader)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
 
     # row numbers count every record after the header; a row is blank when
     # all its cells are whitespace
@@ -284,6 +287,18 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
         row_indices=rows[keep].astype(np.int64),
         dropped_count=dropped,
     )
+
+
+def not_utf8_error(path) -> DataError:
+    """The DataError for a file that does not decode as UTF-8, naming the first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DataError(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                         f"at offset {exc.start}")
+    return DataError(f"{path}: not UTF-8 text")  # the file changed since the failed read
 
 
 def _parse_float(text):

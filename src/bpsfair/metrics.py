@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .data import not_utf8_error
 from .errors import DataError, EmptyInputError, InputShapeError, SchemaError, UndefinedMeasureError
 
 __all__ = [
@@ -299,8 +300,11 @@ def read_prediction_dump(path):
     row-by-row reader handles every other file and names the offending
     rows of a dump that fails the parse or the range checks.
     """
-    with open(path, encoding="utf-8") as fh:  # universal newlines split rows as csv.reader does
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines split rows as csv.reader does
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     if not text or not text.isascii() or any(c in text for c in _NOT_PLAIN):
         return _read_dump_rows(path)
     header_line, _, body = text.partition("\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -203,9 +204,12 @@ def _activate(z, act):
 
 def _activate_grad(positive, act):
     """Activation derivative from the mask of positive pre-activations."""
-    if act == "relu":
-        return positive.astype(np.float64)
-    return np.where(positive, 1.0, LEAKY_SLOPE)
+    slope = positive.astype(np.float64)
+    if act == "leaky_relu":
+        # exactly {1.0, LEAKY_SLOPE}, without where()'s select on a random mask
+        slope *= 1.0 - LEAKY_SLOPE
+        slope += LEAKY_SLOPE
+    return slope
 
 
 def _logistic(z):
@@ -220,6 +224,17 @@ def _rows(v):
 def _t(a):
     """Transpose of the last two axes."""
     return np.swapaxes(a, -1, -2)
+
+
+def _rank1_matmul(a, b):
+    """``a @ b^T`` for ``a`` (..., n, 1) and ``b`` (..., k, 1), as a broadcast multiply.
+
+    The matmul adds each product to 0.0, which turns -0.0 into +0.0; the
+    ``+= 0.0`` does the same, so the result is the matmul's bit for bit.
+    """
+    out = np.multiply(a, _t(b))
+    out += 0.0
+    return out
 
 
 def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=None):
@@ -322,32 +337,35 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
 
     grads_w[-1] = _t(cache.final_in) @ dz
     grads_b[-1] = dz.sum(axis=-2)
-    dh = dz @ _t(state.weights[-1])
+    dh = _rank1_matmul(dz, state.weights[-1])
 
     for l in range(len(cfg.hidden) - 1, -1, -1):
+        # dh is a fresh array that every elementwise step below updates in
+        # place, in the operation order of the allocating chain, so the bits hold
         layer = cache.layers[l]
         _, act = cfg.hidden[l]
         if cfg.use_batch_norm:
             xhat, inv_std = layer["xhat"], layer["inv_std"]
-            grads_scale[l] = (dh * xhat).sum(axis=-2)
+            scratch = dh * xhat
+            grads_scale[l] = scratch.sum(axis=-2)
             grads_shift[l] = dh.sum(axis=-2)
-            dxhat = dh * _rows(state.bn_scale[l])
-            # batch-statistics backward: mean and variance both depend on the batch
-            du = (inv_std / n) * (
-                n * dxhat - dxhat.sum(axis=-2, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
-            )
-        else:
-            du = dh
+            dh *= _rows(state.bn_scale[l])  # dxhat
+            # batch-statistics backward: mean and variance both depend on the batch,
+            # du = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            sum_dxhat = dh.sum(axis=-2, keepdims=True)
+            sum_dxhat_xhat = np.multiply(dh, xhat, out=scratch).sum(axis=-2, keepdims=True)
+            dh *= n
+            dh -= sum_dxhat
+            dh -= np.multiply(xhat, sum_dxhat_xhat, out=scratch)
+            dh *= inv_std / n
         if layer["mask"] is not None:
-            da = du * layer["mask"] / (1.0 - cfg.dropout_rate)
-        else:
-            da = du
-        dz = da * _activate_grad(layer["positive"], act)
-        grads_w[l] = _t(layer["h_in"]) @ dz
-        grads_b[l] = dz.sum(axis=-2)
+            dh *= layer["mask"]
+            dh /= 1.0 - cfg.dropout_rate
+        dh *= _activate_grad(layer["positive"], act)
+        grads_w[l] = _t(layer["h_in"]) @ dh
+        grads_b[l] = dh.sum(axis=-2)
         if l:
-            dh = dz @ _t(state.weights[l])
+            dh = dh @ _t(state.weights[l])
 
     grads = []
     for l in range(len(cfg.hidden)):
@@ -445,8 +463,56 @@ def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
     return buf.getvalue()
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _header_config(cfg_d) -> NetworkConfig:
+    """The NetworkConfig of an artifact header; FormatError unless it is well typed."""
+    try:
+        hidden = cfg_d["hidden"]
+        if not (_is_int(cfg_d["input_dim"]) and _is_int(cfg_d["seed"]) and cfg_d["seed"] >= 0
+                and isinstance(hidden, list)
+                and all(isinstance(spec, list) and len(spec) == 2 and _is_int(spec[0])
+                        and isinstance(spec[1], str) for spec in hidden)
+                and isinstance(cfg_d["dropout_rate"], (int, float))
+                and isinstance(cfg_d["use_batch_norm"], bool)):
+            raise FormatError(f"artifact config has fields of the wrong type: {cfg_d!r}")
+        return NetworkConfig(
+            input_dim=cfg_d["input_dim"],
+            hidden=tuple((w, a) for w, a in hidden),
+            dropout_rate=cfg_d["dropout_rate"],
+            use_batch_norm=cfg_d["use_batch_norm"],
+            seed=cfg_d["seed"],
+        )
+    except KeyError as exc:
+        raise FormatError(f"artifact config missing field {exc}")
+    except ConfigError as exc:
+        raise FormatError(f"artifact config invalid: {exc}")
+
+
+def _manifest_sizes(manifest):
+    """Element count of each manifest entry; FormatError unless it is a list of {name, shape}."""
+    if not isinstance(manifest, list):
+        raise FormatError(f"artifact manifest must be a list, got {manifest!r}")
+    sizes = []
+    for entry in manifest:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_is_int(d) and d >= 0 for d in entry["shape"])):
+            raise FormatError(f"bad artifact manifest entry {entry!r}")
+        sizes.append(math.prod(entry["shape"]))
+    return sizes
+
+
 def deserialize(blob: bytes):
-    """Unpack an artifact; returns (NetworkState, metadata dict)."""
+    """Unpack an artifact; returns (NetworkState, metadata dict).
+
+    The header is checked before any array is read: a well-typed config,
+    a manifest of {name, shape} entries whose sizes sum to the payload,
+    and a payload the size the config's architecture needs.  Any other
+    artifact raises FormatError.
+    """
     if len(blob) < len(MAGIC) + 8:
         raise FormatError("artifact too short for header")
     if blob[: len(MAGIC)] != MAGIC:
@@ -459,47 +525,43 @@ def deserialize(blob: bytes):
         raise FormatError("artifact truncated inside header")
     try:
         header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error is a ValueError
         raise FormatError(f"corrupt artifact header: {exc}")
     offset += header_len
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("metadata"), dict) and "arrays" in header):
+        raise FormatError("artifact header needs config and metadata mappings and arrays")
+    config = _header_config(header["config"])
+    manifest, metadata = header["arrays"], header["metadata"]
 
-    try:
-        cfg_d = header["config"]
-        config = NetworkConfig(
-            input_dim=cfg_d["input_dim"],
-            hidden=tuple((w, a) for w, a in cfg_d["hidden"]),
-            dropout_rate=cfg_d["dropout_rate"],
-            use_batch_norm=cfg_d["use_batch_norm"],
-            seed=cfg_d["seed"],
-        )
-        manifest = header["arrays"]
-        metadata = header["metadata"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"artifact header missing fields: {exc}")
+    sizes = _manifest_sizes(manifest)
+    total, payload = sum(sizes), len(blob) - offset
+    if 8 * total != payload:
+        raise FormatError(f"the manifest needs {8 * total} payload bytes, the artifact "
+                          f"holds {payload}: truncated or trailing bytes")
+    dims = [config.input_dim, *config.widths, 1]
+    needed = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    if config.use_batch_norm:
+        needed += 4 * sum(config.widths)
+    if total != needed:  # so init below allocates no more than the payload holds
+        raise FormatError(f"artifact holds {total} values, its architecture needs {needed}")
 
     values = {}
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
-        if len(blob) < offset + nbytes:
-            raise FormatError(f"artifact truncated in array {entry['name']!r}")
+    for entry, size in zip(manifest, sizes):
         values[entry["name"]] = (
-            np.frombuffer(blob, dtype="<f8", count=int(np.prod(shape)), offset=offset)
-            .reshape(shape)
+            np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+            .reshape(entry["shape"])
             .copy()
         )
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes after parameter payload")
-
+        offset += 8 * size
     state = init(config)
-    try:
-        for name, arr in _state_arrays(state):
-            np.copyto(arr, values[name])
-    except KeyError as exc:
-        raise FormatError(f"artifact missing array {exc}")
-    except ValueError as exc:
-        raise FormatError(f"artifact array shape mismatch: {exc}")
+    for name, arr in _state_arrays(state):
+        if name not in values:
+            raise FormatError(f"artifact missing array {name!r}")
+        if values[name].shape != arr.shape:
+            raise FormatError(f"artifact array {name!r} has shape {values[name].shape}, "
+                              f"expected {arr.shape}")
+        arr[...] = values[name]
     return state, metadata
 
 

@@ -164,6 +164,13 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2 unusable row(s)" in err
 
+    def test_non_utf8_prediction_dump_exits_2(self, workspace, capsys):
+        dump = workspace / "dump.csv"
+        dump.write_bytes(b"y_true,y_prob,group\n1,0.9,0\n0,0.\xff,1\n")
+        assert main(["evaluate", "--predictions", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "byte 0xff at offset 32" in err
+
     def test_needs_exactly_one_input(self, workspace, capsys):
         assert main(["evaluate"]) == 2
         assert main(["evaluate", "--predictions", "a", "--model", "b"]) == 2
@@ -239,6 +246,35 @@ class TestConfigParsing:
         code = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("training", "epochs", "many"),
+        ("training", "epochs", 2.5),
+        ("training", "epochs", float("inf")),
+        ("training", "lr", 10**400),
+        ("training", "batch_size", [64]),
+        ("training", "lr", "fast"),
+        ("training", "denominator_mode", "ratio"),
+        ("split", "train_fraction", "most"),
+        ("network", "dropout", {"rate": 0.1}),
+        ("grid", "powers", ["two"]),
+        ("grid", "measures", [["FPR*lots"]]),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, section, field, value):
+        cfg_path = write_config(tmp_path / "cfg.yaml")
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc[section][field] = value
+        cfg_path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match=rf"^{section}\.{field}\b"):
+            load_config(cfg_path)
+
+    def test_train_with_malformed_epochs_exits_2(self, workspace, capsys):
+        cfg_path = write_config(workspace / "bad.yaml",
+                                training={"batch_size": 64, "epochs": "many"})
+        code = main(["train", "--config", str(cfg_path), "--out", str(workspace / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training.epochs must be an integer, got 'many'")
 
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

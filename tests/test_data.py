@@ -102,6 +102,15 @@ class TestLoadCsv:
         assert "row 0: unmapped sensitive value 'c'; row 2: short row" in str(exc.value)
         assert "row 4: non-numeric value 'y' in column 'size'" in str(exc.value)
 
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    def test_non_utf8_file_is_data_error_naming_the_offset(self, tmp_path, rows_before):
+        # the second case puts the byte past the text reader's first 8 KiB chunk
+        head = ("color,size,grp,outcome\n" + "red,1.0,a,yes\n" * rows_before).encode()
+        p = tmp_path / "toy.csv"
+        p.write_bytes(head + b"bl\xffue,2.0,b,no\n")
+        with pytest.raises(DataError, match=f"byte 0xff at offset {len(head) + 2}$"):
+            load_csv(p, TOY_SCHEMA)
+
     def test_blank_rows_skipped_but_counted_in_row_numbers(self, tmp_path):
         p = tmp_path / "toy.csv"
         write_toy_csv(p, ["red,1.0,a,yes", "", " , ,", "blue,2.0,b,no"])

@@ -467,6 +467,13 @@ class TestPredictionDumpFuzz:
             read_prediction_dump(path)
         assert info.value.rows == (1,)
 
+    def test_non_utf8_dump_is_data_error_naming_the_offset(self, tmp_path):
+        path = tmp_path / "dump.csv"
+        head = ("y_true,y_prob,group\n" + "1,0.9,0\n" * 2000).encode()
+        path.write_bytes(head + b"0,0.5,\xff\n")
+        with pytest.raises(DataError, match=f"byte 0xff at offset {len(head) + 6}$"):
+            read_prediction_dump(path)
+
     def test_plain_dump_is_parsed_by_columns(self, tmp_path, monkeypatch):
         path = tmp_path / "dump.csv"
         path.write_text("group,y_prob,y_true,note\n1,0.25,0,a\n\n0, 1.0 ,1,b\n")

@@ -1,9 +1,16 @@
 """Forward/backward correctness, Adam behavior, and artifact round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsfair.errors import ConfigError, FormatError, InputShapeError, StateError
+from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant, combined_loss_and_gradient
+from bpsfair.metrics import MeasureKind
 from bpsfair.network import (
     LEAKY_SLOPE,
     NetworkConfig,
@@ -14,12 +21,18 @@ from bpsfair.network import (
     init,
     init_adam,
     serialize,
+    _rank1_matmul,
 )
 
 
 def _rows_of(v):
     """A per-unit vector broadcast over the batch axis, stacked or not."""
     return v[..., None, :]
+
+
+def _t_of(a):
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
 
 
 def tiny_config(**kw):
@@ -275,6 +288,203 @@ class TestBackward:
             backward(state, None, np.ones(4))
 
 
+def reference_activate_grad(positive, act):
+    if act == "relu":
+        return positive.astype(np.float64)
+    return np.where(positive, 1.0, LEAKY_SLOPE)
+
+
+def reference_backward(state, cache, dloss_dprobs):
+    """The allocating backward chain that backward() must reproduce bit for bit."""
+    cfg = state.config
+    dprobs = np.asarray(dloss_dprobs, dtype=np.float64)
+    n = cache.x.shape[0]
+    probs = cache.probs
+    dz = (dprobs * probs * (1.0 - probs))[..., None]
+    grads_w = [None] * len(state.weights)
+    grads_b = [None] * len(state.biases)
+    grads_scale = [None] * len(state.bn_scale)
+    grads_shift = [None] * len(state.bn_shift)
+    grads_w[-1] = _t_of(cache.final_in) @ dz
+    grads_b[-1] = dz.sum(axis=-2)
+    dh = dz @ _t_of(state.weights[-1])
+    for l in range(len(cfg.hidden) - 1, -1, -1):
+        layer = cache.layers[l]
+        _, act = cfg.hidden[l]
+        if cfg.use_batch_norm:
+            xhat, inv_std = layer["xhat"], layer["inv_std"]
+            grads_scale[l] = (dh * xhat).sum(axis=-2)
+            grads_shift[l] = dh.sum(axis=-2)
+            dxhat = dh * _rows_of(state.bn_scale[l])
+            du = (inv_std / n) * (
+                n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
+            )
+        else:
+            du = dh
+        if layer["mask"] is not None:
+            da = du * layer["mask"] / (1.0 - cfg.dropout_rate)
+        else:
+            da = du
+        dz = da * reference_activate_grad(layer["positive"], act)
+        grads_w[l] = _t_of(layer["h_in"]) @ dz
+        grads_b[l] = dz.sum(axis=-2)
+        if l:
+            dh = dz @ _t_of(state.weights[l])
+    grads = []
+    for l in range(len(cfg.hidden)):
+        grads += [grads_w[l], grads_b[l]]
+        if cfg.use_batch_norm:
+            grads += [grads_scale[l], grads_shift[l]]
+    return grads + [grads_w[-1], grads_b[-1]]
+
+
+def reference_adam_step(state, adam, grads):
+    """The allocating Adam update that adam_step() must reproduce bit for bit."""
+    adam.t += 1
+    bc1 = 1.0 - adam.beta1 ** adam.t
+    bc2 = 1.0 - adam.beta2 ** adam.t
+    for i, (p, g) in enumerate(zip(state.parameters(), grads)):
+        adam.m[i] *= adam.beta1
+        adam.m[i] += (1.0 - adam.beta1) * g
+        adam.v[i] *= adam.beta2
+        adam.v[i] += (1.0 - adam.beta2) * (g * g)
+        p -= adam.lr * (adam.m[i] / bc1) / (np.sqrt(adam.v[i] / bc2) + adam.eps)
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestInPlaceChainMatchesAllocatingChain:
+    """backward and adam_step against the allocating reference, compared by bytes."""
+
+    @pytest.mark.parametrize("models", [None, 2, 21])
+    @pytest.mark.parametrize("n", [1, 5, 256])
+    def test_rank1_matmul_is_the_matmul(self, models, n):
+        # numpy's sums start from +0.0, so the gradients never show the sign
+        # of a zero in the output layer's dh; this compares dh itself
+        lead = () if models is None else (models,)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=lead + (n, 1))
+        b = rng.normal(size=lead + (324, 1))
+        a.flat[::3] = -0.0
+        a.flat[1::7] = 0.0
+        b.flat[::5] = -0.0
+        b.flat[1::11] = np.inf
+        b.flat[2::13] = np.nan
+        with np.errstate(invalid="ignore"):
+            got, want = _rank1_matmul(a, b), a @ _t_of(b)
+            assert np.signbit(want).sum() < np.signbit(a * _t_of(b)).sum()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("models", [None, 2, 21])
+    def test_gradients_and_adam_steps_bit_identical(self, act, batch_norm, dropout, models):
+        cfg = tiny_config(input_dim=5, hidden=((9, act), (7, act)), dropout_rate=dropout,
+                          use_batch_norm=batch_norm, seed=61)
+        for n in (1, 5, 256):
+            rng = np.random.default_rng(n)
+            state = init(cfg, models=models)
+            for p in state.parameters():  # every stacked model different
+                p += rng.normal(scale=0.5, size=p.shape)
+            X = rng.normal(size=(n, 5))
+            masks = [rng.random((n, w)) >= dropout for w in cfg.widths] if dropout else None
+            probs, cache = forward(state, X, mode="train", dropout_masks=masks)
+            dprobs = rng.normal(size=probs.shape)
+            dprobs[..., ::4] = -0.0  # signed zeros through every layer
+            dprobs[..., 1::4] = 0.0
+            grads = backward(state, cache, dprobs)
+            assert_same_bytes(grads, reference_backward(state, cache, dprobs))
+
+            twin = state.copy()
+            adam, twin_adam = init_adam(state, lr=0.01), init_adam(twin, lr=0.01)
+            for step in range(5):
+                step_grads = [g * (step + 1) for g in grads]
+                adam_step(state, adam, step_grads)
+                reference_adam_step(twin, twin_adam, step_grads)
+                assert_same_bytes(state.parameters(), twin.parameters())
+                assert_same_bytes(adam.m + adam.v, twin_adam.m + twin_adam.v)
+
+
+def _total_loss(state, X, masks, term_sets, labels, groups, mode):
+    """Sum over the stacked models of the combined loss, through a train-mode forward."""
+    probs, cache = forward(state, X, mode="train", dropout_masks=masks)
+    terms = term_sets if state.models is not None else term_sets[0]
+    values, dprobs = combined_loss_and_gradient(terms, probs, labels, groups, mode)
+    values = values if state.models is not None else (values,)
+    return sum(v.total for v in values), cache, dprobs
+
+
+@st.composite
+def loss_problems(draw):
+    """A random network, stack size, term sets and denominator mode."""
+    layers = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from(["relu", "leaky_relu"])),
+                           min_size=1, max_size=3))
+    cfg = NetworkConfig(input_dim=draw(st.integers(1, 4)), hidden=tuple(layers),
+                        dropout_rate=draw(st.sampled_from([0.0, 0.3])),
+                        use_batch_norm=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    models = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    columns = draw(st.lists(st.tuples(st.sampled_from(list(MeasureKind)),
+                                      st.sampled_from([SoftVariant.continuous(),
+                                                       SoftVariant.sigmoided(),
+                                                       SoftVariant.sigmoided(4.0)])),
+                            max_size=3))
+    term_sets = [
+        tuple(FairnessTerm(kind, variant, alpha=draw(st.floats(0.0, 2.0)),
+                           power=draw(st.integers(1, 4)))
+              for kind, variant in columns)
+        for _ in range(models or 1)
+    ]
+    mode = draw(st.sampled_from(list(DenominatorMode)))
+    return cfg, models, term_sets, mode, draw(st.integers(0, 2**16))
+
+
+class TestLossGradientThroughBackward:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(loss_problems())
+    def test_matches_central_differences(self, problem):
+        cfg, models, term_sets, mode, seed = problem
+        rng = np.random.default_rng(seed)
+        n = 12
+        state = init(cfg, models=models)
+        for p in state.parameters():
+            p += rng.normal(scale=0.3, size=p.shape)
+        X = rng.normal(size=(n, cfg.input_dim))
+        # every (group, label) cell holds rows, so every term can train
+        labels = np.array([0, 1] * (n // 2))
+        groups = np.repeat([0, 1, 0, 1], n // 4)
+        masks = None
+        if cfg.dropout_rate:
+            masks = [rng.random((n, w)) >= cfg.dropout_rate for w in cfg.widths]
+        args = (X, masks, term_sets, labels, groups, mode)
+
+        total, cache, dprobs = _total_loss(state, *args)
+        analytic = backward(state, cache, dprobs)
+        h, checked = 1e-6, 0
+        for k, p in enumerate(state.parameters()):
+            for idx in map(tuple, rng.integers(0, p.shape, size=(3, p.ndim))):
+                orig = p[idx]
+                p[idx] = orig + h
+                up = _total_loss(state, *args)[0]
+                p[idx] = orig - h
+                down = _total_loss(state, *args)[0]
+                p[idx] = orig
+                # a ReLU or min/max ratio kink inside [-h, h] makes the one-sided
+                # slopes disagree; the derivative is not defined there
+                if abs((up - total) - (total - down)) > 1e-3 * (abs(up - down) + 1e-7):
+                    continue
+                numeric = (up - down) / (2 * h)
+                assert analytic[k][idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+                checked += 1
+        assert checked
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         state = init(tiny_config(seed=2))
@@ -366,6 +576,110 @@ class TestSerialization:
         blob[8] = 99  # version field
         with pytest.raises(FormatError):
             deserialize(bytes(blob))
+
+
+def _artifact():
+    """A trained-looking small artifact: its blob and its parsed header."""
+    cfg = tiny_config(input_dim=3, hidden=((4, "relu"), (2, "leaky_relu")),
+                      use_batch_norm=True, dropout_rate=0.1, seed=5)
+    state = init(cfg)
+    rng = np.random.default_rng(6)
+    for p in state.parameters():
+        p += rng.normal(size=p.shape)
+    forward(state, rng.normal(size=(8, 3)), mode="train", rng=rng)
+    blob = serialize(state, {"columns": ["a", "b"]})
+    header_len = struct.unpack_from("<I", blob, 12)[0]
+    return blob, json.loads(blob[16:16 + header_len])
+
+
+def _with_header(blob, header):
+    """``blob`` with its header replaced by ``header``'s JSON."""
+    old_len = struct.unpack_from("<I", blob, 12)[0]
+    text = json.dumps(header).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + old_len:]
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, as key/index paths."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**12, 10**12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_artifacts(draw):
+    blob, header = _artifact()
+    kind = draw(st.sampled_from(["value", "delete", "shape", "truncate", "append", "flip"]))
+    if kind in ("value", "delete", "shape"):
+        if kind == "shape":
+            entry = draw(st.sampled_from(header["arrays"]))
+            entry["shape"] = draw(st.lists(st.integers(-3, 10**10), max_size=3) | JSON_VALUES)
+        else:
+            path = draw(st.sampled_from(list(_paths(header))[1:]))
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(JSON_VALUES)
+        return _with_header(blob, header)
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=24))
+    position = draw(st.integers(0, len(blob) - 1))
+    return blob[:position] + bytes([blob[position] ^ draw(st.integers(1, 255))]) + blob[position + 1:]
+
+
+class TestArtifactManifest:
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.update(arrays=5),
+        lambda h: h["arrays"][0].update(shape=[-3, -4]),
+        lambda h: h["arrays"][0].update(shape="3,4"),
+        lambda h: h["arrays"][0].update(shape=[3.0, 4]),
+        lambda h: h["arrays"][0].pop("name"),
+        lambda h: h["arrays"].append({"name": "extra", "shape": [1]}),
+        lambda h: h["config"]["hidden"].append([10**9, "relu"]),
+        lambda h: h["config"].update(input_dim=3.0),
+        lambda h: h["config"].update(hidden=[[4]]),
+        lambda h: h["config"].update(seed=-1),
+        lambda h: h.update(metadata=[]),
+        lambda h: h.pop("config"),
+    ], ids=["arrays-int", "negative-shape", "string-shape", "float-shape", "no-name",
+            "extra-array", "huge-layer", "float-input-dim", "short-hidden-spec",
+            "negative-seed", "metadata-list", "no-config"])
+    def test_malformed_header_is_format_error(self, mutate):
+        blob, header = _artifact()
+        mutate(header)
+        with pytest.raises(FormatError):
+            deserialize(_with_header(blob, header))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(mutated_artifacts())
+    def test_only_format_error_escapes(self, blob):
+        try:
+            state, metadata = deserialize(blob)
+        except FormatError:
+            return
+        # a mutation that kept the artifact well formed gives a state that round-trips
+        again = serialize(state, metadata)
+        assert serialize(*deserialize(again)) == again
+
+    def test_round_trip_of_the_fuzzed_artifact_is_bit_exact(self):
+        blob, _ = _artifact()
+        state, metadata = deserialize(blob)
+        assert serialize(state, metadata) == blob
 
 
 class TestReproducibility:
