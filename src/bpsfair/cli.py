@@ -24,7 +24,7 @@ from .data import (
 )
 from .engine import evaluate as evaluate_state
 from .engine import run_grid, train_model
-from .errors import BpsfairError, ConfigError
+from .errors import BpsfairError, ConfigError, FormatError
 from .metrics import BpsReport, evaluate_prediction_dump
 from .network import load_model, save_model
 from .report import (
@@ -184,8 +184,13 @@ def cmd_evaluate(args) -> int:
         state, metadata = load_model(args.model)
         if args.dataset is None:
             raise ConfigError("evaluating a model artifact needs --dataset")
-        schema = DatasetSchema.from_dict(metadata["schema"])
-        encoder = EncoderState.from_dict(metadata["encoder"])
+        try:
+            schema = DatasetSchema.from_dict(metadata["schema"])
+            encoder = EncoderState.from_dict(metadata["encoder"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(f"{args.model}: no usable schema and encoder metadata "
+                              f"({type(exc).__name__}: {exc}); evaluate --model needs an "
+                              "artifact written by `bpsfair train`") from None
         table = load_csv(args.dataset, schema)
         dataset = apply_encoder(table, encoder)
         frag = evaluate_state(state, dataset, np.arange(dataset.n_rows))

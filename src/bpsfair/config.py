@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .data import DatasetSchema, SplitPlan, adult_preset, synthetic_preset
+from .data import DatasetSchema, SplitPlan, adult_preset, not_utf8_error, synthetic_preset
 from .engine import DEFAULT_ALPHAS, GridSpec, TrainConfig
 from .errors import ConfigError
 from .losses import DenominatorMode, SoftVariant, parse_term
@@ -54,7 +54,7 @@ class RunConfig:
         )
 
 
-_KIND_NAMES = {int: "an integer", float: "a number",
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                DenominatorMode: f"one of {[m.value for m in DenominatorMode]}"}
 
 
@@ -62,10 +62,13 @@ def _typed(kind, value, key):
     """``kind(value)``; a value that does not convert raises ConfigError naming ``key``.
 
     An integer field takes no fractional, infinite or NaN number, which int()
-    would truncate or reject with an OverflowError.
+    would truncate or reject with an OverflowError.  A bool field takes only
+    a YAML boolean: bool() would read the string "false" as True.
     """
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        if kind is bool and not isinstance(value, bool):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -122,7 +125,7 @@ def _parse_network(block) -> dict:
     return {
         "hidden": tuple((_typed(int, w, "network.hidden"), a) for w, a in zip(widths, activations)),
         "dropout_rate": _typed(float, block.get("dropout", 0.0), "network.dropout"),
-        "use_batch_norm": bool(block.get("batch_norm", False)),
+        "use_batch_norm": _typed(bool, block.get("batch_norm", False), "network.batch_norm"),
         "seed": _typed(int, block.get("seed", 0), "network.seed"),
     }
 
@@ -200,8 +203,11 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path, ConfigError) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
     unknown = set(doc) - {"dataset", "network", "training", "loss", "grid", "split",
@@ -220,7 +226,7 @@ def load_config(path) -> RunConfig:
         "epochs": _typed(int, training_block.pop("epochs", 100), "training.epochs"),
         "lr": _typed(float, training_block.pop("lr", 0.001), "training.lr"),
         "seed": _typed(int, training_block.pop("seed", 0), "training.seed"),
-        "keep_trace": bool(training_block.pop("keep_trace", False)),
+        "keep_trace": _typed(bool, training_block.pop("keep_trace", False), "training.keep_trace"),
     }
     for extra in ("beta1", "beta2", "adam_eps"):
         if extra in training_block:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInputError, SchemaError
+from .errors import BpsfairError, ConfigError, DataError, EmptyInputError, SchemaError
 
 __all__ = [
     "DatasetSchema",
@@ -289,16 +289,16 @@ def load_csv(path, schema: DatasetSchema) -> RawTable:
     )
 
 
-def not_utf8_error(path) -> DataError:
-    """The DataError for a file that does not decode as UTF-8, naming the first bad byte."""
+def not_utf8_error(path, error=DataError) -> BpsfairError:
+    """The ``error`` for a file that does not decode as UTF-8, naming the first bad byte."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return DataError(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
-                         f"at offset {exc.start}")
-    return DataError(f"{path}: not UTF-8 text")  # the file changed since the failed read
+        return error(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                     f"at offset {exc.start}")
+    return error(f"{path}: not UTF-8 text")  # the file changed since the failed read
 
 
 def _parse_float(text):

@@ -142,7 +142,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
     adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                      eps=config.adam_eps)
     X, Y, A = dataset.X, dataset.Y, dataset.A
-    X_val, Y_val = X[val_idx], Y[val_idx]
+    Y_val = Y[val_idx]
 
     live = list(range(len(term_sets)))  # stack position -> model index
     live_terms = list(term_sets)
@@ -155,7 +155,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
         epoch_losses = [[] for _ in term_sets]
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            probs, cache = forward(state, X[batch], mode="train", rng=dropout_rng)
+            probs, cache = forward(state, X, mode="train", rng=dropout_rng, rows=batch)
             values, dprobs = combined_loss_and_gradient(
                 live_terms, probs, Y[batch], A[batch], config.denominator_mode
             )
@@ -174,15 +174,14 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
                 state, adam = state[keep], adam[keep]
                 live = [live[pos] for pos in keep]
                 live_terms = [live_terms[pos] for pos in keep]
-        for pos, i in enumerate(live):
-            model = state[pos]
-            if val_idx.size:
-                val_probs, _ = forward(model, X_val, mode="eval")
-                val_acc = float(np.mean((val_probs >= 0.5).astype(np.int64) == Y_val))
-            else:
-                val_acc = float("nan")
+        if val_idx.size:  # one stacked forward scores every live model
+            val_probs, _ = forward(state, X, mode="eval", rows=val_idx)
+            val_accs = np.mean((val_probs >= 0.5) == Y_val, axis=-1).tolist()
+        else:
+            val_accs = [float("nan")] * len(live)
+        for pos, (i, val_acc) in enumerate(zip(live, val_accs)):
             if val_idx.size == 0 or val_acc > best[i][0]:
-                best[i] = (val_acc, epoch, model.copy())
+                best[i] = (val_acc, epoch, state[pos].copy())
             if config.keep_trace:
                 traces[i].append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses[i])),
                                   "val_accuracy": val_acc})
@@ -232,7 +231,7 @@ def evaluate(state, dataset: EncodedDataset, indices, terms=(),
         raise StateError(
             f"dataset has {dataset.X.shape[1]} features, model expects {state.config.input_dim}"
         )
-    probs, _ = forward(state, dataset.X[idx], mode="eval")
+    probs, _ = forward(state, dataset.X, mode="eval", rows=idx)
     preds = (probs >= 0.5).astype(np.int64)
     y, a = dataset.Y[idx], dataset.A[idx]
     value = combined_loss(terms, probs, y, a, mode)

@@ -43,6 +43,12 @@ __all__ = [
 LEAKY_SLOPE = 0.01
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+# Rows per eval-mode block.  A stack of M models holds M blocks of
+# activations at once, so the block is small.  Measured on a 2-core x86
+# host with OpenBLAS: 45,222 arch2 rows take the same time in blocks of
+# 256, 512 or 1,024 rows and ~2x as long in one block; a 21-model stack of
+# 16-wide layers scores 600 rows in 1.2 ms in blocks of 256, 2.5 ms in 1,024.
+EVAL_BLOCK_ROWS = 256
 MAGIC = b"BPSFMODL"
 FORMAT_VERSION = 1
 _ACTIVATIONS = ("relu", "leaky_relu")
@@ -237,15 +243,22 @@ def _rank1_matmul(a, b):
     return out
 
 
-def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=None):
+def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=None, rows=None):
     """Run the network; returns (probs, cache) in train mode, (probs, None) in eval.
 
     ``probs`` has shape (n,) for a single model and (M, n) for a stack,
-    whose models all see the same input rows.  Train mode samples fresh
-    dropout masks of shape (n, width) from ``rng`` (or reuses
-    ``dropout_masks``, one boolean array per hidden layer, which gradient
-    checks rely on), shared by every stacked model, and updates
-    batch-norm running statistics in place.
+    whose models all see the same input rows.  ``rows``, if given, are
+    the indices of the rows of X to run, in order (X[rows] without the
+    copy).  Train mode samples fresh dropout masks of shape (n, width)
+    from ``rng`` (or reuses ``dropout_masks``, one boolean array per
+    hidden layer, which gradient checks rely on), shared by every stacked
+    model, and updates batch-norm running statistics in place.
+
+    Eval mode runs the rows in blocks of EVAL_BLOCK_ROWS, gathering each
+    block's rows as it goes, so its memory does not grow with n beyond
+    the ([M,] n) output.  A row's probability depends on its block only
+    through BLAS, whose products can differ in the last bit between
+    matrices of different heights.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -254,12 +267,29 @@ def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=
         raise InputShapeError(
             f"expected input of shape (n, {state.config.input_dim}), got {X.shape}"
         )
-    cfg = state.config
-    train = mode == "train"
-    p_drop = cfg.dropout_rate
-    if train and p_drop > 0.0 and rng is None and dropout_masks is None:
-        raise ConfigError("train-mode forward with dropout needs an rng (or fixed masks)")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise InputShapeError(f"rows must be a 1-D index array, got shape {rows.shape}")
+    if mode == "train":
+        if state.config.dropout_rate > 0.0 and rng is None and dropout_masks is None:
+            raise ConfigError("train-mode forward with dropout needs an rng (or fixed masks)")
+        return _forward_rows(state, X if rows is None else X[rows], True, rng, dropout_masks)
 
+    n = X.shape[0] if rows is None else rows.size
+    lead = () if state.models is None else (state.models,)
+    probs = np.empty(lead + (n,))
+    for start in range(0, n, EVAL_BLOCK_ROWS):
+        block = slice(start, start + EVAL_BLOCK_ROWS)
+        x = X[block] if rows is None else X[rows[block]]
+        probs[..., block] = _forward_rows(state, x, False, None, None)[0]
+    return probs, None
+
+
+def _forward_rows(state: NetworkState, X, train: bool, rng, dropout_masks):
+    """forward() on all of X at once, after its checks."""
+    cfg = state.config
+    p_drop = cfg.dropout_rate
     cache = ForwardCache(x=X) if train else None
     h = X
     for l, (width, act) in enumerate(cfg.hidden):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import not_utf8_error
 from .engine import (
     CELL_FIELDS,
     RUN_FIELDS,
@@ -97,23 +98,26 @@ def write_runs_csv(rows, path):
 def read_runs_csv(path):
     """Inverse of write_runs_csv; numeric fields parsed, blanks to NaN."""
     int_fields = {"power", "iteration", "seed", "best_epoch", "divergence_epoch"}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for raw in reader:
-            row = {}
-            for key, val in raw.items():
-                if key in ("measures", "variant"):
-                    row[key] = val
-                elif key == "diverged":
-                    row[key] = val == "1"
-                elif val == "" or val is None:
-                    row[key] = None if key in int_fields else float("nan")
-                elif key in int_fields:
-                    row[key] = int(val)
-                else:
-                    row[key] = float(val)
-            rows.append(row)
+    for raw in records:
+        row = {}
+        for key, val in raw.items():
+            if key in ("measures", "variant"):
+                row[key] = val
+            elif key == "diverged":
+                row[key] = val == "1"
+            elif val == "" or val is None:
+                row[key] = None if key in int_fields else float("nan")
+            elif key in int_fields:
+                row[key] = int(val)
+            else:
+                row[key] = float(val)
+        rows.append(row)
     return rows
 
 

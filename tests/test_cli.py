@@ -9,8 +9,10 @@ import yaml
 
 from bpsfair.cli import main
 from bpsfair.config import load_config
-from bpsfair.errors import ConfigError
+from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
+from bpsfair.network import NetworkConfig, init, save_model
+from bpsfair.report import read_runs_csv
 
 
 def write_config(path, **overrides):
@@ -118,6 +120,17 @@ class TestReportCommand:
         main(["report", "--out", str(out)])
         assert (out / "runs.csv").stat().st_mtime_ns == runs_mtime
 
+    def test_non_utf8_runs_csv_exits_2(self, workspace, capsys):
+        out = workspace / "grid"
+        main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        blob = (out / "runs.csv").read_bytes()
+        (out / "runs.csv").write_bytes(blob[:40] + b"\xff" + blob[41:])
+        with pytest.raises(DataError, match="byte 0xff at offset 40"):
+            read_runs_csv(out / "runs.csv")
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+
     def test_missing_runs_is_error(self, workspace, capsys):
         assert main(["report", "--out", str(workspace / "empty")]) == 2
         assert "runs.csv" in capsys.readouterr().err
@@ -170,6 +183,15 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(dump)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "byte 0xff at offset 32" in err
+
+    def test_artifact_without_encoder_metadata_exits_2(self, workspace, capsys):
+        # save_model's default metadata is empty: no schema, no encoder
+        bare = workspace / "bare.bpsf"
+        save_model(bare, init(NetworkConfig(input_dim=3, hidden=((4, "relu"),))))
+        code = main(["evaluate", "--model", str(bare), "--dataset", str(workspace / "synth.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "encoder metadata" in err
 
     def test_needs_exactly_one_input(self, workspace, capsys):
         assert main(["evaluate"]) == 2
@@ -259,6 +281,10 @@ class TestConfigParsing:
         ("network", "dropout", {"rate": 0.1}),
         ("grid", "powers", ["two"]),
         ("grid", "measures", [["FPR*lots"]]),
+        # bool() would read these as true
+        ("network", "batch_norm", "false"),
+        ("training", "keep_trace", "false"),
+        ("training", "keep_trace", 1),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, section, field, value):
         cfg_path = write_config(tmp_path / "cfg.yaml")
@@ -275,6 +301,23 @@ class TestConfigParsing:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: training.epochs must be an integer, got 'many'")
+
+    def test_train_with_non_utf8_config_exits_2(self, workspace, capsys):
+        cfg_path = workspace / "bad.yaml"
+        cfg_path.write_bytes(b"network: {hidden: [4]}\n# caf\xff\n")
+        with pytest.raises(ConfigError, match="byte 0xff at offset 28"):
+            load_config(cfg_path)
+        code = main(["train", "--config", str(cfg_path), "--out", str(workspace / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_yaml_booleans_load(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("network: {hidden: [4], batch_norm: yes}\n"
+                            "training: {keep_trace: false}\n")
+        cfg = load_config(cfg_path)
+        assert cfg.network["use_batch_norm"] is True
+        assert cfg.training["keep_trace"] is False
 
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -28,8 +28,9 @@ from bpsfair.engine import (
 from bpsfair.errors import ConfigError, DivergenceError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
+from bpsfair import network
 from bpsfair.network import NetworkConfig, forward, serialize
-from bpsfair.engine import RunResult
+from bpsfair.engine import RunResult, _train_stack
 from bpsfair.report import emit_results, fmt, read_runs_csv
 
 
@@ -106,6 +107,25 @@ class TestTrainModel:
         assert not result.diverged
         assert len(result.per_term) == 1
         assert 0.0 <= result.per_term[0].soft_bps <= 1.0
+
+
+class TestStackedValidation:
+    def test_each_model_scored_as_if_trained_alone(self, monkeypatch):
+        # blocks of 16 rows split the 60-row validation set unevenly
+        monkeypatch.setattr(network, "EVAL_BLOCK_ROWS", 16)
+        dataset, split, _, _ = separable_setup()
+        cfg = small_config(
+            network=NetworkConfig(input_dim=3, hidden=((8, "leaky_relu"), (5, "relu")),
+                                  dropout_rate=0.1, use_batch_norm=True, seed=2),
+            epochs=5, keep_trace=True)
+        term_sets = [(FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha, 2),)
+                     for alpha in (0.2, 0.5, 0.9)]
+        stacked = _train_stack(dataset, split, cfg, term_sets)
+        for terms, (state, best_epoch, trace) in zip(term_sets, stacked):
+            ((solo_state, solo_epoch, solo_trace),) = _train_stack(dataset, split, cfg, [terms])
+            assert trace == solo_trace
+            assert best_epoch == solo_epoch
+            assert serialize(state) == serialize(solo_state)
 
 
 class TestEvaluate:

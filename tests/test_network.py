@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bpsfair.errors import ConfigError, FormatError, InputShapeError, StateError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant, combined_loss_and_gradient
 from bpsfair.metrics import MeasureKind
 from bpsfair.network import (
+    EVAL_BLOCK_ROWS,
     LEAKY_SLOPE,
     NetworkConfig,
     adam_step,
@@ -738,3 +740,74 @@ class TestModelStack:
         assert sub.models == 2
         sub.weights[0][:] = 0.0
         assert np.all(stack.weights[0] != 0.0)
+
+
+class TestEvalBlocks:
+    """Eval mode runs its rows in blocks of EVAL_BLOCK_ROWS."""
+
+    CFG = tiny_config(input_dim=5, hidden=((7, "leaky_relu"), (6, "relu")),
+                      use_batch_norm=True, dropout_rate=0.1, seed=17)
+
+    def distinct_state(self, models, seed=3):
+        """A (stacked) state whose models differ and whose running stats are not identity."""
+        state = init(self.CFG, models=models)
+        rng = np.random.default_rng(seed)
+        for arrays in (state.weights, state.biases, state.bn_scale, state.bn_shift,
+                       state.bn_mean):
+            for a in arrays:
+                a += rng.normal(scale=0.5, size=a.shape)
+        for v in state.bn_var:
+            v *= rng.uniform(0.5, 2.0, size=v.shape)
+        return state
+
+    @pytest.mark.parametrize("models", [None, 2, 21])
+    @pytest.mark.parametrize("n", [0, 1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS,
+                                   EVAL_BLOCK_ROWS + 1, 3 * EVAL_BLOCK_ROWS + 7])
+    def test_blocked_eval_equals_per_block_forwards(self, models, n):
+        state = self.distinct_state(models)
+        X = np.random.default_rng(n).normal(size=(n, 5))
+        probs, cache = forward(state, X, mode="eval")
+        assert cache is None
+        assert probs.shape == ((n,) if models is None else (models, n))
+        # a block-sized input is one block, so these are the forwards of the blocks
+        blocks = [forward(state, X[s : s + EVAL_BLOCK_ROWS])[0]
+                  for s in range(0, n, EVAL_BLOCK_ROWS)]
+        expected = np.concatenate(blocks, axis=-1) if blocks else np.empty(probs.shape)
+        np.testing.assert_array_equal(probs, expected)
+        # rows= gathers the same rows a block at a time
+        order = np.random.default_rng(1).permutation(n)
+        np.testing.assert_array_equal(forward(state, X, rows=order)[0],
+                                      forward(state, X[order])[0])
+
+    @pytest.mark.parametrize("models", [2, 21])
+    def test_stacked_validation_equals_per_model_validation(self, models):
+        state = self.distinct_state(models, seed=9)
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(3 * EVAL_BLOCK_ROWS, 5))
+        val = rng.permutation(X.shape[0])[: 2 * EVAL_BLOCK_ROWS + 5]
+        stacked, _ = forward(state, X, rows=val)
+        for m in range(models):
+            np.testing.assert_array_equal(stacked[m], forward(state[m], X, rows=val)[0])
+            np.testing.assert_array_equal(stacked[m], forward(state[m], X[val])[0])
+
+    def test_rows_must_be_one_dimensional(self):
+        state = self.distinct_state(None)
+        with pytest.raises(InputShapeError):
+            forward(state, np.zeros((4, 5)), rows=np.zeros((2, 2), dtype=np.int64))
+
+    def test_eval_memory_does_not_grow_with_rows(self):
+        # the arch2 shape of the Adult runs; one unblocked pass would hold
+        # several (n, 324) float64 arrays at once
+        n = 20_000
+        cfg = NetworkConfig(input_dim=102, hidden=((108, "leaky_relu"), (324, "leaky_relu")),
+                            dropout_rate=0.1, use_batch_norm=True, seed=0)
+        state = init(cfg)
+        X = np.random.default_rng(0).normal(size=(n, 102))
+        tracemalloc.start()
+        try:
+            probs, _ = forward(state, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (n,)
+        assert peak < n * 324 * 8 / 4
