@@ -208,6 +208,11 @@ def load_config(path) -> RunConfig:
             doc = yaml.safe_load(fh)
     except UnicodeDecodeError:
         raise not_utf8_error(path, ConfigError) from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{path}: not valid YAML{where}: {problem}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
     unknown = set(doc) - {"dataset", "network", "training", "loss", "grid", "split",

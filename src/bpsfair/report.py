@@ -28,7 +28,7 @@ from .engine import (
     scalar_columns,
     select_cell,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import bps_binary
 
 __all__ = [
@@ -96,7 +96,12 @@ def write_runs_csv(rows, path):
 
 
 def read_runs_csv(path):
-    """Inverse of write_runs_csv; numeric fields parsed, blanks to NaN."""
+    """Inverse of write_runs_csv; numeric fields parsed, blanks to NaN.
+
+    A row with more fields than the header, or a numeric cell that does
+    not parse, raises DataError naming the row (counted from 0 after the
+    header) and the column.
+    """
     int_fields = {"power", "iteration", "seed", "best_epoch", "divergence_epoch"}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -104,7 +109,9 @@ def read_runs_csv(path):
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
     rows = []
-    for raw in records:
+    for row_no, raw in enumerate(records):
+        if None in raw:
+            raise DataError(f"{path}: row {row_no}: more fields than the header", rows=[row_no])
         row = {}
         for key, val in raw.items():
             if key in ("measures", "variant"):
@@ -113,10 +120,14 @@ def read_runs_csv(path):
                 row[key] = val == "1"
             elif val == "" or val is None:
                 row[key] = None if key in int_fields else float("nan")
-            elif key in int_fields:
-                row[key] = int(val)
             else:
-                row[key] = float(val)
+                kind = int if key in int_fields else float
+                try:
+                    row[key] = kind(val)
+                except ValueError:
+                    raise DataError(f"{path}: row {row_no}: column {key!r} holds {val!r}, not "
+                                    f"{'an integer' if kind is int else 'a number'}",
+                                    rows=[row_no]) from None
         rows.append(row)
     return rows
 

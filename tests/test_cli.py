@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,34 @@ class TestReportCommand:
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("accuracy", "abc", "column 'accuracy' holds 'abc', not a number"),
+        ("power", "1.5", "column 'power' holds '1.5', not an integer"),
+    ])
+    def test_non_numeric_runs_csv_cell_exits_2(self, workspace, capsys, column, value,
+                                               message):
+        out = workspace / "grid"
+        main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        with open(out / "runs.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][rows[0].index(column)] = value
+        with open(out / "runs.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(DataError, match=f"row 1: {message}$") as exc:
+            read_runs_csv(out / "runs.csv")
+        assert exc.value.rows == (1,)
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'runs.csv'}: row 1: ")
+
+    def test_runs_csv_row_longer_than_header_exits_2(self, workspace, capsys):
+        out = workspace / "grid"
+        main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        with open(out / "runs.csv", "a", encoding="utf-8") as fh:
+            fh.write("FNR,continuous" + ",1" * 60 + "\n")
+        with pytest.raises(DataError, match="more fields than the header"):
+            read_runs_csv(out / "runs.csv")
+        assert main(["report", "--out", str(out)]) == 2
 
     def test_missing_runs_is_error(self, workspace, capsys):
         assert main(["report", "--out", str(workspace / "empty")]) == 2
@@ -310,6 +339,20 @@ class TestConfigParsing:
         code = main(["train", "--config", str(cfg_path), "--out", str(workspace / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text, where", [
+        ("network: [\n", " at line 2, column 1: expected the node content"),
+        ("network: {hidden: [4]}\ntraining: a: b\n", " at line 2, column 12: mapping values"),
+        ("network: {hidden: [4]}\x00\n", ": unacceptable character #x0000"),
+    ])
+    def test_invalid_yaml_names_file_and_position(self, workspace, capsys, text, where):
+        cfg_path = workspace / "bad.yaml"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{cfg_path}: not valid YAML{where}")):
+            load_config(cfg_path)
+        code = main(["train", "--config", str(cfg_path), "--out", str(workspace / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid YAML")
 
     def test_yaml_booleans_load(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -1,13 +1,17 @@
 """CSV loading, encoding, split plans, presets, and the synthetic generator."""
 
 import csv
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpsfair.data
 from bpsfair.data import (
+    Categorical,
     DatasetSchema,
     RawTable,
     SplitPlan,
@@ -67,7 +71,7 @@ class TestLoadCsv:
         p = tmp_path / "toy.csv"
         write_toy_csv(p, [" red , 1.0 , a , yes "])
         table = load_csv(p, TOY_SCHEMA)
-        assert table.categorical["color"] == ["red"]
+        assert table.categorical["color"].decode() == ["red"]
         assert table.labels[0] == 1
 
     def test_empty_file(self, tmp_path):
@@ -166,7 +170,9 @@ class TestEncoder:
         # perturb the non-train rows and refit: encoder must be identical
         table2 = self.toy_table(tmp_path)
         table2.continuous["size"][3:] += 100.0
-        table2.categorical["color"][4] = "purple"
+        vocabulary, codes = table2.categorical["color"]
+        codes[4] = len(vocabulary)
+        table2.categorical["color"] = Categorical(vocabulary + ("purple",), codes)
         enc2 = fit_encoder(table2, rows=train_rows)
         assert enc1 == enc2
 
@@ -247,7 +253,11 @@ FUZZ_SCHEMA = DatasetSchema(
 
 
 def load_csv_rows(path, schema):
-    """Per-row oracle of load_csv: its kept columns by name, and the dropped-row count."""
+    """Per-row oracle of load_csv: its kept columns by name, and the dropped-row count.
+
+    Unusable rows raise the DataError load_csv raises: the same rows and
+    the same message.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -257,6 +267,7 @@ def load_csv_rows(path, schema):
         if any(col not in header for col in schema.used_columns):
             raise SchemaError("header")
         idx = {col: header.index(col) for col in schema.used_columns}
+        width = max(idx.values()) + 1
         out = {"cat": {c: [] for c in schema.categorical},
                "num": {c: [] for c in schema.continuous},
                "labels": [], "groups": [], "rows": []}
@@ -264,24 +275,26 @@ def load_csv_rows(path, schema):
         for row_no, row in enumerate(reader):
             if all(not cell.strip() for cell in row):
                 continue
-            if len(row) <= max(idx.values()):
-                bad.append(row_no)
+            if len(row) < width:
+                bad.append((row_no, f"short row: {len(row)} of {width} field(s)"))
                 continue
             cells = {col: row[i].strip() for col, i in idx.items()}
             if schema.missing_token in cells.values():
                 dropped += 1
                 continue
             if cells[schema.sensitive] not in schema.sensitive_map:
-                bad.append(row_no)
+                bad.append((row_no, f"unmapped sensitive value {cells[schema.sensitive]!r}"))
                 continue
             try:
-                nums = [float(cells[c]) for c in schema.continuous]
+                nums = []
+                for c in schema.continuous:
+                    nums.append(float(cells[c]))
             except ValueError:
-                bad.append(row_no)
+                bad.append((row_no, f"non-numeric value {cells[c]!r} in column {c!r}"))
                 continue
             label = schema.label_aliases.get(cells[schema.label], cells[schema.label])
             if label not in (schema.positive_label, schema.negative_label):
-                bad.append(row_no)
+                bad.append((row_no, f"unknown label {cells[schema.label]!r}"))
                 continue
             for c in schema.categorical:
                 out["cat"][c].append(cells[c])
@@ -291,7 +304,9 @@ def load_csv_rows(path, schema):
             out["groups"].append(schema.sensitive_map[cells[schema.sensitive]])
             out["rows"].append(row_no)
     if bad:
-        raise DataError("bad rows", rows=bad)
+        preview = "; ".join(f"row {r}: {msg}" for r, msg in bad[:5])
+        raise DataError(f"{path}: {len(bad)} unusable row(s): {preview}",
+                        rows=[r for r, _ in bad])
     if not out["rows"]:
         raise EmptyInputError("no rows")
     return out, dropped
@@ -302,9 +317,27 @@ def reader_outcome(read, *args):
     try:
         return "ok", read(*args)
     except DataError as exc:
-        return "DataError", exc.rows
+        return "DataError", (exc.rows, str(exc))
     except (SchemaError, EmptyInputError) as exc:
         return type(exc).__name__, None
+
+
+def assert_load_csv_equals_row_oracle(path, schema):
+    got = reader_outcome(load_csv, path, schema)
+    want = reader_outcome(load_csv_rows, path, schema)
+    assert got[0] == want[0]
+    if got[0] == "DataError":
+        assert got[1] == want[1]
+    if got[0] != "ok":
+        return
+    table, (expected, dropped) = got[1], want[1]
+    assert table.dropped_count == dropped
+    assert {c: column.decode() for c, column in table.categorical.items()} == expected["cat"]
+    for c, values in expected["num"].items():
+        assert table.continuous[c].tobytes() == np.array(values, dtype=np.float64).tobytes()
+    for field, key in (("labels", "labels"), ("groups", "groups"), ("row_indices", "rows")):
+        arr = getattr(table, field)
+        assert arr.dtype == np.int64 and arr.tolist() == expected[key]
 
 
 @st.composite
@@ -357,21 +390,18 @@ class TestColumnReaderFuzz:
     def test_load_csv_equals_row_oracle(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("fuzz") / "data.csv"
         p.write_bytes(text.encode("utf-8"))
-        got = reader_outcome(load_csv, p, FUZZ_SCHEMA)
-        want = reader_outcome(load_csv_rows, p, FUZZ_SCHEMA)
-        assert got[0] == want[0]
-        if got[0] == "DataError":
-            assert got[1] == tuple(want[1])
-        if got[0] != "ok":
-            return
-        table, (expected, dropped) = got[1], want[1]
-        assert table.dropped_count == dropped
-        assert table.categorical == expected["cat"]
-        for c, values in expected["num"].items():
-            assert table.continuous[c].tobytes() == np.array(values, dtype=np.float64).tobytes()
-        for field, key in (("labels", "labels"), ("groups", "groups"), ("row_indices", "rows")):
-            arr = getattr(table, field)
-            assert arr.dtype == np.int64 and arr.tolist() == expected[key]
+        assert_load_csv_equals_row_oracle(p, FUZZ_SCHEMA)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(text=mutated_csv_texts(CSV_HEADERS, CSV_COLUMNS))
+    def test_load_csv_in_small_blocks_equals_row_oracle(self, tmp_path_factory, block_rows,
+                                                       text):
+        p = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", block_rows)
+            assert_load_csv_equals_row_oracle(p, FUZZ_SCHEMA)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from(["u", "v", "w", "x", "y"]),
@@ -379,9 +409,12 @@ class TestColumnReaderFuzz:
            st.data())
     def test_encoder_equals_row_oracle(self, values, data):
         n = len(values)
+        # codes into a vocabulary in file order, holding values no row has
+        vocabulary = tuple(data.draw(st.permutations(["u", "v", "w", "x", "y"])))
+        codes = np.array([vocabulary.index(v) for v, _ in values], dtype=np.int64)
         table = RawTable(
             schema=FUZZ_SCHEMA,
-            categorical={"color": [v for v, _ in values]},
+            categorical={"color": Categorical(vocabulary, codes)},
             continuous={"size": np.array([x for _, x in values]), "weight": np.ones(n)},
             labels=np.zeros(n, dtype=np.int64),
             groups=np.zeros(n, dtype=np.int64),
@@ -392,7 +425,8 @@ class TestColumnReaderFuzz:
         enc = fit_encoder(table, rows=fit_rows)
         ds = apply_encoder(table, enc, rows=rows)
         idx = range(n) if rows is None else rows
-        vocab = sorted({table.categorical["color"][i] for i in fit_rows})
+        colors = table.categorical["color"].decode()
+        vocab = sorted({colors[i] for i in fit_rows})
         assert enc.vocabularies["color"] == tuple(vocab)
         expected = np.zeros((len(idx), 2 + len(vocab)))
         unseen = 0
@@ -400,7 +434,7 @@ class TestColumnReaderFuzz:
             if "size" not in enc.constant_columns:
                 expected[out_row, 0] = (table.continuous["size"][i] - enc.means["size"]) \
                     / enc.stds["size"]
-            value = table.categorical["color"][i]
+            value = colors[i]
             if value in vocab:
                 expected[out_row, 2 + vocab.index(value)] = 1.0
             else:
@@ -408,6 +442,104 @@ class TestColumnReaderFuzz:
         assert ds.X.tobytes() == expected.tobytes()
         assert ds.feature_names == ("size", "weight", *(f"color={v}" for v in vocab))
         assert ds.unseen_categorical_count == unseen
+
+
+BLOCK = 4  # INGEST_BLOCK_ROWS in the block-edge tests
+TOY_ROWS = {
+    "ok": "red,1.5,a,yes",
+    "blank": "",
+    "spaces": " , ,\t, ",
+    "short": "red,1.0",
+    "missing": "blue,2.0,?,no",
+    "unmapped": "red,1.0,c,yes",
+    "non_numeric": "red,x1,a,yes",
+    "unknown_label": "red,1.0,b,maybe",
+}
+
+
+def write_adult_shaped_csv(path, n, seed=0):
+    """An Adult-shaped CSV of n rows: the adult_preset columns, ~7% "?" rows."""
+    rng = np.random.default_rng(seed)
+    schema = adult_preset()
+    columns = {}
+    for c, k in zip(schema.categorical, (7, 16, 7, 14, 6, 5, 41)):
+        columns[c] = np.array([f"{c}-{j}" for j in range(k)])[rng.integers(0, k, n)]
+    for c in schema.continuous:
+        columns[c] = rng.integers(0, 200_000, n).astype(str)
+    columns["workclass"][rng.random(n) < 0.07] = "?"
+    columns["sex"] = np.where(rng.random(n) < 0.67, "Male", "Female")
+    columns["income"] = np.where(rng.random(n) < 0.24, ">50K", "<=50K")
+    names = list(columns)
+    lines = columns[names[0]]
+    for c in names[1:]:
+        lines = np.char.add(np.char.add(lines, ", "), columns[c])
+    path.write_text(",".join(names) + "\n" + "\n".join(lines.tolist()) + "\n")
+
+
+class TestIngestBlocks:
+    @pytest.mark.parametrize("kind", [k for k in TOY_ROWS if k != "ok"])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_odd_rows_at_block_edges_equal_row_oracle(self, tmp_path, monkeypatch, n, kind):
+        # the odd rows close the first block, open the second and end the file
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", BLOCK)
+        edges = {BLOCK - 1, BLOCK, n - 1}
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, [TOY_ROWS[kind if i in edges else "ok"] for i in range(n)])
+        assert_load_csv_equals_row_oracle(p, TOY_SCHEMA)
+
+    def test_unusable_rows_across_blocks_keep_numbers_and_message(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", 3)
+        kinds = ["ok", "short", "blank", "missing", "unmapped", "non_numeric",
+                 "unknown_label", "spaces", "short", "unmapped", "ok"]
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, [TOY_ROWS[k] for k in kinds])
+        with pytest.raises(DataError) as exc:
+            load_csv(p, TOY_SCHEMA)
+        assert exc.value.rows == (1, 4, 5, 6, 8, 9)
+        assert str(exc.value) == (
+            f"{p}: 6 unusable row(s): row 1: short row: 2 of 4 field(s); "
+            "row 4: unmapped sensitive value 'c'; row 5: non-numeric value 'x1' in column "
+            "'size'; row 6: unknown label 'maybe'; row 8: short row: 2 of 4 field(s)")
+
+    @pytest.mark.parametrize("token", ["?", "nan", "-1"])
+    def test_missing_token_in_a_numeric_column(self, tmp_path, monkeypatch, token):
+        # "nan" and "-1" parse as floats; "\x1c" is stripped by str.strip, not by float
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", 2)
+        schema = dataclasses.replace(TOY_SCHEMA, missing_token=token)
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, ["red,1.0,a,yes", f"blue, {token} ,b,no", "red,\x1c2.5\x1c,a,no",
+                          f"red,{token},a,yes", "blue,3.0,b,no"])
+        assert_load_csv_equals_row_oracle(p, schema)
+        assert load_csv(p, schema).dropped_count == 2
+
+    def test_stripped_values_share_one_code_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", 2)
+        p = tmp_path / "toy.csv"
+        write_toy_csv(p, [" red,1.0, a,yes", "blue,2.0,b,no", "red,3.0,a ,yes",
+                          " blue ,4.0,b, no"])
+        table = load_csv(p, TOY_SCHEMA)
+        assert table.categorical["color"].vocabulary == ("red", "blue")
+        assert table.categorical["color"].codes.tolist() == [0, 1, 0, 1]
+        np.testing.assert_array_equal(table.groups, [0, 1, 0, 1])
+
+    def test_peak_memory_is_a_third_of_the_rows_as_strings(self, tmp_path):
+        # The bound is a third of the csv rows' own footprint (42.8 MB here),
+        # so a load that holds every row at once, as one block would, fails it.
+        p = tmp_path / "adult.csv"
+        write_adult_shaped_csv(p, 40_000)
+        with open(p, newline="", encoding="utf-8") as fh:
+            tracemalloc.start()
+            rows = list(csv.reader(fh))
+            strings_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        del rows
+        tracemalloc.start()
+        table = load_csv(p, adult_preset())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert table.n_rows > 35_000
+        assert peak < strings_peak / 3
 
 
 class TestAdultPreset:
