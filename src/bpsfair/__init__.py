@@ -45,7 +45,6 @@ from .losses import (
     SoftVariant,
     combined_loss,
     fairness_loss,
-    loss_gradient,
     parse_term,
     soft_bps,
     soft_measure,

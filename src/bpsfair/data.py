@@ -100,8 +100,8 @@ class DatasetSchema:
     def from_dict(cls, d: dict) -> "DatasetSchema":
         """Inverse of ``to_dict``; also reads hand-written config blocks.
 
-        Labels and sensitive values are coerced to strings and group codes
-        to ints.  A missing required key raises KeyError.
+        Labels, sensitive values and the missing token are coerced to
+        strings and group codes to ints.  A missing required key raises KeyError.
         """
         return cls(
             label=d["label"],
@@ -113,7 +113,7 @@ class DatasetSchema:
             continuous=tuple(d.get("continuous", ())),
             ignore=tuple(d.get("ignore", ())),
             label_aliases={str(k): str(v) for k, v in d.get("label_aliases", {}).items()},
-            missing_token=d.get("missing_token", MISSING_TOKEN),
+            missing_token=str(d.get("missing_token", MISSING_TOKEN)),
         )
 
 

@@ -91,6 +91,13 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs must be positive")
         if self.network.use_batch_norm and self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 when batch norm is enabled")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
+            raise ConfigError(f"adam_eps must be a finite positive number, got {self.adam_eps!r}")
 
 
 @dataclass

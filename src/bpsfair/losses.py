@@ -32,7 +32,6 @@ __all__ = [
     "soft_bps",
     "fairness_loss",
     "combined_loss",
-    "loss_gradient",
     "binary_cross_entropy",
 ]
 
@@ -413,13 +412,6 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
     """
     value, _ = _evaluate(terms, probs, labels, groups, mode, want_grad=False)
     return value
-
-
-def loss_gradient(terms: Sequence[FairnessTerm], probs, labels, groups,
-                  mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> np.ndarray:
-    """Analytic d(total)/d(prob_i) of the combined loss, shaped like ``probs``."""
-    _, grad = _evaluate(terms, probs, labels, groups, mode, want_grad=True)
-    return grad
 
 
 def combined_loss_and_gradient(terms, probs, labels, groups,

@@ -5,6 +5,14 @@ Layer order inside each hidden block is linear -> activation -> dropout
 single logistic unit.  All math is float64 numpy; gradients are exact,
 which the test suite verifies against central finite differences.
 
+A state keeps its trainable parameters in one flat ``([M,] P)`` buffer,
+in ``parameters()`` order, and its batch-norm running statistics in a
+second; the per-layer arrays are views into them.  ``backward`` returns
+one gradient array of the parameter buffer's layout and ``adam_step``
+updates the whole buffer with a fixed number of elementwise passes, so
+selecting, copying and stepping a state cost one array operation each
+whatever its depth.
+
 Every state array may carry a leading model axis of length M.  Such a
 stack holds M models of one architecture that train in lockstep: they
 share the minibatch and the dropout masks, and every operation acts on
@@ -19,6 +27,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -86,49 +95,88 @@ class NetworkConfig:
     def widths(self):
         return tuple(w for w, _ in self.hidden)
 
+    @cached_property
+    def param_shapes(self) -> tuple:
+        """Shape of each trainable array, in ``NetworkState.parameters()`` order."""
+        dims = [self.input_dim, *self.widths, 1]
+        shapes = []
+        for l, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+            shapes += [(fan_in, fan_out), (fan_out,)]
+            if self.use_batch_norm and l < len(self.hidden):
+                shapes += [(fan_out,), (fan_out,)]
+        return tuple(shapes)
+
+    @cached_property
+    def stat_shapes(self) -> tuple:
+        """Shape of each running statistic: bn_mean, then bn_var, per hidden layer."""
+        return tuple((w,) for w in self.widths for _ in range(2)) if self.use_batch_norm else ()
+
+
+def _split(buf, shapes):
+    """Views of ``buf``: consecutive runs of its last axis, each shaped ``([M,] *shape)``."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[..., start : start + size].reshape(buf.shape[:-1] + shape))
+        start += size
+    return views
+
+
+def _by_kind(params, use_batch_norm):
+    """(weights, biases, bn_scale, bn_shift) lists of arrays in ``parameters()`` order."""
+    if not use_batch_norm:
+        return params[0::2], params[1::2], [], []
+    # four arrays per hidden layer; the output layer has only W and b
+    return params[0::4], params[1::4], params[2::4], params[3::4]
+
 
 @dataclass
 class NetworkState:
     """Weights, biases, and per-layer batch-norm parameters and running stats.
 
-    A stack of M models puts a leading axis of length M on every array.
+    ``params`` holds every trainable array in ``parameters()`` order and
+    ``stats`` each hidden layer's running mean and variance; the lists
+    below are views into the two buffers, so writing an array writes its
+    buffer.  A stack of M models puts a leading axis of length M on both
+    buffers, and so on every view.
     """
 
     config: NetworkConfig
-    weights: list  # one ([M,] fan_in, fan_out) matrix per layer, output last
-    biases: list
-    bn_scale: list  # per hidden layer; empty lists when batch norm is off
-    bn_shift: list
-    bn_mean: list
-    bn_var: list
+    params: np.ndarray  # ([M,] P) float64, unit stride along P
+    stats: np.ndarray  # ([M,] S); S is 0 when batch norm is off
+    # one ([M,] fan_in, fan_out) view per layer, output last
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+    bn_scale: list = field(init=False, repr=False)  # per hidden layer; empty without batch norm
+    bn_shift: list = field(init=False, repr=False)
+    bn_mean: list = field(init=False, repr=False)
+    bn_var: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._params = self.split(self.params)
+        self.weights, self.biases, self.bn_scale, self.bn_shift = _by_kind(
+            self._params, self.config.use_batch_norm)
+        stats = _split(self.stats, self.config.stat_shapes)
+        self.bn_mean, self.bn_var = stats[0::2], stats[1::2]
 
     def parameters(self):
         """Trainable arrays in canonical order (running stats excluded)."""
-        params = []
-        n_hidden = len(self.config.hidden)
-        for l in range(n_hidden):
-            params += [self.weights[l], self.biases[l]]
-            if self.config.use_batch_norm:
-                params += [self.bn_scale[l], self.bn_shift[l]]
-        params += [self.weights[n_hidden], self.biases[n_hidden]]
-        return params
+        return list(self._params)
+
+    def split(self, buf):
+        """Views of a ``([M,] P)`` buffer laid out like ``params``, in ``parameters()`` order.
+
+        ``state.split(backward(...))`` gives the gradient of each parameter array.
+        """
+        return _split(buf, self.config.param_shapes)
 
     def copy(self) -> "NetworkState":
-        return NetworkState(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            bn_scale=[g.copy() for g in self.bn_scale],
-            bn_shift=[d.copy() for d in self.bn_shift],
-            bn_mean=[m.copy() for m in self.bn_mean],
-            bn_var=[v.copy() for v in self.bn_var],
-        )
+        return NetworkState(self.config, self.params.copy(), self.stats.copy())
 
     @property
     def models(self) -> int | None:
         """Number of stacked models M, or None for a single model."""
-        w = self.weights[0]
-        return w.shape[0] if w.ndim == 3 else None
+        return self.params.shape[0] if self.params.ndim == 2 else None
 
     def __getitem__(self, index) -> "NetworkState":
         """Model ``index`` of a stack as a single-model state of views.
@@ -137,15 +185,7 @@ class NetworkState:
         """
         if self.models is None:
             raise StateError("only a stack of models can be indexed")
-        return NetworkState(
-            config=self.config,
-            weights=[w[index] for w in self.weights],
-            biases=[b[index] for b in self.biases],
-            bn_scale=[g[index] for g in self.bn_scale],
-            bn_shift=[d[index] for d in self.bn_shift],
-            bn_mean=[m[index] for m in self.bn_mean],
-            bn_var=[v[index] for v in self.bn_var],
-        )
+        return NetworkState(self.config, self.params[index], self.stats[index])
 
 
 @dataclass
@@ -160,19 +200,24 @@ class ForwardCache:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moments, laid out like ``NetworkState.params``, plus hyperparameters."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # two buffers shaped like m that every step reuses
+    scratch: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     def __getitem__(self, index) -> "AdamState":
         """The moments of the stacked models selected by ``index``."""
-        return replace(self, m=[m[index] for m in self.m], v=[v[index] for v in self.v])
+        return replace(self, m=self.m[index], v=self.v[index])
 
 
 def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
@@ -183,21 +228,16 @@ def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
     if models is not None and models < 1:
         raise ConfigError(f"models must be positive, got {models}")
     lead = () if models is None else (models,)
+    sizes = [sum(map(math.prod, shapes))
+             for shapes in (config.param_shapes, config.stat_shapes)]
+    state = NetworkState(config, np.zeros(lead + (sizes[0],)), np.zeros(lead + (sizes[1],)))
     rng = np.random.default_rng(config.seed)
-    dims = [config.input_dim, *config.widths, 1]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        weights.append(np.broadcast_to(w, lead + w.shape).copy())
-        biases.append(np.zeros(lead + (fan_out,)))
-    bn_scale, bn_shift, bn_mean, bn_var = [], [], [], []
-    if config.use_batch_norm:
-        for width in config.widths:
-            bn_scale.append(np.ones(lead + (width,)))
-            bn_shift.append(np.zeros(lead + (width,)))
-            bn_mean.append(np.zeros(lead + (width,)))
-            bn_var.append(np.ones(lead + (width,)))
-    return NetworkState(config, weights, biases, bn_scale, bn_shift, bn_mean, bn_var)
+    for w in state.weights:
+        fan_in, fan_out = w.shape[-2:]
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+    for ones in state.bn_scale + state.bn_var:
+        ones[...] = 1.0
+    return state
 
 
 def _activate(z, act):
@@ -208,14 +248,17 @@ def _activate(z, act):
     return np.maximum(z, LEAKY_SLOPE * z, out=z)
 
 
-def _activate_grad(positive, act):
-    """Activation derivative from the mask of positive pre-activations."""
+def _activate_grad(dh, positive, act):
+    """dh times the activation's derivative, in place, from the positive pre-activation mask."""
+    if act == "relu":
+        dh *= positive  # the bool mask multiplies as exactly 0.0 / 1.0
+        return dh
+    # exactly {1.0, LEAKY_SLOPE}, without where()'s select on a random mask
     slope = positive.astype(np.float64)
-    if act == "leaky_relu":
-        # exactly {1.0, LEAKY_SLOPE}, without where()'s select on a random mask
-        slope *= 1.0 - LEAKY_SLOPE
-        slope += LEAKY_SLOPE
-    return slope
+    slope *= 1.0 - LEAKY_SLOPE
+    slope += LEAKY_SLOPE
+    dh *= slope
+    return dh
 
 
 def _logistic(z):
@@ -233,14 +276,25 @@ def _t(a):
 
 
 def _rank1_matmul(a, b):
-    """``a @ b^T`` for ``a`` (..., n, 1) and ``b`` (..., k, 1), as a broadcast multiply.
+    """``a @ b^T`` for ``a`` (..., n, 1) and ``b`` (..., k, 1), as an outer product.
 
-    The matmul adds each product to 0.0, which turns -0.0 into +0.0; the
-    ``+= 0.0`` does the same, so the result is the matmul's bit for bit.
+    The matmul adds each product to 0.0, which turns -0.0 into +0.0, and
+    einsum accumulates each product into a zeroed output, which does the
+    same, so the result is the matmul's bit for bit.
     """
-    out = np.multiply(a, _t(b))
-    out += 0.0
-    return out
+    return np.einsum("...i,...j->...ij", a[..., 0], b[..., 0])
+
+
+def _row_sum(a, out):
+    """``a.sum(axis=-2)``, bit for bit, written into ``out``.
+
+    einsum adds the rows in sum()'s order, one row at a time, at a fraction
+    of the reduction's cost at small widths.  Over a width-1 column sum()
+    is pairwise instead, so that case stays a sum.
+    """
+    if a.shape[-1] == 1:
+        return np.sum(a, axis=-2, out=out)
+    return np.einsum("...ij->...j", a, out=out)
 
 
 def forward(state: NetworkState, X, mode: str = "eval", rng=None, dropout_masks=None, rows=None):
@@ -341,12 +395,13 @@ def _forward_rows(state: NetworkState, X, train: bool, rng, dropout_masks):
 
 
 def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
-    """Gradients of a scalar loss wrt every trainable parameter.
+    """Gradient of a scalar loss wrt every trainable parameter.
 
     ``dloss_dprobs`` is d(loss)/d(output probability) per sample, shaped
     like the forward's ``probs``; the chain through the logistic, batch
     norm (batch statistics), dropout masks, and activations is applied
-    here.  Returns arrays in the order of ``state.parameters()``.
+    here.  Returns one fresh ``([M,] P)`` array laid out like
+    ``state.params``; ``state.split`` gives its per-parameter views.
     """
     cfg = state.config
     dprobs = np.asarray(dloss_dprobs, dtype=np.float64)
@@ -360,13 +415,13 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
     n = cache.x.shape[0]
     probs = cache.probs
     dz = (dprobs * probs * (1.0 - probs))[..., None]  # through the logistic
-    grads_w = [None] * len(state.weights)
-    grads_b = [None] * len(state.biases)
-    grads_scale = [None] * len(state.bn_scale)
-    grads_shift = [None] * len(state.bn_shift)
+    grads = np.empty(state.params.shape)
+    # each gradient is written straight into its slot of grads
+    grads_w, grads_b, grads_scale, grads_shift = _by_kind(state.split(grads),
+                                                          cfg.use_batch_norm)
 
-    grads_w[-1] = _t(cache.final_in) @ dz
-    grads_b[-1] = dz.sum(axis=-2)
+    np.matmul(_t(cache.final_in), dz, out=grads_w[-1])
+    _row_sum(dz, grads_b[-1])
     dh = _rank1_matmul(dz, state.weights[-1])
 
     for l in range(len(cfg.hidden) - 1, -1, -1):
@@ -377,8 +432,8 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
         if cfg.use_batch_norm:
             xhat, inv_std = layer["xhat"], layer["inv_std"]
             scratch = dh * xhat
-            grads_scale[l] = scratch.sum(axis=-2)
-            grads_shift[l] = dh.sum(axis=-2)
+            _row_sum(scratch, grads_scale[l])
+            _row_sum(dh, grads_shift[l])
             dh *= _rows(state.bn_scale[l])  # dxhat
             # batch-statistics backward: mean and variance both depend on the batch,
             # du = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
@@ -391,54 +446,49 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
         if layer["mask"] is not None:
             dh *= layer["mask"]
             dh /= 1.0 - cfg.dropout_rate
-        dh *= _activate_grad(layer["positive"], act)
-        grads_w[l] = _t(layer["h_in"]) @ dh
-        grads_b[l] = dh.sum(axis=-2)
+        _activate_grad(dh, layer["positive"], act)
+        np.matmul(_t(layer["h_in"]), dh, out=grads_w[l])
+        _row_sum(dh, grads_b[l])
         if l:
             dh = dh @ _t(state.weights[l])
-
-    grads = []
-    for l in range(len(cfg.hidden)):
-        grads += [grads_w[l], grads_b[l]]
-        if cfg.use_batch_norm:
-            grads += [grads_scale[l], grads_shift[l]]
-    grads += [grads_w[-1], grads_b[-1]]
     return grads
 
 
 def init_adam(state: NetworkState, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    params = state.parameters()
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    return AdamState(m=np.zeros(state.params.shape), v=np.zeros(state.params.shape),
+                     t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(state: NetworkState, adam: AdamState, grads):
     """One bias-corrected Adam update, in place; returns (state, adam).
 
-    Elementwise, so a stack of models takes one step per model at once.
+    ``grads`` is ``backward``'s ``([M,] P)`` array.  The update is 14
+    elementwise passes over the whole stack, through the two scratch
+    buffers, in the operation order of ``m = b1*m + (1-b1)*g;
+    v = b2*v + (1-b2)*(g*g); p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so
+    each model's step is bit-identical to its step alone.
     """
-    params = state.parameters()
-    if len(grads) != len(params):
-        raise StateError(f"expected {len(params)} gradient arrays, got {len(grads)}")
-    for p, g in zip(params, grads):
-        if p.shape != np.shape(g):
-            raise StateError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
+    params = state.params
+    if not isinstance(grads, np.ndarray) or grads.shape != params.shape:
+        raise StateError(f"expected one gradient array of shape {params.shape}, "
+                         f"got {getattr(grads, 'shape', type(grads).__name__)}")
     adam.t += 1
     bc1 = 1.0 - adam.beta1 ** adam.t
     bc2 = 1.0 - adam.beta2 ** adam.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        adam.m[i] *= adam.beta1
-        adam.m[i] += (1.0 - adam.beta1) * g
-        adam.v[i] *= adam.beta2
-        adam.v[i] += (1.0 - adam.beta2) * (g * g)
-        p -= adam.lr * (adam.m[i] / bc1) / (np.sqrt(adam.v[i] / bc2) + adam.eps)
+    m, v, (a, b) = adam.m, adam.v, adam.scratch
+    m *= adam.beta1
+    m += np.multiply(grads, 1.0 - adam.beta1, out=a)
+    v *= adam.beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - adam.beta2
+    v += a
+    np.divide(v, bc2, out=a)
+    np.sqrt(a, out=a)
+    a += adam.eps
+    np.divide(m, bc1, out=b)
+    b *= adam.lr
+    b /= a
+    params -= b
     return state, adam
 
 
@@ -569,10 +619,7 @@ def deserialize(blob: bytes):
     if 8 * total != payload:
         raise FormatError(f"the manifest needs {8 * total} payload bytes, the artifact "
                           f"holds {payload}: truncated or trailing bytes")
-    dims = [config.input_dim, *config.widths, 1]
-    needed = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-    if config.use_batch_norm:
-        needed += 4 * sum(config.widths)
+    needed = sum(map(math.prod, config.param_shapes + config.stat_shapes))
     if total != needed:  # so init below allocates no more than the payload holds
         raise FormatError(f"artifact holds {total} values, its architecture needs {needed}")
 

@@ -5,11 +5,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from bpsfair.cli import main
 from bpsfair.config import load_config
+from bpsfair.data import load_csv
 from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
 from bpsfair.network import NetworkConfig, init, save_model
@@ -73,6 +75,19 @@ class TestTrain:
                      "--out", str(workspace / "x")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", float("nan")),
+        ("adam_eps", 0.0), ("adam_eps", float("inf")),
+    ])
+    def test_bad_adam_setting_exits_2_before_training(self, workspace, capsys, field, value):
+        training = {"batch_size": 64, "epochs": 3, "lr": 0.01, "seed": 3, field: value}
+        cfg_path = write_config(workspace / "bad.yaml", training=training)
+        out = workspace / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
 
 
 class TestGrid:
@@ -367,6 +382,21 @@ class TestConfigParsing:
         path.write_text("wat: {}\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_numeric_missing_token_drops_its_rows(self, tmp_path):
+        # YAML reads -1 as an int; the token must still equal the "-1" cells
+        cfg_path = write_config(tmp_path / "cfg.yaml", dataset={
+            "path": str(tmp_path / "toy.csv"),
+            "schema": {"label": "y", "positive_label": 1, "sensitive": "g",
+                       "sensitive_map": {"a": 0, "b": 1}, "continuous": ["x"],
+                       "missing_token": -1},
+        })
+        (tmp_path / "toy.csv").write_text("x,g,y\n1,a,1\n-1,b,0\n2,b,0\n")
+        cfg = load_config(cfg_path)
+        assert cfg.schema.missing_token == "-1"
+        table = load_csv(cfg.dataset_path, cfg.schema)
+        assert table.dropped_count == 1
+        np.testing.assert_array_equal(table.continuous["x"], [1.0, 2.0])
 
     def test_unknown_training_field_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.yaml",

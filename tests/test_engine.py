@@ -475,6 +475,20 @@ class TestRunScalars:
                 batch_size=1,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", 1.5), ("beta2", float("-inf")),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", float("nan")),
+    ])
+    def test_bad_adam_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be"):
+            small_config(**{field: value})
+
+    def test_adam_setting_edges_accepted(self):
+        config = small_config(lr=1e-12, beta1=0.0, beta2=0.0, adam_eps=1e-300)
+        assert (config.beta1, config.beta2) == (0.0, 0.0)
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()

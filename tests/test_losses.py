@@ -22,7 +22,6 @@ from bpsfair.losses import (
     combined_loss,
     combined_loss_and_gradient,
     fairness_loss,
-    loss_gradient,
     parse_term,
     soft_bps,
     soft_measure,
@@ -330,7 +329,7 @@ class TestCombinedLoss:
         assert value.per_term[0].skipped
         assert value.per_term[0].term_loss == 0.0
         assert value.total == value.bce
-        grad = loss_gradient([term], probs, labels, groups)
+        grad = combined_loss_and_gradient([term], probs, labels, groups)[1]
         bce_grad = binary_cross_entropy(np.asarray(probs, dtype=float), labels, want_grad=True)[1]
         np.testing.assert_array_equal(grad, bce_grad)
 
@@ -362,7 +361,7 @@ class TestLossGradient:
     def test_bce_only_matches_closed_form(self):
         rng = np.random.default_rng(151)
         probs, labels, groups = random_fixture(rng)
-        grad = loss_gradient([], probs, labels, groups)
+        grad = combined_loss_and_gradient([], probs, labels, groups)[1]
         n = probs.size
         expected = (probs - labels) / (n * probs * (1.0 - probs))
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
@@ -375,7 +374,7 @@ class TestLossGradient:
         for k in (1, 3):
             probs, labels, groups = random_fixture(rng)
             term = FairnessTerm(kind, variant, alpha=0.7, power=k)
-            analytic = loss_gradient([term], probs, labels, groups, mode)
+            analytic = combined_loss_and_gradient([term], probs, labels, groups, mode)[1]
             numeric = fd_gradient(
                 lambda p: combined_loss([term], p, labels, groups, mode).total, probs
             )
@@ -391,7 +390,7 @@ class TestLossGradient:
             FairnessTerm(MeasureKind.ACC, CONT, 0.2, 3),
         ]
         for mode in (AS_WRITTEN, RATE):
-            analytic = loss_gradient(terms, probs, labels, groups, mode)
+            analytic = combined_loss_and_gradient(terms, probs, labels, groups, mode)[1]
             numeric = fd_gradient(
                 lambda p: combined_loss(terms, p, labels, groups, mode).total, probs
             )
@@ -408,7 +407,7 @@ class TestLossGradient:
             probs, labels, groups = random_fixture(rng, n=12)
             terms = [term_pool[trial % len(term_pool)]]
             mode = AS_WRITTEN if trial % 2 == 0 else RATE
-            analytic = loss_gradient(terms, probs, labels, groups, mode)
+            analytic = combined_loss_and_gradient(terms, probs, labels, groups, mode)[1]
             numeric = fd_gradient(
                 lambda p: combined_loss(terms, p, labels, groups, mode).total, probs
             )
@@ -420,8 +419,8 @@ class TestLossGradient:
         labels = np.array([1, 1, 0, 1, 0, 0])
         groups = np.array([0, 0, 0, 1, 1, 1])
         term = FairnessTerm(MeasureKind.STP, CONT, 1.0, 1)
-        grad_total = loss_gradient([term], probs, labels, groups)
-        grad_bce = loss_gradient([], probs, labels, groups)
+        grad_total = combined_loss_and_gradient([term], probs, labels, groups)[1]
+        grad_bce = combined_loss_and_gradient([], probs, labels, groups)[1]
         assert not np.allclose(grad_total - grad_bce, 0.0)
         assert np.all(np.abs(grad_total - grad_bce) > 0)
 
@@ -431,8 +430,8 @@ class TestLossGradient:
         labels = np.array([0, 1, 0, 1])
         groups = np.array([0, 0, 1, 1])
         term = FairnessTerm(MeasureKind.STP, CONT, 1.0, 1)
-        grad = loss_gradient([term], probs, labels, groups)
-        bce = loss_gradient([], probs, labels, groups)
+        grad = combined_loss_and_gradient([term], probs, labels, groups)[1]
+        bce = combined_loss_and_gradient([], probs, labels, groups)[1]
         extra = grad - bce
         # r = m0/m1 with m0 = m1 = 0.5: d r/d p = +1/(2 m1) for group 0, -m0/(2 m1^2) for group 1
         assert extra[0] == pytest.approx(-(1.0 / (2 * 0.5)), rel=1e-9)

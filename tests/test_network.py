@@ -24,6 +24,7 @@ from bpsfair.network import (
     init_adam,
     serialize,
     _rank1_matmul,
+    _row_sum,
 )
 
 
@@ -230,7 +231,8 @@ class TestBackward:
         X = np.random.default_rng(3).normal(size=(6, 2))
         _, cache = forward(state, X, mode="train")
         grads = backward(state, cache, np.zeros(6))
-        for g in grads:
+        assert grads.shape == state.params.shape
+        for g in state.split(grads):
             np.testing.assert_array_equal(g, 0.0)
 
     @pytest.mark.parametrize(
@@ -261,7 +263,8 @@ class TestBackward:
                 rng.random((16, w)) >= cfg.dropout_rate for w, _ in cfg.hidden
             ]
         probs, cache = forward(state, X, mode="train", dropout_masks=masks)
-        analytic = backward(state, cache, coeffs * probs * 0.0 + coeffs)  # dL/dprobs = coeffs
+        dprobs = coeffs * probs * 0.0 + coeffs  # dL/dprobs = coeffs
+        analytic = state.split(backward(state, cache, dprobs))
         numeric = fd_param_grads(state, X, coeffs, masks)
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -273,7 +276,7 @@ class TestBackward:
         masks = [np.ones((6, 4), dtype=bool)]
         masks[0][:, 2] = False  # unit 2 dropped for every sample
         _, cache = forward(state, X, mode="train", dropout_masks=masks)
-        grads = backward(state, cache, np.ones(6))
+        grads = state.split(backward(state, cache, np.ones(6)))
         np.testing.assert_array_equal(grads[0][:, 2], 0.0)  # W0 column of the dead unit
         np.testing.assert_array_equal(grads[1][2], 0.0)  # its bias too
 
@@ -342,16 +345,18 @@ def reference_backward(state, cache, dloss_dprobs):
 
 
 def reference_adam_step(state, adam, grads):
-    """The allocating Adam update that adam_step() must reproduce bit for bit."""
+    """The allocating per-array Adam update that adam_step() must reproduce bit for bit."""
     adam.t += 1
     bc1 = 1.0 - adam.beta1 ** adam.t
     bc2 = 1.0 - adam.beta2 ** adam.t
-    for i, (p, g) in enumerate(zip(state.parameters(), grads)):
-        adam.m[i] *= adam.beta1
-        adam.m[i] += (1.0 - adam.beta1) * g
-        adam.v[i] *= adam.beta2
-        adam.v[i] += (1.0 - adam.beta2) * (g * g)
-        p -= adam.lr * (adam.m[i] / bc1) / (np.sqrt(adam.v[i] / bc2) + adam.eps)
+    arrays = zip(state.parameters(), state.split(grads), state.split(adam.m),
+                 state.split(adam.v))
+    for p, g, m, v in arrays:
+        m *= adam.beta1
+        m += (1.0 - adam.beta1) * g
+        v *= adam.beta2
+        v += (1.0 - adam.beta2) * (g * g)
+        p -= adam.lr * (m / bc1) / (np.sqrt(v / bc2) + adam.eps)
 
 
 def assert_same_bytes(got, want):
@@ -387,9 +392,12 @@ class TestInPlaceChainMatchesAllocatingChain:
     @pytest.mark.parametrize("batch_norm", [False, True])
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("models", [None, 2, 21])
-    def test_gradients_and_adam_steps_bit_identical(self, act, batch_norm, dropout, models):
-        cfg = tiny_config(input_dim=5, hidden=((9, act), (7, act)), dropout_rate=dropout,
-                          use_batch_norm=batch_norm, seed=61)
+    @pytest.mark.parametrize("widths", [(9, 7), (1, 1)], ids=["9x7", "1x1"])
+    def test_gradients_and_adam_steps_bit_identical(self, act, batch_norm, dropout, models,
+                                                     widths):
+        # a width-1 layer sums its bias gradient pairwise, a 1-row batch has one row
+        cfg = tiny_config(input_dim=5, hidden=tuple((w, act) for w in widths),
+                          dropout_rate=dropout, use_batch_norm=batch_norm, seed=61)
         for n in (1, 5, 256):
             rng = np.random.default_rng(n)
             state = init(cfg, models=models)
@@ -402,16 +410,148 @@ class TestInPlaceChainMatchesAllocatingChain:
             dprobs[..., ::4] = -0.0  # signed zeros through every layer
             dprobs[..., 1::4] = 0.0
             grads = backward(state, cache, dprobs)
-            assert_same_bytes(grads, reference_backward(state, cache, dprobs))
+            assert_same_bytes(state.split(grads), reference_backward(state, cache, dprobs))
 
             twin = state.copy()
             adam, twin_adam = init_adam(state, lr=0.01), init_adam(twin, lr=0.01)
             for step in range(5):
-                step_grads = [g * (step + 1) for g in grads]
+                step_grads = grads * (step + 1)
                 adam_step(state, adam, step_grads)
                 reference_adam_step(twin, twin_adam, step_grads)
                 assert_same_bytes(state.parameters(), twin.parameters())
-                assert_same_bytes(adam.m + adam.v, twin_adam.m + twin_adam.v)
+                assert_same_bytes([adam.m, adam.v], [twin_adam.m, twin_adam.v])
+
+
+@st.composite
+def kernel_inputs(draw, infinities=(np.inf,)):
+    """A ([M,] n, width) array and a ([M,] width) vector, with ±0.0, inf and NaN entries.
+
+    ``infinities`` lists the signs of inf that may appear; with one sign every
+    NaN in the array has the same bits.
+    """
+    models = draw(st.sampled_from([None, 1, 2, 21]))
+    n, width = draw(st.integers(1, 300)), draw(st.integers(1, 400))
+    lead = () if models is None else (models,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=lead + (n, width))
+    b = rng.normal(size=lead + (width,))
+    specials = np.array([0.0, -0.0, np.nan, *infinities])
+    for arr in (a, b):
+        spots = rng.choice(arr.size, size=draw(st.integers(0, min(arr.size, 40))), replace=False)
+        arr.flat[spots] = rng.choice(specials, size=spots.size)
+    if draw(st.booleans()):  # a column of -0.0 only: its sum is +0.0
+        a[..., rng.integers(width)] = -0.0
+    return a, b
+
+
+class TestBackwardKernels:
+    """The einsum kernels of backward against the numpy calls they replace, by bytes."""
+
+    @staticmethod
+    def row_sum_into_slot(a):
+        """_row_sum written into a strided slot of a larger buffer, as backward does."""
+        buf = np.full(a.shape[:-2] + (a.shape[-1] + 5,), 7.0)
+        out = buf[..., 3 : 3 + a.shape[-1]]
+        with np.errstate(invalid="ignore"):
+            got = _row_sum(a, out)
+        assert got is out and np.all(buf[..., :3] == 7.0) and np.all(buf[..., -2:] == 7.0)
+        return np.ascontiguousarray(out)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(kernel_inputs(infinities=(np.inf,)) | kernel_inputs(infinities=(-np.inf,)))
+    def test_row_sum_is_sum_byte_for_byte(self, arrays):
+        a, _ = arrays
+        with np.errstate(invalid="ignore"):
+            want = a.sum(axis=-2)
+        assert self.row_sum_into_slot(a).tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(kernel_inputs(infinities=(np.inf, -np.inf)))
+    def test_row_sum_with_both_infinities_differs_only_in_nan_signs(self, arrays):
+        # inf + -inf makes a NaN of the other sign than np.nan's; when two such
+        # NaNs meet, x86 keeps the first operand's, and the two kernels add in
+        # opposite operand order.  Only which NaN comes out can differ.
+        a, _ = arrays
+        with np.errstate(invalid="ignore"):
+            want = a.sum(axis=-2)
+        got = self.row_sum_into_slot(a)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(kernel_inputs(infinities=(np.inf, -np.inf)))
+    def test_outer_product_is_the_broadcast_multiply_byte_for_byte(self, arrays):
+        a, b = arrays
+        dz, w = a[..., :, :1], b[..., :, None]  # (..., n, 1) and (..., width, 1)
+        with np.errstate(invalid="ignore"):
+            want = np.multiply(dz, _t_of(w))
+            want += 0.0  # the matmul's +0.0 start
+            got = _rank1_matmul(dz, w)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestFlatBuffers:
+    """A state's arrays are views into two flat buffers; backward fills a third."""
+
+    CFG = tiny_config(input_dim=4, hidden=((6, "relu"), (5, "leaky_relu")),
+                      use_batch_norm=True, dropout_rate=0.25, seed=43)
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("models", [None, 1, 3])
+    def test_arrays_tile_the_buffers_in_order(self, batch_norm, models):
+        cfg = tiny_config(input_dim=4, hidden=((6, "relu"), (5, "relu")),
+                          use_batch_norm=batch_norm, seed=43)
+        state = init(cfg, models=models)
+        lead = () if models is None else (models,)
+        for buf, arrays in ((state.params, state.parameters()),
+                            (state.stats, [a for pair in zip(state.bn_mean, state.bn_var)
+                                           for a in pair])):
+            assert buf.flags.c_contiguous
+            assert all(np.shares_memory(a, buf) for a in arrays)
+            flat = [a.reshape(lead + (-1,)) for a in arrays]
+            tiled = np.concatenate(flat, axis=-1) if flat else np.empty(lead + (0,))
+            assert tiled.tobytes() == buf.tobytes()
+        assert tuple(p.shape[len(lead):] for p in state.parameters()) == cfg.param_shapes
+        assert state.stats.shape == lead + ((22,) if batch_norm else (0,))
+
+    def test_writes_through_any_view_reach_the_buffer(self):
+        state = init(self.CFG, models=3)
+        state.weights[1][2] = 5.0
+        state.bn_var[0][1] = 9.0
+        assert np.count_nonzero(state.params == 5.0) == 6 * 5
+        assert np.count_nonzero(state.stats[1] == 9.0) == 6
+        single = state[2]
+        single.biases[0][...] = -3.0
+        assert np.all(state.biases[0][2] == -3.0)
+        assert np.shares_memory(single.params, state.params)
+
+    def test_selection_and_copy_own_their_buffers(self):
+        state = init(self.CFG, models=3)
+        for other in (state[[0, 2]], state[1].copy(), state.copy()):
+            assert not np.shares_memory(other.params, state.params)
+            assert not np.shares_memory(other.stats, state.stats)
+            assert other.params.flags.c_contiguous
+        np.testing.assert_array_equal(state[[0, 2]].params, state.params[[0, 2]])
+
+    def test_backward_returns_one_fresh_buffer(self):
+        state = init(self.CFG, models=3)
+        X = np.random.default_rng(3).normal(size=(8, 4))
+        _, cache = forward(state, X, mode="train", rng=np.random.default_rng(4))
+        grads = backward(state, cache, np.ones((3, 8)))
+        assert grads.shape == state.params.shape and grads.flags.c_contiguous
+        assert not np.shares_memory(grads, state.params)
+        assert np.all(np.isfinite(grads))
+
+    def test_adam_selection_keeps_the_layout(self):
+        state = init(self.CFG, models=3)
+        adam = init_adam(state, lr=0.01)
+        adam.m[...] = np.arange(3)[:, None]
+        sub = adam[[0, 2]]
+        assert sub.m.shape == sub.v.shape == (2, state.params.shape[1])
+        np.testing.assert_array_equal(sub.m[:, 0], [0.0, 2.0])
+        assert all(s.shape == sub.m.shape for s in sub.scratch)
+        assert (sub.t, sub.lr) == (adam.t, adam.lr)
 
 
 def _total_loss(state, X, masks, term_sets, labels, groups, mode):
@@ -467,7 +607,7 @@ class TestLossGradientThroughBackward:
         args = (X, masks, term_sets, labels, groups, mode)
 
         total, cache, dprobs = _total_loss(state, *args)
-        analytic = backward(state, cache, dprobs)
+        analytic = state.split(backward(state, cache, dprobs))
         h, checked = 1e-6, 0
         for k, p in enumerate(state.parameters()):
             for idx in map(tuple, rng.integers(0, p.shape, size=(3, p.ndim))):
@@ -492,7 +632,7 @@ class TestAdam:
         state = init(tiny_config(seed=2))
         adam = init_adam(state, lr=0.001)
         before = [p.copy() for p in state.parameters()]
-        grads = [np.ones_like(p) for p in state.parameters()]
+        grads = np.ones_like(state.params)
         adam_step(state, adam, grads)
         assert adam.t == 1
         for b, p in zip(before, state.parameters()):
@@ -503,7 +643,7 @@ class TestAdam:
         state = init(tiny_config(seed=2))
         adam = init_adam(state)
         before = [p.copy() for p in state.parameters()]
-        adam_step(state, adam, [np.zeros_like(p) for p in state.parameters()])
+        adam_step(state, adam, np.zeros_like(state.params))
         assert adam.t == 1
         for b, p in zip(before, state.parameters()):
             np.testing.assert_array_equal(b, p)
@@ -511,14 +651,15 @@ class TestAdam:
     def test_quadratic_bowl_descends(self):
         state = init(tiny_config(seed=6))
         adam = init_adam(state, lr=0.05)
-        targets = [np.full_like(p, 0.7) for p in state.parameters()]
+        targets = np.full_like(state.params, 0.7)
 
         def objective():
-            return sum(float(((p - t) ** 2).sum()) for p, t in zip(state.parameters(), targets))
+            return sum(float(((p - t) ** 2).sum())
+                       for p, t in zip(state.parameters(), state.split(targets)))
 
         values = [objective()]
         for _ in range(100):
-            grads = [2.0 * (p - t) for p, t in zip(state.parameters(), targets)]
+            grads = 2.0 * (state.params - targets)
             adam_step(state, adam, grads)
             values.append(objective())
         assert all(a > b for a, b in zip(values[5:], values[6:]))
@@ -527,10 +668,13 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         state = init(tiny_config(seed=2))
         adam = init_adam(state)
-        bad = [np.zeros_like(p) for p in state.parameters()]
-        bad[0] = np.zeros((1, 1))
+        bad = [np.zeros_like(p) for p in state.parameters()]  # per-array, not one buffer
         with pytest.raises(StateError):
             adam_step(state, adam, bad)
+        with pytest.raises(StateError):
+            adam_step(state, adam, np.zeros(state.params.size + 1))
+        with pytest.raises(StateError):
+            adam_step(state, adam, np.zeros((1, state.params.size)))
 
 
 class TestSerialization:
@@ -731,7 +875,7 @@ class TestModelStack:
             single_probs, single_adam = self.step(single, X, dprobs)
             np.testing.assert_array_equal(probs[i], single_probs)
             assert serialize(stack[i]) == serialize(single)
-            for m, single_m in zip(adam[i].m + adam[i].v, single_adam.m + single_adam.v):
+            for m, single_m in zip([adam[i].m, adam[i].v], [single_adam.m, single_adam.v]):
                 np.testing.assert_array_equal(m, single_m)
 
     def test_sub_stack_selection_copies(self):
