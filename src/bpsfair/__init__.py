@@ -21,7 +21,6 @@ from .engine import (
     GridSpec,
     RunResult,
     TrainConfig,
-    aggregate,
     evaluate,
     run_grid,
     train_model,
@@ -34,6 +33,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
     InputShapeError,
+    NonFiniteOutputError,
     SchemaError,
     StateError,
     UndefinedMeasureError,
@@ -44,7 +44,6 @@ from .losses import (
     LossValue,
     SoftVariant,
     combined_loss,
-    fairness_loss,
     parse_term,
     soft_bps,
     soft_measure,

@@ -243,15 +243,7 @@ def cmd_synth(args) -> int:
     params = dict(cfg.synth)
     if args.seed is not None:
         params["seed"] = args.seed
-    table = synthesize_biased(
-        n=int(params.get("n", 10_000)),
-        base_rate_g0=float(params.get("base_rate_g0", 0.34)),
-        base_rate_g1=float(params.get("base_rate_g1", 0.46)),
-        group_fraction=float(params.get("group_fraction", 0.5)),
-        feature_dim=int(params.get("feature_dim", 6)),
-        noise=float(params.get("noise", 1.0)),
-        seed=int(params.get("seed", 0)),
-    )
+    table = synthesize_biased(**params)
     write_csv(table, args.out)
     print(f"wrote {table.n_rows} synthetic rows to {args.out}")
     return 0

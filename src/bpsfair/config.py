@@ -174,6 +174,20 @@ def _parse_grid(block) -> GridSpec | None:
     )
 
 
+_SYNTH_FIELDS = {"n": int, "base_rate_g0": float, "base_rate_g1": float,
+                 "group_fraction": float, "feature_dim": int, "noise": float, "seed": int}
+
+
+def _parse_synth(block) -> dict | None:
+    """Typed ``synthesize_biased`` arguments; the function holds the defaults."""
+    if block is None:
+        return None
+    unknown = sorted(set(block) - set(_SYNTH_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown [synth] fields {unknown}")
+    return {key: _typed(_SYNTH_FIELDS[key], value, f"synth.{key}") for key, value in block.items()}
+
+
 def _parse_table_rows(block) -> dict:
     rows = {}
     for entry in block or ():
@@ -263,7 +277,7 @@ def load_config(path) -> RunConfig:
         denominator_mode=mode,
         plan=plan,
         grid=_parse_grid(_require_mapping(doc, "grid", optional=True)),
-        synth=_require_mapping(doc, "synth", optional=True),
+        synth=_parse_synth(_require_mapping(doc, "synth", optional=True)),
         table_rows=_parse_table_rows(report_block.get("tables")),
         plot_measures=None if plot_measures is None else tuple(plot_measures),
     )

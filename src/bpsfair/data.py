@@ -540,9 +540,9 @@ def synthetic_preset(feature_dim: int) -> DatasetSchema:
 
 
 def synthesize_biased(
-    n: int,
-    base_rate_g0: float,
-    base_rate_g1: float,
+    n: int = 10_000,
+    base_rate_g0: float = 0.34,
+    base_rate_g1: float = 0.46,
     group_fraction: float = 0.5,
     feature_dim: int = 6,
     noise: float = 1.0,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import EncodedDataset, RawTable, SplitPlan, apply_encoder, fit_encoder, mc_splits
-from .errors import ConfigError, DivergenceError, StateError
+from .errors import ConfigError, DivergenceError, NonFiniteOutputError, StateError
 from .losses import (
     DenominatorMode,
     FairnessTerm,
@@ -47,7 +47,6 @@ __all__ = [
     "train_model",
     "evaluate",
     "run_grid",
-    "aggregate",
     "cell_statistics",
     "mean_and_variance",
     "run_scalars",
@@ -141,8 +140,9 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
     after each epoch every model is scored on the validation split in
     eval mode and its highest-accuracy state (earliest epoch on ties) is
     kept.  An outcome is (best state, best epoch, trace), or the
-    DivergenceError of a model whose batch loss went non-finite: that
-    model leaves the stack and the others train on.
+    DivergenceError of a model whose batch loss or validation
+    probabilities went non-finite: that model leaves the stack and the
+    others train on.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
     state = init(config.network, models=len(term_sets))
@@ -183,6 +183,16 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
                 live_terms = [live_terms[pos] for pos in keep]
         if val_idx.size:  # one stacked forward scores every live model
             val_probs, _ = forward(state, X, mode="eval", rows=val_idx)
+            finite = np.isfinite(val_probs).all(axis=-1)
+            if not finite.all():  # the epoch's last step overflowed a forward no loss has seen
+                keep = np.flatnonzero(finite).tolist()
+                for pos in np.flatnonzero(~finite).tolist():
+                    diverged[live[pos]] = DivergenceError(epoch)
+                if not keep:
+                    return [diverged[i] for i in range(len(term_sets))]
+                state, adam, val_probs = state[keep], adam[keep], val_probs[keep]
+                live = [live[pos] for pos in keep]
+                live_terms = [live_terms[pos] for pos in keep]
             val_accs = np.mean((val_probs >= 0.5) == Y_val, axis=-1).tolist()
         else:
             val_accs = [float("nan")] * len(live)
@@ -197,9 +207,16 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
 
 
 def _test_result(outcome, dataset, split, terms, config: TrainConfig, iteration=0) -> RunResult:
-    """RunResult of a trained model's best state on the test split."""
+    """RunResult of a trained model's best state on the test split.
+
+    A best state whose test probabilities are not finite diverged at its
+    best epoch: that raises DivergenceError.
+    """
     best_state, best_epoch, trace = outcome
-    frag = evaluate(best_state, dataset, split[2], terms, config.denominator_mode)
+    try:
+        frag = evaluate(best_state, dataset, split[2], terms, config.denominator_mode)
+    except NonFiniteOutputError:
+        raise DivergenceError(best_epoch) from None
     return RunResult(
         accuracy=frag.accuracy,
         report=frag.report,
@@ -217,8 +234,8 @@ def train_model(dataset: EncodedDataset, split, config: TrainConfig):
 
     This is the lockstep loop of ``_train_stack`` with a single model.
     The RunResult is computed on the test split with hard 0.5
-    thresholding.  A non-finite batch loss aborts the run with
-    DivergenceError.
+    thresholding.  A non-finite batch loss, or non-finite validation or
+    test probabilities, raise DivergenceError.
     """
     (outcome,) = _train_stack(dataset, split, config, [config.terms])
     if isinstance(outcome, DivergenceError):
@@ -231,7 +248,8 @@ def evaluate(state, dataset: EncodedDataset, indices, terms=(),
     """Eval-mode forward on the given rows, thresholded at 0.5.
 
     Returns accuracy, the full BPS report, and a full-pass recomputation
-    of the BCE plus each fairness term on those rows.
+    of the BCE plus each fairness term on those rows.  A probability that
+    is not finite has no threshold: it raises NonFiniteOutputError.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if dataset.X.shape[1] != state.config.input_dim:
@@ -239,6 +257,9 @@ def evaluate(state, dataset: EncodedDataset, indices, terms=(),
             f"dataset has {dataset.X.shape[1]} features, model expects {state.config.input_dim}"
         )
     probs, _ = forward(state, dataset.X, mode="eval", rows=idx)
+    bad = probs.size - np.count_nonzero(np.isfinite(probs))
+    if bad:
+        raise NonFiniteOutputError(f"model output is not finite on {bad} of {probs.size} rows")
     preds = (probs >= 0.5).astype(np.int64)
     y, a = dataset.Y[idx], dataset.A[idx]
     value = combined_loss(terms, probs, y, a, mode)
@@ -378,17 +399,6 @@ def run_scalars(run: RunResult) -> dict:
     return out
 
 
-def aggregate(runs) -> tuple[dict, dict, int, int]:
-    """Mean and unbiased variance of every scalar over successful runs.
-
-    Diverged runs are excluded from the statistics and counted
-    separately; a single successful run has variance 0 by convention.
-    """
-    rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
-    columns = dict.fromkeys(k for row in rows for k in row if k != "diverged")
-    return cell_statistics(rows, columns)
-
-
 def cell_statistics(rows, columns) -> tuple[dict, dict, int, int]:
     """(means, variances, n_success, n_diverged) of one cell's run rows.
 
@@ -468,20 +478,24 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int)
     results = {}
     for key in keys:
         outcome = outcomes[model_of[key]]
-        if isinstance(outcome, DivergenceError):
-            results[key] = RunResult(
-                accuracy=float("nan"),
-                report=None,
-                bce=float("nan"),
-                per_term=(),
-                best_epoch=-1,
-                seed=config.seed,
-                iteration=iteration,
-                diverged=True,
-                divergence_epoch=outcome.epoch,
-            )
-        else:
-            results[key] = _test_result(outcome, dataset, split, key.terms(), config, iteration)
+        if not isinstance(outcome, DivergenceError):
+            try:
+                results[key] = _test_result(outcome, dataset, split, key.terms(), config,
+                                            iteration)
+                continue
+            except DivergenceError as exc:
+                outcome = exc
+        results[key] = RunResult(
+            accuracy=float("nan"),
+            report=None,
+            bce=float("nan"),
+            per_term=(),
+            best_epoch=-1,
+            seed=config.seed,
+            iteration=iteration,
+            diverged=True,
+            divergence_epoch=outcome.epoch,
+        )
     return results
 
 
@@ -493,19 +507,17 @@ def _init_worker(source, base_config, plan):
     _WORKER_CTX["source"] = source
     _WORKER_CTX["base_config"] = base_config
     _WORKER_CTX["splits"] = mc_splits(source.n_rows, plan)
-    _WORKER_CTX["encoded"] = {}
+    _WORKER_CTX["encoded"] = (None, None)
 
 
 def _worker_task(task):
     iteration, keys = task
     split = _WORKER_CTX["splits"][iteration]
-    encoded = _WORKER_CTX["encoded"]
-    if iteration not in encoded:
-        if len(encoded) >= 2:  # bound per-worker memory
-            encoded.pop(next(iter(encoded)))
-        encoded[iteration] = dataset_for_split(_WORKER_CTX["source"], split)
-    return iteration, _train_group(encoded[iteration], split, _WORKER_CTX["base_config"], keys,
-                                   iteration)
+    # tasks arrive iteration-major, so one encoding slot serves a whole iteration
+    if _WORKER_CTX["encoded"][0] != iteration:
+        _WORKER_CTX["encoded"] = iteration, dataset_for_split(_WORKER_CTX["source"], split)
+    return iteration, _train_group(_WORKER_CTX["encoded"][1], split, _WORKER_CTX["base_config"],
+                                   keys, iteration)
 
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
@@ -514,10 +526,12 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
 
     ``source`` is a RawTable (re-encoded per split) or a pre-encoded
     EncodedDataset.  One task is one iteration of one (template, variant)
-    group, trained in lockstep; tasks are independent, and with jobs > 1
-    they execute in a process pool.  Aggregation is deterministic in the
-    task identity rather than completion order.
+    group, trained in lockstep by ``_worker_task``; with jobs > 1 a process
+    pool runs the tasks, with jobs == 1 this process does.  Aggregation is
+    deterministic in the task identity rather than completion order.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
     iterations = plan.iterations if grid.iterations is None else grid.iterations
     if iterations < 1 or iterations > plan.iterations:
         raise ConfigError(
@@ -530,27 +544,25 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     # iteration-major order so one encoding serves consecutive tasks
     tasks = [(it, group) for it in range(iterations) for group in groups.values()]
 
-    results: dict = {}
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(source, base_config, plan)
         ) as pool:
-            for it, group_results in pool.map(_worker_task, tasks, chunksize=1):
-                for key, result in group_results.items():
-                    results[(key, it)] = result
+            done = list(pool.map(_worker_task, tasks, chunksize=1))
     else:
-        splits = mc_splits(source.n_rows, plan)
-        for it in range(iterations):
-            dataset = dataset_for_split(source, splits[it])
-            for group in groups.values():
-                for key, result in _train_group(dataset, splits[it], base_config, group,
-                                                it).items():
-                    results[(key, it)] = result
+        _init_worker(source, base_config, plan)
+        try:
+            done = list(map(_worker_task, tasks))
+        finally:
+            _WORKER_CTX.clear()
+    results = {(key, it): run for it, group_runs in done for key, run in group_runs.items()}
 
     cells = []
     for key in sorted(keys, key=lambda k: tuple(k.fields().values())):
         runs = tuple(results[(key, it)] for it in range(iterations))
-        means, variances, n_ok, n_div = aggregate(runs)
+        rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
+        columns = dict.fromkeys(k for row in rows for k in row if k != "diverged")
+        means, variances, n_ok, n_div = cell_statistics(rows, columns)
         cells.append(
             CellResult(key=key, runs=runs, means=means, variances=variances,
                        n_success=n_ok, n_diverged=n_div)

@@ -51,10 +51,21 @@ class StateError(BpsfairError):
     """Network state, cache, or gradients are mutually inconsistent."""
 
 
+class NonFiniteOutputError(StateError):
+    """A model's forward pass gave probabilities that are not finite."""
+
+
 class DivergenceError(BpsfairError):
-    """Training produced a non-finite loss and was aborted."""
+    """Training produced a non-finite loss or model output and was aborted.
+
+    ``batch`` names the batch whose loss went non-finite; it is None when a
+    forward pass after the epoch's training (validation or test) did.
+    """
 
     def __init__(self, epoch, batch=None):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss at epoch {epoch}" + (f", batch {batch}" if batch is not None else ""))
+        if batch is None:
+            super().__init__(f"non-finite model output at epoch {epoch}")
+        else:
+            super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")

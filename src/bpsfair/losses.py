@@ -30,7 +30,6 @@ __all__ = [
     "parse_term",
     "soft_measure",
     "soft_bps",
-    "fairness_loss",
     "combined_loss",
     "binary_cross_entropy",
 ]
@@ -281,13 +280,6 @@ def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
     w, _ = _weights(variant, probs[None], want_grad=False)
     m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)), want_grad=False)
     return _ratio(*m[0].tolist())
-
-
-def fairness_loss(term: FairnessTerm, probs, labels, groups,
-                  mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> float:
-    """Penalty (1 - soft BPS)^power for one term; 0 iff the groups are soft-equal."""
-    r = soft_bps(term.kind, term.variant, mode, probs, labels, groups)
-    return (1.0 - r) ** term.power
 
 
 def _bce(probs, labels, want_grad):

@@ -14,7 +14,7 @@ from bpsfair.config import load_config
 from bpsfair.data import load_csv
 from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
-from bpsfair.network import NetworkConfig, init, save_model
+from bpsfair.network import NetworkConfig, init, load_model, save_model
 from bpsfair.report import read_runs_csv
 
 
@@ -56,6 +56,24 @@ class TestSynth:
         main(["synth", "--config", str(workspace / "cfg.yaml"),
               "--out", str(workspace / "synth2.csv"), "--seed", "77"])
         assert (workspace / "synth.csv").read_text() != (workspace / "synth2.csv").read_text()
+
+    @pytest.mark.parametrize("synth, message", [
+        ({"n": "abc"}, "error: synth.n must be an integer, got 'abc'"),
+        ({"n": 50, "seeed": 3}, "error: unknown [synth] fields ['seeed']"),
+    ])
+    def test_malformed_block_exits_2(self, workspace, capsys, synth, message):
+        cfg_path = write_config(workspace / "bad.yaml", synth=synth)
+        out = workspace / "bad.csv"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_defaults_fill_missing_fields(self, workspace):
+        cfg_path = write_config(workspace / "short.yaml", synth={"n": 40, "seed": 9})
+        assert main(["synth", "--config", str(cfg_path), "--out", str(workspace / "s.csv")]) == 0
+        lines = (workspace / "s.csv").read_text().strip().split("\n")
+        assert lines[0] == "f0,f1,f2,f3,f4,f5,group,label"  # feature_dim 6
+        assert len(lines) == 41
 
 
 class TestTrain:
@@ -106,6 +124,14 @@ class TestGrid:
         main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(parallel),
               "--jobs", "2"])
         assert (serial / "runs.csv").read_bytes() == (parallel / "runs.csv").read_bytes()
+
+    def test_jobs_below_one_exits_2(self, workspace, capsys):
+        out = workspace / "g0"
+        code = main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out),
+                     "--jobs", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be a positive integer")
+        assert not out.exists()
 
     def test_jobs_env_default(self, workspace, monkeypatch):
         monkeypatch.setenv("BPSFAIR_JOBS", "2")
@@ -237,6 +263,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "encoder metadata" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_model_with_non_finite_output_exits_2(self, workspace, capsys):
+        out = workspace / "train"
+        main(["train", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        state, metadata = load_model(out / "model.bpsf")
+        state.weights[0][...] = 1e308  # finite weights whose forward overflows
+        save_model(workspace / "overflow.bpsf", state, metadata)
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(workspace / "overflow.bpsf"),
+                     "--dataset", str(workspace / "synth.csv")])
+        assert code == 2
+        assert re.match(r"error: model output is not finite on \d+ of 600 rows",
+                        capsys.readouterr().err)
+
     def test_needs_exactly_one_input(self, workspace, capsys):
         assert main(["evaluate"]) == 2
         assert main(["evaluate", "--predictions", "a", "--model", "b"]) == 2
@@ -329,6 +369,9 @@ class TestConfigParsing:
         ("network", "batch_norm", "false"),
         ("training", "keep_trace", "false"),
         ("training", "keep_trace", 1),
+        ("synth", "n", "abc"),
+        ("synth", "noise", "loud"),
+        ("synth", "seed", 2.5),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, section, field, value):
         cfg_path = write_config(tmp_path / "cfg.yaml")
@@ -397,6 +440,17 @@ class TestConfigParsing:
         table = load_csv(cfg.dataset_path, cfg.schema)
         assert table.dropped_count == 1
         np.testing.assert_array_equal(table.continuous["x"], [1.0, 2.0])
+
+    def test_synth_block_typed(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.yaml", synth={"n": 600.0, "noise": 1})
+        synth = load_config(cfg_path).synth
+        assert synth == {"n": 600, "noise": 1.0}
+        assert type(synth["n"]) is int and type(synth["noise"]) is float
+
+    def test_unknown_synth_field_rejected(self, tmp_path):
+        cfg_path = write_config(tmp_path / "cfg.yaml", synth={"n": 600, "seeed": 3})
+        with pytest.raises(ConfigError, match=re.escape("unknown [synth] fields ['seeed']")):
+            load_config(cfg_path)
 
     def test_unknown_training_field_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.yaml",

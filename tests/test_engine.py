@@ -1,7 +1,9 @@
 """Training loop, evaluation, grid search, and aggregation behavior."""
 
 import csv
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,6 @@ from bpsfair.engine import (
     RUN_FIELDS,
     GridSpec,
     TrainConfig,
-    aggregate,
     cell_statistics,
     dataset_for_split,
     evaluate,
@@ -25,10 +26,10 @@ from bpsfair.engine import (
     scalar_columns,
     train_model,
 )
-from bpsfair.errors import ConfigError, DivergenceError
+from bpsfair.errors import ConfigError, DivergenceError, NonFiniteOutputError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
-from bpsfair import network
+from bpsfair import engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.engine import RunResult, _train_stack
 from bpsfair.report import emit_results, fmt, read_runs_csv
@@ -100,6 +101,21 @@ class TestTrainModel:
             train_model(dataset, split, cfg)
         assert 1 <= exc.value.epoch <= 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("val_fraction", [0.1, 0.0])
+    def test_overflow_in_the_last_step_diverges(self, val_fraction):
+        # one batch per epoch and one epoch: no later batch loss sees the wrecked
+        # weights (~1e308, still finite), only the validation or test forward does
+        table = synthesize_biased(n=200, base_rate_g0=0.35, base_rate_g1=0.5,
+                                  feature_dim=3, noise=0.5, seed=9)
+        plan = SplitPlan(iterations=1, train_fraction=0.7, val_fraction=val_fraction,
+                         base_seed=0)
+        split = mc_splits(table.n_rows, plan)[0]
+        cfg = small_config(batch_size=256, epochs=1, lr=1e308)
+        with pytest.raises(DivergenceError) as exc:
+            train_model(dataset_for_split(table, split), split, cfg)
+        assert (exc.value.epoch, exc.value.batch) == (1, None)
+
     def test_fairness_term_training_runs(self):
         dataset, split, _, _ = separable_setup()
         term = FairnessTerm(MeasureKind.FNR, SoftVariant.continuous(), 0.3, 1)
@@ -127,6 +143,33 @@ class TestStackedValidation:
             assert best_epoch == solo_epoch
             assert serialize(state) == serialize(solo_state)
 
+    def test_non_finite_validation_output_leaves_stack(self, monkeypatch):
+        dataset, split, _, _ = separable_setup()
+        cfg = small_config(epochs=4, keep_trace=True)
+        term_sets = [(FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha, 2),)
+                     for alpha in (0.2, 0.5, 0.9)]
+        eval_calls = []
+
+        def forward_with_nan(state, X, mode="eval", **kw):
+            probs, cache = forward(state, X, mode=mode, **kw)
+            if mode == "eval":
+                eval_calls.append(probs.shape)
+                if len(eval_calls) == 2:  # the second epoch's validation pass
+                    probs[1, 0] = np.nan
+            return probs, cache
+
+        monkeypatch.setattr(engine, "forward", forward_with_nan)
+        stacked = _train_stack(dataset, split, cfg, term_sets)
+        assert eval_calls[:3] == [(3, split[1].size), (3, split[1].size), (2, split[1].size)]
+        assert isinstance(stacked[1], DivergenceError)
+        assert (stacked[1].epoch, stacked[1].batch) == (2, None)
+        for i in (0, 2):
+            ((solo_state, solo_epoch, solo_trace),) = _train_stack(dataset, split, cfg,
+                                                                   [term_sets[i]])
+            state, best_epoch, trace = stacked[i]
+            assert (trace, best_epoch) == (solo_trace, solo_epoch)
+            assert serialize(state) == serialize(solo_state)
+
 
 class TestEvaluate:
     def test_memorizing_model_scores_train_split(self):
@@ -144,6 +187,14 @@ class TestEvaluate:
         frag = evaluate(state, dataset, idx)
         assert frag.accuracy == pytest.approx(float(np.mean(preds == dataset.Y[idx])))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probability_is_not_thresholded(self):
+        dataset, split, _, _ = separable_setup()
+        state, _ = train_model(dataset, split, small_config(epochs=1))
+        state.weights[0][...] = 1e308  # the forward overflows to inf - inf
+        with pytest.raises(NonFiniteOutputError, match=rf"not finite on \d+ of {split[2].size}"):
+            evaluate(state, dataset, split[2])
+
     def test_metrics_agree_with_dumped_predictions(self):
         dataset, split, _, _ = separable_setup()
         state, _ = train_model(dataset, split, small_config(epochs=3))
@@ -154,6 +205,12 @@ class TestEvaluate:
         frag = evaluate(state, dataset, idx)
         for kind in MeasureKind:
             assert frag.report.bps(kind) == oracle.bps(kind)
+
+
+def aggregate(runs):
+    """cell_statistics over the runs' rows, as run_grid builds them."""
+    rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
+    return cell_statistics(rows, dict.fromkeys(k for row in rows for k in row if k != "diverged"))
 
 
 class TestAggregate:
@@ -315,6 +372,49 @@ class TestRunGrid:
             assert cell.means == {}
             for run in cell.runs:
                 assert run.diverged and run.divergence_epoch is not None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("val_fraction", [0.1, 0.0])
+    def test_overflow_in_the_last_step_flags_every_cell(self, val_fraction):
+        table, base, grid, _ = tiny_grid_inputs()
+        plan = SplitPlan(iterations=2, train_fraction=0.7, val_fraction=val_fraction,
+                         base_seed=23)
+        result = run_grid(table, replace(base, batch_size=512, epochs=1, lr=1e308), grid, plan)
+        for cell in result.cells:
+            assert cell.all_diverged and cell.means == {}
+            assert [run.divergence_epoch for run in cell.runs] == [1, 1]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        table, base, grid, plan = tiny_grid_inputs()
+        with pytest.raises(ConfigError, match="jobs must be a positive integer"):
+            run_grid(table, base, grid, plan, jobs=jobs)
+
+    def test_serial_grid_encodes_once_per_iteration(self, monkeypatch):
+        table, base, _, plan = tiny_grid_inputs()
+        grid = GridSpec(templates=[[("FPR", 1.0)], [("STP", 1.0)]],
+                        variants=[SoftVariant.continuous()], powers=[1], alphas=[0.0, 0.1])
+        encoded = []
+
+        def counting(source, split):
+            encoded.append(split)
+            return dataset_for_split(source, split)
+
+        monkeypatch.setattr(engine, "dataset_for_split", counting)
+        result = run_grid(table, base, grid, plan, jobs=1)
+        assert len(result.cells) == 4  # two groups, so two tasks per iteration
+        # one encoding per iteration, fitted on that iteration's training rows
+        assert [train.tolist() for train, *_ in encoded] == [
+            train.tolist() for train, *_ in mc_splits(table.n_rows, plan)]
+
+    def test_serial_grid_keeps_no_reference_to_the_source(self):
+        table, base, grid, plan = tiny_grid_inputs()
+        source = weakref.ref(table)
+        result = run_grid(table, base, grid, plan, jobs=1)
+        del table
+        gc.collect()
+        assert source() is None
+        assert len(result.cells) == 2
 
     def test_scaled_template_weights(self):
         grid = GridSpec(

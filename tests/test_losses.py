@@ -21,7 +21,6 @@ from bpsfair.losses import (
     binary_cross_entropy,
     combined_loss,
     combined_loss_and_gradient,
-    fairness_loss,
     parse_term,
     soft_bps,
     soft_measure,
@@ -223,13 +222,20 @@ class TestSoftBps:
 
 
 class TestFairnessLoss:
+    @staticmethod
+    def fairness_loss(term, probs, labels, groups):
+        """The term's penalty (1 - soft BPS)^power, as combined_loss reports it."""
+        (value,) = combined_loss([term], probs, labels, groups).per_term
+        assert not value.skipped
+        return value.term_loss
+
     def test_zero_at_parity(self):
         probs = [0.7, 0.3, 0.7, 0.3]
         labels = [1, 0, 1, 0]
         groups = [0, 0, 1, 1]
         for k in (1, 2, 3, 4):
             term = FairnessTerm(MeasureKind.STP, CONT, alpha=1.0, power=k)
-            assert fairness_loss(term, probs, labels, groups) == pytest.approx(0.0)
+            assert self.fairness_loss(term, probs, labels, groups) == pytest.approx(0.0)
 
     def test_power_values(self):
         # group STP means 0.4 and 0.5 -> soft bps 0.8
@@ -238,7 +244,7 @@ class TestFairnessLoss:
         groups = [0, 0, 1, 1]
         for k, expected in [(1, 0.2), (2, 0.04), (4, 0.0016)]:
             term = FairnessTerm(MeasureKind.STP, CONT, alpha=1.0, power=k)
-            assert fairness_loss(term, probs, labels, groups) == pytest.approx(expected)
+            assert self.fairness_loss(term, probs, labels, groups) == pytest.approx(expected)
 
     def test_higher_power_strictly_smaller(self):
         rng = np.random.default_rng(113)
@@ -248,7 +254,7 @@ class TestFairnessLoss:
             if not 0.0 < 1.0 - r < 1.0:
                 continue
             losses = [
-                fairness_loss(FairnessTerm(kind, CONT, 1.0, k), probs, labels, groups)
+                self.fairness_loss(FairnessTerm(kind, CONT, 1.0, k), probs, labels, groups)
                 for k in (1, 2, 3, 4)
             ]
             assert all(a > b for a, b in zip(losses, losses[1:]))
@@ -258,7 +264,7 @@ class TestFairnessLoss:
         for _ in range(50):
             probs, labels, groups = random_fixture(rng, n=20)
             term = FairnessTerm(MeasureKind.FNR, CONT, 1.0, 2)
-            value = fairness_loss(term, probs, labels, groups)
+            value = self.fairness_loss(term, probs, labels, groups)
             assert 0.0 <= value <= 1.0
 
 

@@ -754,10 +754,13 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**12, 10**12) | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 
