@@ -19,6 +19,7 @@ from .data import (
     fit_encoder,
     load_csv,
     mc_splits,
+    not_utf8_error,
     synthesize_biased,
     write_csv,
 )
@@ -42,12 +43,20 @@ from .report import (
 __all__ = ["main"]
 
 
-def _default_jobs() -> int:
+def _jobs(flag) -> int:
+    """``--jobs``, else $BPSFAIR_JOBS, else 1; the variable must hold a positive integer."""
+    if flag is not None:
+        return flag
     env = os.environ.get("BPSFAIR_JOBS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"BPSFAIR_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _load_table(cfg: RunConfig, dataset_override):
@@ -144,6 +153,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    jobs = _jobs(args.jobs)
     cfg = load_config(args.config)
     if cfg.grid is None:
         raise ConfigError("config has no [grid] section")
@@ -151,7 +161,7 @@ def cmd_grid(args) -> int:
     seed = args.seed if args.seed is not None else cfg.training["seed"]
     base_config = cfg.train_config(1, seed_override=seed)  # input_dim resolved per split
 
-    result = run_grid(table, base_config, cfg.grid, cfg.plan, jobs=args.jobs)
+    result = run_grid(table, base_config, cfg.grid, cfg.plan, jobs=jobs)
     out = Path(args.out)
     rows = emit_results(result, out)
     cells = cells_from_runs(rows)
@@ -208,7 +218,14 @@ def _check_config_digest(out: Path, config_path) -> None:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         return
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise not_utf8_error(manifest_path, ConfigError) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: not a JSON object")
     recorded = manifest.get("config_digest")
     if recorded and recorded != file_digest(config_path):
         raise ConfigError(
@@ -221,14 +238,14 @@ def cmd_report(args) -> int:
     runs_path = out / "runs.csv"
     if not runs_path.exists():
         raise ConfigError(f"{runs_path} not found: run `bpsfair grid` first")
-    rows = read_runs_csv(runs_path)
-    cells = cells_from_runs(rows)
-    write_cells_csv(cells, out / "cells.csv")
     table_rows, plot_measures = {}, None
-    if args.config:
+    if args.config:  # a refused config leaves every derived file as it was
         _check_config_digest(out, args.config)
         cfg = load_config(args.config)
         table_rows, plot_measures = cfg.table_rows, cfg.plot_measures
+    rows = read_runs_csv(runs_path)
+    cells = cells_from_runs(rows)
+    write_cells_csv(cells, out / "cells.csv")
     emit_plot_series(cells, out, measures=plot_measures)
     if table_rows:
         emit_comparison_tables(cells, out, table_rows)
@@ -270,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", required=True)
     grid.add_argument("--dataset", help="override the config's dataset path")
     grid.add_argument("--seed", type=int)
-    grid.add_argument("--jobs", type=int, default=_default_jobs(),
+    grid.add_argument("--jobs", type=int,
                       help="parallel workers (default: $BPSFAIR_JOBS or 1)")
     grid.set_defaults(func=cmd_grid)
 
@@ -302,7 +319,7 @@ def main(argv=None) -> int:
     except BpsfairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import yaml
 from .data import DatasetSchema, SplitPlan, adult_preset, not_utf8_error, synthetic_preset
 from .engine import DEFAULT_ALPHAS, GridSpec, TrainConfig
 from .errors import ConfigError
-from .losses import DenominatorMode, SoftVariant, parse_term
+from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
 from .network import NetworkConfig
 
 __all__ = ["RunConfig", "load_config"]
@@ -40,6 +40,8 @@ class RunConfig:
     plot_measures: tuple | None = None
 
     def network_config(self, input_dim: int) -> NetworkConfig:
+        if not self.network:
+            raise ConfigError("config is missing the [network] section")
         return NetworkConfig(input_dim=input_dim, **self.network)
 
     def train_config(self, input_dim: int, seed_override=None) -> TrainConfig:
@@ -54,21 +56,23 @@ class RunConfig:
         )
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               DenominatorMode: f"one of {[m.value for m in DenominatorMode]}"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list", DenominatorMode: f"one of {[m.value for m in DenominatorMode]}",
+               MeasureKind: f"one of {[m.value for m in MeasureKind]}"}
 
 
 def _typed(kind, value, key):
     """``kind(value)``; a value that does not convert raises ConfigError naming ``key``.
 
     An integer field takes no fractional, infinite or NaN number, which int()
-    would truncate or reject with an OverflowError.  A bool field takes only
-    a YAML boolean: bool() would read the string "false" as True.
+    would truncate or reject with an OverflowError.  A bool, str or list
+    field takes only a YAML boolean, string or list: bool() would read the
+    string "false" as True, and str() or list() would take any value.
     """
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
-        if kind is bool and not isinstance(value, bool):
+        if kind in (bool, str, list) and not isinstance(value, kind):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -91,12 +95,14 @@ def _parse_schema(block) -> DatasetSchema:
         return DatasetSchema.from_dict(block)
     except KeyError as exc:
         raise ConfigError(f"dataset schema is missing {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed dataset schema ({type(exc).__name__}: {exc})") from None
 
 
 def _parse_dataset(block):
     if block is None:
         return None, None
-    path = Path(block["path"]) if "path" in block else None
+    path = Path(_typed(str, block["path"], "dataset.path")) if "path" in block else None
     preset = block.get("preset")
     if preset == "adult":
         schema = adult_preset()
@@ -115,11 +121,12 @@ def _parse_network(block) -> dict:
     widths = block.get("hidden")
     if not widths:
         raise ConfigError("[network] needs a hidden layer width list")
+    widths = _typed(list, widths, "network.hidden")
     activation = block.get("activation", "relu")
     if isinstance(activation, str):
         activations = [activation] * len(widths)
     else:
-        activations = list(activation)
+        activations = _typed(list, activation, "network.activation")
         if len(activations) != len(widths):
             raise ConfigError("per-layer activation list must match hidden widths")
     return {
@@ -143,27 +150,25 @@ def _parse_variant(spec) -> SoftVariant:
 
 def _parse_measures_entry(entry):
     """One grid template: list of measures, each 'KIND' or 'KIND*scale'."""
-    if isinstance(entry, str):
-        entry = [entry]
     template = []
-    for item in entry:
-        text = str(item)
-        if "*" in text:
-            kind, scale = text.split("*", 1)
-            template.append((kind.strip().upper(), _typed(float, scale, "grid.measures scale")))
-        else:
-            template.append((text.strip().upper(), 1.0))
+    for item in [entry] if isinstance(entry, str) else _typed(list, entry, "grid.measures entry"):
+        kind, star, scale = str(item).partition("*")
+        template.append((_typed(MeasureKind, kind.strip().upper(), "grid.measures"),
+                         _typed(float, scale, "grid.measures scale") if star else 1.0))
     return tuple(template)
 
 
 def _parse_grid(block) -> GridSpec | None:
     if block is None:
         return None
-    measures = block.get("measures", [["FPR"]])
-    templates = tuple(_parse_measures_entry(entry) for entry in measures)
-    variants = tuple(_parse_variant(v) for v in block.get("variants", ["continuous"]))
-    powers = tuple(_typed(int, p, "grid.powers") for p in block.get("powers", (1, 2, 3, 4)))
-    alphas = tuple(_typed(float, a, "grid.alphas") for a in block.get("alphas", DEFAULT_ALPHAS))
+
+    def axis(key, default):
+        return _typed(list, block.get(key, default), f"grid.{key}")
+
+    templates = tuple(_parse_measures_entry(entry) for entry in axis("measures", [["FPR"]]))
+    variants = tuple(_parse_variant(v) for v in axis("variants", ["continuous"]))
+    powers = tuple(_typed(int, p, "grid.powers") for p in axis("powers", [1, 2, 3, 4]))
+    alphas = tuple(_typed(float, a, "grid.alphas") for a in axis("alphas", list(DEFAULT_ALPHAS)))
     iterations = block.get("iterations")
     return GridSpec(
         templates=templates,
@@ -190,10 +195,12 @@ def _parse_synth(block) -> dict | None:
 
 def _parse_table_rows(block) -> dict:
     rows = {}
-    for entry in block or ():
+    for entry in _typed(list, block or [], "report.tables"):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"each [report] table row must be a mapping, got {entry!r}")
         entry = dict(entry)
         try:
-            label = entry.pop("label")
+            label = str(entry.pop("label"))
         except KeyError:
             raise ConfigError("each [report] table row needs a label")
         selector = {}
@@ -254,7 +261,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"unknown [training] fields {sorted(training_block)}")
 
     loss_block = _require_mapping(doc, "loss", optional=True) or {}
-    terms = tuple(parse_term(spec) for spec in loss_block.get("terms", ()))
+    terms = tuple(parse_term(_typed(str, spec, "loss.terms"))
+                  for spec in _typed(list, loss_block.get("terms", []), "loss.terms"))
 
     split_block = _require_mapping(doc, "split", optional=True) or {}
     plan = SplitPlan(
@@ -267,6 +275,8 @@ def load_config(path) -> RunConfig:
 
     report_block = _require_mapping(doc, "report", optional=True) or {}
     plot_measures = report_block.get("plot_measures")
+    if plot_measures is not None:
+        plot_measures = tuple(_typed(list, plot_measures, "report.plot_measures"))
 
     return RunConfig(
         dataset_path=dataset_path,
@@ -279,5 +289,5 @@ def load_config(path) -> RunConfig:
         grid=_parse_grid(_require_mapping(doc, "grid", optional=True)),
         synth=_parse_synth(_require_mapping(doc, "synth", optional=True)),
         table_rows=_parse_table_rows(report_block.get("tables")),
-        plot_measures=None if plot_measures is None else tuple(plot_measures),
+        plot_measures=plot_measures,
     )

@@ -11,7 +11,6 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -38,11 +37,18 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MISSING_TOKEN = "?"
-# CSV records load_csv types per block.  The 48,842-row Adult-shaped file
+# CSV records per block of load_csv and write_csv.  The 48,842-row Adult-shaped file
 # loads in 177 ms with blocks of 1,024 rows, 204 ms with 4,096, 265 ms with
 # 16,384 and 333 ms in one block (tracemalloc peak 11.7/12.6/33.6/59.2 MB).
 INGEST_BLOCK_ROWS = 1024
 _MISSING = -2  # a dictionary lookup's entry for the missing token
+
+
+def _strings(values) -> tuple:
+    """A JSON/YAML list of strings as a tuple; anything else raises TypeError."""
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,8 @@ class DatasetSchema:
         """Inverse of ``to_dict``; also reads hand-written config blocks.
 
         Labels, sensitive values and the missing token are coerced to
-        strings and group codes to ints.  A missing required key raises KeyError.
+        strings and group codes to ints.  A missing required key raises
+        KeyError, and column lists that are not lists of strings TypeError.
         """
         return cls(
             label=d["label"],
@@ -109,9 +116,9 @@ class DatasetSchema:
             negative_label=str(d.get("negative_label", "0")),
             sensitive=d["sensitive"],
             sensitive_map={str(k): int(v) for k, v in d["sensitive_map"].items()},
-            categorical=tuple(d.get("categorical", ())),
-            continuous=tuple(d.get("continuous", ())),
-            ignore=tuple(d.get("ignore", ())),
+            categorical=_strings(d.get("categorical", [])),
+            continuous=_strings(d.get("continuous", [])),
+            ignore=_strings(d.get("ignore", [])),
             label_aliases={str(k): str(v) for k, v in d.get("label_aliases", {}).items()},
             missing_token=str(d.get("missing_token", MISSING_TOKEN)),
         )
@@ -172,11 +179,12 @@ class EncoderState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderState":
+        """Inverse of ``to_dict``; a value of the wrong type raises TypeError or ValueError."""
         return cls(
-            vocabularies={c: tuple(v) for c, v in d["vocabularies"].items()},
-            means=dict(d["means"]),
-            stds=dict(d["stds"]),
-            constant_columns=tuple(d["constant_columns"]),
+            vocabularies={c: _strings(v) for c, v in d["vocabularies"].items()},
+            means={c: float(v) for c, v in d["means"].items()},
+            stds={c: float(v) for c, v in d["stds"].items()},
+            constant_columns=_strings(d["constant_columns"]),
         )
 
 
@@ -305,11 +313,12 @@ class _Ingest:
         self.bad_rows.extend((start + r, f"short row: {n_fields[r]} of {self.width} field(s)")
                              for r in np.flatnonzero(~blank & (n_fields < self.width)).tolist())
         rows = np.flatnonzero(~blank & (n_fields >= self.width))
-        full = list(map(records.__getitem__, rows.tolist()))
         n = rows.size
+        # the first `width` columns of the block's full rows, as tuples of cells
+        fields = list(islice(zip(*map(records.__getitem__, rows.tolist())), self.width))
 
         def cells(col):
-            return list(map(itemgetter(self.col_idx[col]), full))
+            return fields[self.col_idx[col]] if n else ()
 
         sensitive = self.sensitive.encode(cells(schema.sensitive))
         label = self.label.encode(cells(schema.label))
@@ -442,6 +451,10 @@ def apply_encoder(table: RawTable, encoder: EncoderState, rows=None) -> EncodedD
     """
     idx = np.arange(table.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     schema = table.schema
+    unfit = [c for c in schema.continuous if c not in encoder.means or c not in encoder.stds]
+    unfit += [c for c in schema.categorical if c not in encoder.vocabularies]
+    if unfit:
+        raise SchemaError(f"the encoder was not fit on column(s) {unfit}")
     n = idx.size
     names = list(schema.continuous)
     # hot[k, i]: the design-matrix column of row i's value of categorical column k, -1 if unseen
@@ -596,19 +609,18 @@ def synthesize_biased(
 
 
 def write_csv(table: RawTable, path):
-    """Write a RawTable back out in the loaders' CSV format."""
+    """Write a RawTable back out in the loaders' CSV format, INGEST_BLOCK_ROWS rows at a time."""
     schema = table.schema
-    columns = list(schema.continuous) + list(schema.categorical) + [schema.sensitive, schema.label]
-    inverse_group = {}
-    for raw, code in schema.sensitive_map.items():
-        inverse_group.setdefault(code, raw)
-    categorical = [table.categorical[c].decode() for c in schema.categorical]
+    inverse_group = {code: raw for raw, code in reversed(schema.sensitive_map.items())}
+    # the coded columns, each with the names its codes index; a group code's name is its first value
+    coded = [*map(table.categorical.__getitem__, schema.categorical), (inverse_group, table.groups),
+             ((schema.negative_label, schema.positive_label), table.labels)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(table.n_rows):
-            row = [f"{table.continuous[c][i]:.10g}" for c in schema.continuous]
-            row += [values[i] for values in categorical]
-            row.append(inverse_group[int(table.groups[i])])
-            row.append(schema.positive_label if table.labels[i] == 1 else schema.negative_label)
-            writer.writerow(row)
+        writer.writerow([*schema.continuous, *schema.categorical, schema.sensitive, schema.label])
+        for start in range(0, table.n_rows, INGEST_BLOCK_ROWS):
+            rows = slice(start, start + INGEST_BLOCK_ROWS)
+            block = [[f"{v:.10g}" for v in table.continuous[c][rows].tolist()]
+                     for c in schema.continuous]
+            block += [list(map(names.__getitem__, codes[rows].tolist())) for names, codes in coded]
+            writer.writerows(zip(*block))

@@ -98,27 +98,38 @@ def write_runs_csv(rows, path):
 def read_runs_csv(path):
     """Inverse of write_runs_csv; numeric fields parsed, blanks to NaN.
 
-    A row with more fields than the header, or a numeric cell that does
-    not parse, raises DataError naming the row (counted from 0 after the
-    header) and the column.
+    A header without a CELL_FIELDS or ``diverged`` column raises DataError.
+    So does a row with more or fewer fields than the header, a blank beta,
+    power or alpha (cells are sorted by them) or a numeric cell that does
+    not parse, naming the row (counted from 0 after the header) and the
+    column.
     """
     int_fields = {"power", "iteration", "seed", "best_epoch", "divergence_epoch"}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()
+            records = list(reader)
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
+    missing = [c for c in CELL_FIELDS + ("diverged",) if c not in header]
+    if missing:
+        raise DataError(f"{path}: the header has no {missing} column(s)")
     rows = []
     for row_no, raw in enumerate(records):
         if None in raw:
             raise DataError(f"{path}: row {row_no}: more fields than the header", rows=[row_no])
+        if None in raw.values():
+            raise DataError(f"{path}: row {row_no}: fewer fields than the header", rows=[row_no])
         row = {}
         for key, val in raw.items():
             if key in ("measures", "variant"):
                 row[key] = val
             elif key == "diverged":
                 row[key] = val == "1"
-            elif val == "" or val is None:
+            elif val == "" and key in CELL_FIELDS:
+                raise DataError(f"{path}: row {row_no}: column {key!r} is blank", rows=[row_no])
+            elif val == "":
                 row[key] = None if key in int_fields else float("nan")
             else:
                 kind = int if key in int_fields else float

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from bpsfair import cli
 from bpsfair.cli import main
 from bpsfair.config import load_config
 from bpsfair.data import load_csv
@@ -135,12 +136,45 @@ class TestGrid:
 
     def test_jobs_env_default(self, workspace, monkeypatch):
         monkeypatch.setenv("BPSFAIR_JOBS", "2")
-        from bpsfair.cli import build_parser
+        real_run_grid, seen = cli.run_grid, []
 
-        args = build_parser().parse_args(
-            ["grid", "--config", "c", "--out", "o"]
-        )
-        assert args.jobs == 2
+        def run_grid(*args, jobs):
+            seen.append(jobs)
+            return real_run_grid(*args, jobs=jobs)
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        assert main(["grid", "--config", str(workspace / "cfg.yaml"),
+                     "--out", str(workspace / "g")]) == 0
+        assert seen == [2]
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " "])
+    def test_malformed_jobs_env_exits_2(self, workspace, capsys, monkeypatch, value):
+        # these values used to run the grid serially, as if the variable were unset
+        monkeypatch.setenv("BPSFAIR_JOBS", value)
+        out = workspace / "g"
+        assert main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: BPSFAIR_JOBS must be a positive integer, got {value!r}\n")
+        assert not out.exists()
+
+    def test_jobs_resolution(self, monkeypatch):
+        monkeypatch.delenv("BPSFAIR_JOBS", raising=False)
+        assert cli._jobs(None) == 1
+        monkeypatch.setenv("BPSFAIR_JOBS", "")
+        assert cli._jobs(None) == 1
+        monkeypatch.setenv("BPSFAIR_JOBS", "3")
+        assert cli._jobs(None) == 3
+        monkeypatch.setenv("BPSFAIR_JOBS", "abc")
+        assert cli._jobs(2) == 2  # the flag wins and the variable is not read
+
+    def test_malformed_jobs_env_leaves_other_commands_alone(self, workspace, monkeypatch):
+        monkeypatch.setenv("BPSFAIR_JOBS", "abc")
+        assert cli.build_parser().parse_args(["grid", "--config", "c", "--out", "o"]).jobs is None
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["synth", "--config", str(workspace / "cfg.yaml"),
+                     "--out", str(workspace / "again.csv")]) == 0
 
 
 class TestReportCommand:
@@ -210,11 +244,30 @@ class TestReportCommand:
         main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
         other = write_config(workspace / "other.yaml",
                              training={"batch_size": 32, "epochs": 1})
+        cells = (out / "cells.csv").read_bytes()
+        runs = (out / "runs.csv").read_text().splitlines(keepends=True)
+        (out / "runs.csv").write_text("".join(runs[:-1]))
         assert main(["report", "--out", str(out), "--config", str(other)]) == 2
         assert "digest mismatch" in capsys.readouterr().err
+        # the refused report rewrote no derived file: cells.csv used to follow runs.csv
+        assert (out / "cells.csv").read_bytes() == cells
         # the original config still works
         assert main(["report", "--out", str(out),
                      "--config", str(workspace / "cfg.yaml")]) == 0
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"{not json", "not valid JSON: Expecting property name enclosed in double quotes"),
+        (b'{"config_digest": "\xff"}', "not UTF-8 text: byte 0xff at offset 19"),
+        (b"[1, 2]", "not a JSON object"),
+    ])
+    def test_corrupt_manifest_exits_2(self, workspace, capsys, blob, problem):
+        # a manifest that did not parse used to end in a JSONDecodeError traceback
+        out = workspace / "grid"
+        main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        (out / "manifest.json").write_bytes(blob)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--config", str(workspace / "cfg.yaml")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.json'}: {problem}")
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -636,6 +637,143 @@ class TestSyntheticGenerator:
             np.testing.assert_allclose(loaded.continuous[c], table.continuous[c], rtol=1e-9)
 
 
+# write_csv pins: sha256 of the bytes the per-row writer wrote before the block-streamed one
+WRITE_CSV_SHA256 = {
+    "synth7": "f8322f0b2cd9c0aefcfafe5b989f5833c4fc8bf7aa4ddf50423856817a9e4ba5",
+    "synth1024": "29d8e7e98ba34eb46cd05f8679659b70397f13972ace5abc633e9b111f9f6f8f",
+    "synth1025": "0e9d9c13a7e48d70541cab3a5edf3890965993976e2fa26e4ac8c77eced6483c",
+    "quoting": "d0fd220450cedd57ba7b2d3d8c26e519e17e85fe00c6155f0a61e5cbaf136392",
+    "empty": "f2e4eeccb64f05acaf3ff779c9210d642625c12b4023b7a3d025c4609a9d3ac2",
+    "one_group": "4bd0ecf9a08bbe1fe35314614af21afef01dd7c5c8d1eb81d005267f4f598740",
+}
+QUOTING_SCHEMA = DatasetSchema(
+    label="outcome",
+    positive_label='yes, "really"',
+    negative_label=" no",
+    sensitive="grp",
+    sensitive_map={" lead": 0, 'say "c"': 1, "a,b": 0},
+    categorical=("color", "shape"),
+    continuous=("size",),
+)
+
+
+def quoting_table():
+    """Seven rows whose categorical, sensitive and label cells need CSV quoting."""
+    return RawTable(
+        schema=QUOTING_SCHEMA,
+        categorical={
+            "color": Categorical(("red, dark", 'x "q"', " lead", "plain", "unused"),
+                                 np.array([0, 1, 2, 3, 1, 0, 2], dtype=np.int64)),
+            "shape": Categorical(("line\nbreak", "", "sq"),
+                                 np.array([2, 2, 0, 1, 2, 0, 1], dtype=np.int64)),
+        },
+        continuous={"size": np.array([np.nan, np.inf, -0.0, 1e-300, 123456789012.5,
+                                      -np.inf, 0.1 + 0.2])},
+        labels=np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.int64),
+        groups=np.array([0, 1, 1, 0, 1, 0, 0], dtype=np.int64),
+        row_indices=np.arange(7, dtype=np.int64),
+    )
+
+
+def one_group_table():
+    """A schema whose sensitive_map holds only group code 0, on rows that are all group 0."""
+    table = synthesize_biased(n=9, base_rate_g0=0.3, base_rate_g1=0.5, feature_dim=2, seed=8)
+    schema = dataclasses.replace(table.schema, sensitive_map={"only": 0})
+    return dataclasses.replace(table, schema=schema, groups=np.zeros(9, dtype=np.int64))
+
+
+def empty_table():
+    return RawTable(
+        schema=QUOTING_SCHEMA,
+        categorical={c: Categorical(("red",), np.empty(0, dtype=np.int64))
+                     for c in QUOTING_SCHEMA.categorical},
+        continuous={"size": np.empty(0)},
+        labels=np.empty(0, dtype=np.int64),
+        groups=np.empty(0, dtype=np.int64),
+        row_indices=np.empty(0, dtype=np.int64),
+    )
+
+
+def written_sha256(table, path):
+    write_csv(table, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@st.composite
+def writable_tables(draw):
+    """A RawTable of 0-12 rows whose cells survive load_csv's stripping and missing token."""
+    n = draw(st.integers(0, 12))
+    cell = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=6).filter(
+        lambda v: v == v.strip() and v != "?")
+    vocabulary = tuple(draw(st.lists(cell, min_size=1, max_size=5, unique=True)))
+    codes = np.array(draw(st.lists(st.integers(0, len(vocabulary) - 1), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    floats = st.lists(st.floats(width=64), min_size=n, max_size=n)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return RawTable(
+        schema=FUZZ_SCHEMA,
+        categorical={"color": Categorical(vocabulary, codes)},
+        continuous={c: np.array(draw(floats), dtype=np.float64) for c in FUZZ_SCHEMA.continuous},
+        labels=np.array(draw(bits), dtype=np.int64),
+        groups=np.array(draw(bits), dtype=np.int64),
+        row_indices=np.arange(n, dtype=np.int64),
+    )
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("block_rows", [2, 3, 1024])
+    def test_synthetic_table_across_block_edges(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", block_rows)
+        table = synthesize_biased(n=7, base_rate_g0=0.3, base_rate_g1=0.5, feature_dim=3,
+                                  seed=2)
+        assert written_sha256(table, tmp_path / "t.csv") == WRITE_CSV_SHA256["synth7"]
+
+    @pytest.mark.parametrize("n", [1024, 1025])
+    def test_synthetic_table_at_the_default_block_edge(self, tmp_path, n):
+        assert bpsfair.data.INGEST_BLOCK_ROWS == 1024
+        table = synthesize_biased(n=n, base_rate_g0=0.34, base_rate_g1=0.46, seed=n)
+        assert written_sha256(table, tmp_path / "t.csv") == WRITE_CSV_SHA256[f"synth{n}"]
+
+    @pytest.mark.parametrize("block_rows", [2, 3, 1024])
+    def test_cells_that_need_quoting(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", block_rows)
+        assert written_sha256(quoting_table(), tmp_path / "t.csv") == WRITE_CSV_SHA256["quoting"]
+
+    def test_zero_rows_is_header_only(self, tmp_path):
+        p = tmp_path / "t.csv"
+        assert written_sha256(empty_table(), p) == WRITE_CSV_SHA256["empty"]
+        assert p.read_bytes() == b"size,color,shape,grp,outcome\r\n"
+
+    def test_one_group_schema(self, tmp_path):
+        p = tmp_path / "t.csv"
+        assert written_sha256(one_group_table(), p) == WRITE_CSV_SHA256["one_group"]
+        assert load_csv(p, one_group_table().schema).groups.tolist() == [0] * 9
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1024])
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(table=writable_tables())
+    def test_load_csv_reads_back_what_write_csv_wrote(self, tmp_path_factory, block_rows, table):
+        p = tmp_path_factory.mktemp("written") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", block_rows)
+            write_csv(table, p)
+            if table.n_rows == 0:
+                with pytest.raises(EmptyInputError):
+                    load_csv(p, FUZZ_SCHEMA)
+                return
+            loaded = load_csv(p, FUZZ_SCHEMA)
+        color = table.categorical["color"]
+        first_seen = tuple(dict.fromkeys(color.decode()))
+        assert loaded.categorical["color"].vocabulary == first_seen
+        assert loaded.categorical["color"].codes.tolist() == [
+            first_seen.index(v) for v in color.decode()]
+        assert loaded.labels.tolist() == table.labels.tolist()
+        assert loaded.groups.tolist() == table.groups.tolist()
+        for c, values in table.continuous.items():
+            expected = np.array([float(f"{v:.10g}") for v in values.tolist()])
+            assert loaded.continuous[c].tobytes() == expected.tobytes()
+
+
 class TestSchemaValidation:
     def test_needs_features(self):
         with pytest.raises(ConfigError):
@@ -677,6 +815,15 @@ class TestSchemaDict:
         assert schema.negative_label == "0"
         assert schema.sensitive_map == {"0": 0, "1": 1}
         assert schema.missing_token == "?"
+
+    @pytest.mark.parametrize("key", ["categorical", "continuous", "ignore"])
+    @pytest.mark.parametrize("value", ["age", ["age", 3]])
+    def test_column_lists_take_only_lists_of_strings(self, key, value):
+        # a string used to become one column per letter: "age" gave ("a", "g", "e")
+        d = {"label": "y", "positive_label": "1", "sensitive": "g", "sensitive_map": {"a": 0},
+             "continuous": ["x"]}
+        with pytest.raises(TypeError, match="expected a list of strings"):
+            DatasetSchema.from_dict({**d, key: value})
 
     def test_missing_key(self):
         with pytest.raises(KeyError):
