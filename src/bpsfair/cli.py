@@ -30,6 +30,7 @@ from .metrics import BpsReport, evaluate_prediction_dump
 from .network import load_model, save_model
 from .report import (
     cells_from_runs,
+    comparison_cells,
     emit_comparison_tables,
     emit_plot_series,
     emit_results,
@@ -165,9 +166,10 @@ def cmd_grid(args) -> int:
     out = Path(args.out)
     rows = emit_results(result, out)
     cells = cells_from_runs(rows)
+    tables = comparison_cells(cells, cfg.table_rows) if cfg.table_rows else None
     emit_plot_series(cells, out, measures=cfg.plot_measures)
-    if cfg.table_rows:
-        emit_comparison_tables(cells, out, cfg.table_rows)
+    if tables:
+        emit_comparison_tables(tables, out)
     grid_echo = {
         "templates": [[f"{k.value}*{s:g}" for k, s in t] for t in cfg.grid.templates],
         "variants": [str(v) for v in cfg.grid.variants],
@@ -245,10 +247,12 @@ def cmd_report(args) -> int:
         table_rows, plot_measures = cfg.table_rows, cfg.plot_measures
     rows = read_runs_csv(runs_path)
     cells = cells_from_runs(rows)
+    # a selector that matches no cell is refused before any derived file is rewritten
+    tables = comparison_cells(cells, table_rows) if table_rows else None
     write_cells_csv(cells, out / "cells.csv")
     emit_plot_series(cells, out, measures=plot_measures)
-    if table_rows:
-        emit_comparison_tables(cells, out, table_rows)
+    if tables:
+        emit_comparison_tables(tables, out)
     print(f"report rebuilt from {runs_path}")
     return 0
 

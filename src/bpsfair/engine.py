@@ -163,21 +163,22 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
             probs, cache = forward(state, X, mode="train", rng=dropout_rng, rows=batch)
-            values, dprobs = combined_loss_and_gradient(
+            totals, dprobs = combined_loss_and_gradient(
                 live_terms, probs, Y[batch], A[batch], config.denominator_mode
             )
-            keep = []
-            for pos, (i, value) in enumerate(zip(live, values)):
-                if math.isfinite(value.total):
-                    keep.append(pos)
-                    epoch_losses[i].append(value.total)
-                else:
-                    diverged[i] = DivergenceError(epoch, batch=start // config.batch_size)
-            if not keep:
-                return [diverged[i] for i in range(len(term_sets))]
+            finite = np.isfinite(totals)
+            keep = None if finite.all() else np.flatnonzero(finite).tolist()
+            if keep is not None:
+                for pos in np.flatnonzero(~finite).tolist():
+                    diverged[live[pos]] = DivergenceError(epoch, batch=start // config.batch_size)
+                if not keep:
+                    return [diverged[i] for i in range(len(term_sets))]
+            if config.keep_trace:
+                for i, total in zip(live, totals.tolist()):
+                    epoch_losses[i].append(total)
             grads = backward(state, cache, dprobs)
             adam_step(state, adam, grads)
-            if len(keep) < len(live):  # drop diverged models; slices never mix
+            if keep is not None:  # drop diverged models; slices never mix
                 state, adam = state[keep], adam[keep]
                 live = [live[pos] for pos in keep]
                 live_terms = [live_terms[pos] for pos in keep]

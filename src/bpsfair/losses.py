@@ -253,20 +253,18 @@ def _cells(groups, labels):
     return present, labels + 2 * (groups == present[1])
 
 
-def _ratio(m0, m1):
-    """min/max ratio of two measures (Python floats); 1 when both are 0."""
-    if max(m0, m1) == 0.0:
-        return 1.0
-    return m0 / m1 if m0 <= m1 else m1 / m0
-
-
-def _ratio_grad(m0, m1):
-    """d _ratio / d (m0, m1); ties route the subgradient through group 0."""
-    if max(m0, m1) == 0.0:
-        return 0.0, 0.0  # the ratio is the constant 1 there
-    if m0 <= m1:
-        return 1.0 / m1, -m0 / (m1 * m1)
-    return -m1 / (m0 * m0), 1.0 / m0
+def _ratio(m, want_grad=False):
+    """min/max ratios of (..., 2) measure pairs (1 where both are 0) and, optionally, d ratio /
+    d (m0, m1) as (..., 2); ties route the subgradient through group 0."""
+    low = m[..., 0] <= m[..., 1]  # group 0 holds the min
+    lo, hi = np.where(low, m[..., 0], m[..., 1]), np.where(low, m[..., 1], m[..., 0])
+    moving = hi != 0.0  # the ratio is the constant 1 elsewhere
+    r = np.divide(lo, hi, out=np.ones_like(hi), where=moving)
+    if not want_grad:
+        return r, None
+    d_lo = np.divide(1.0, hi, out=np.zeros_like(hi), where=moving)
+    d_hi = np.divide(-lo, hi * hi, out=np.zeros_like(hi), where=moving)
+    return r, np.stack([np.where(low, d_lo, d_hi), np.where(low, d_hi, d_lo)], axis=-1)
 
 
 def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
@@ -279,7 +277,7 @@ def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
         raise InputShapeError(f"expected exactly two group values, found {present.tolist()}")
     w, _ = _weights(variant, probs[None], want_grad=False)
     m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)), want_grad=False)
-    return _ratio(*m[0].tolist())
+    return float(_ratio(m)[0][0])
 
 
 def _bce(probs, labels, want_grad):
@@ -320,6 +318,8 @@ def _term_columns(term_sets):
 
 
 def _evaluate(terms, probs, labels, groups, mode, want_grad):
+    """A stack's combined loss as arrays: (stacked, term sets, bce (M,), soft BPS and penalties
+    (T, M), skipped (T,), totals (M,), gradient (M, n) or None); 1-D probs are a stack of one."""
     probs, labels = _check_vectors(probs, labels, probs_ndims=(1, 2))
     mode = DenominatorMode(mode)
     stacked = probs.ndim == 2
@@ -336,42 +336,37 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
         raise InputShapeError(f"training losses support two groups, found {present.tolist()}")
     counts = _counts(cell, 2) if present.size == 2 else None
 
-    bce, grad = _bce(probs, labels, want_grad)
-    bce = bce.tolist()
-    totals = list(bce)
-    per_term = [[] for _ in term_sets]
+    columns = _term_columns(term_sets)
     models = len(term_sets)
+    bce, grad = _bce(probs, labels, want_grad)
+    totals = bce.copy()
+    bps, penalties = np.ones((len(columns), models)), np.zeros((len(columns), models))
+    skipped = [True] * len(columns)
     trains = np.zeros(models, dtype=bool)  # rows with a term of nonzero weight
     by_variant = {}  # variant -> (tables, w'(probs) or None, d total / d P)
-    for column in _term_columns(term_sets):
+    for t, column in enumerate(columns):
         kind, variant = column[0].kind, column[0].variant
         # both groups need rows in the term's conditioning class, which the
         # fixed denominator counts; otherwise the ratio would be meaningless
         if counts is None or not (counts @ measure_coefficients(kind)[1, 1]).all():
-            for term_values, term in zip(per_term, column):
-                term_values.append(TermValue(term=term, soft_bps=1.0, term_loss=0.0,
-                                             skipped=True))
             continue
+        skipped[t] = False
         if variant not in by_variant:
             w, dw = _weights(variant, probs, want_grad)
             by_variant[variant] = (_tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
         tables, _, d_total = by_variant[variant]
         m, dm = _measure(kind, mode, tables, want_grad)
-        slopes = []  # per row: d total / d (m0, m1)
-        for i, (term, (m0, m1)) in enumerate(zip(column, m.tolist())):
-            r = _ratio(m0, m1)
-            loss = (1.0 - r) ** term.power
-            if term.alpha != 0.0:  # zero-weight terms must leave BCE bit-identical
-                totals[i] += term.alpha * loss
-                trains[i] = True
-                slope = -term.alpha * term.power * (1.0 - r) ** (term.power - 1)
-                d0, d1 = _ratio_grad(m0, m1)
-                slopes.append((slope * d0, slope * d1))
-            else:
-                slopes.append((0.0, 0.0))
-            per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
+        bps[t], dr = _ratio(m, want_grad)
+        alphas, powers = np.array([term.alpha for term in column]), [term.power for term in column]
+        base = (1.0 - bps[t]).tolist()  # Python scalar pows: np.power can differ in the last bit
+        penalties[t] = [b ** k for b, k in zip(base, powers)]
+        weighted = alphas != 0.0  # zero-weight terms must leave BCE bit-identical
+        np.add(totals, alphas * penalties[t], out=totals, where=weighted)
+        trains |= weighted
         if want_grad:
-            d_total += np.array(slopes)[..., None] * dm
+            slope = (-alphas * powers) * [b ** (k - 1) for b, k in zip(base, powers)]
+            np.add(d_total, (slope[:, None] * dr)[..., None] * dm, out=d_total,
+                   where=weighted[:, None, None])
     if want_grad and trains.any():
         for _, dw, d_total in by_variant.values():
             # the per-sample gradient is a gather: d total / d P[g_i, y_i] * w'(prob_i)
@@ -380,13 +375,7 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
                 step *= dw
             # rows whose terms all have zero weight are left out, never added as 0
             np.add(grad, step, out=grad, where=trains[:, None])
-    values = tuple(
-        LossValue(total=total, bce=b, per_term=tuple(term_values))
-        for total, b, term_values in zip(totals, bce, per_term)
-    )
-    if not stacked:
-        return values[0], (grad[0] if want_grad else None)
-    return values, grad
+    return stacked, term_sets, bce, bps, penalties, skipped, totals, grad
 
 
 def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
@@ -402,14 +391,20 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
     tuples must match in length, kind and variant position by position;
     alpha and power may differ.
     """
-    value, _ = _evaluate(terms, probs, labels, groups, mode, want_grad=False)
-    return value
+    stacked, term_sets, bce, bps, penalties, skipped, totals, _ = _evaluate(
+        terms, probs, labels, groups, mode, want_grad=False)
+    rows = zip(totals.tolist(), bce.tolist(), term_sets, bps.T.tolist(), penalties.T.tolist())
+    values = tuple(LossValue(total, b, tuple(map(TermValue, model_terms, soft, loss, skipped)))
+                   for total, b, model_terms, soft, loss in rows)
+    return values if stacked else values[0]
 
 
 def combined_loss_and_gradient(terms, probs, labels, groups,
                                mode: DenominatorMode = DenominatorMode.AS_WRITTEN):
-    """Single-pass (LossValue, gradient) evaluation used by the training loop.
+    """Single-pass (total, gradient) evaluation used by the training loop.
 
-    Stacked (M, n) probabilities give (tuple of M LossValues, (M, n) gradient).
+    Stacked (M, n) probabilities give ((M,) totals, (M, n) gradient); no
+    LossValue is built.
     """
-    return _evaluate(terms, probs, labels, groups, mode, want_grad=True)
+    stacked, *_, totals, grad = _evaluate(terms, probs, labels, groups, mode, want_grad=True)
+    return (totals, grad) if stacked else (float(totals[0]), grad[0])

@@ -39,6 +39,7 @@ __all__ = [
     "write_cells_csv",
     "emit_results",
     "emit_plot_series",
+    "comparison_cells",
     "emit_comparison_tables",
     "write_manifest",
     "literature_constants",
@@ -255,20 +256,31 @@ def literature_constants() -> dict:
     return json.loads(blob)
 
 
-def emit_comparison_tables(cells, out_dir, table_rows):
-    """Write the p-rule/accuracy table and the per-group FPR/FNR table.
+def comparison_cells(cells, table_rows):
+    """The comparison tables' cells: (alpha = 0 baseline, [(label, cell), ...]).
 
     ``table_rows`` maps row labels to cell selectors for the debiased
-    configurations.  The without-debiasing column always comes from the
-    alpha = 0 baseline cell, which shares its Monte Carlo seeds with
-    every other cell of the same grid.
+    configurations.  No baseline cell, or a selector that does not match
+    exactly one cell, raises ConfigError, so resolving the tables first
+    leaves every derived file as it was.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     baselines = [c for c in cells if c["alpha"] == 0.0]
     if not baselines:
         raise ConfigError("comparison tables need an alpha=0 baseline cell")
-    baseline = baselines[0]
+    return baselines[0], [(label, select_cell(cells, selector))
+                          for label, selector in table_rows.items()]
+
+
+def emit_comparison_tables(tables, out_dir):
+    """Write the p-rule/accuracy table and the per-group FPR/FNR table.
+
+    ``tables`` is what ``comparison_cells`` resolved.  The without-debiasing
+    column always comes from the alpha = 0 baseline cell, which shares its
+    Monte Carlo seeds with every other cell of the same grid.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    baseline, rows = tables
     lit = literature_constants()
 
     prule_path = out / "prule_table.csv"
@@ -282,8 +294,7 @@ def emit_comparison_tables(cells, out_dir, table_rows):
             ["Baseline", fmt(baseline["mean_bps_stp"]),
              fmt(100.0 * baseline["mean_accuracy"]), "this run"]
         )
-        for label, selector in table_rows.items():
-            cell = select_cell(cells, selector)
+        for label, cell in rows:
             writer.writerow(
                 [label, fmt(cell["mean_bps_stp"]), fmt(100.0 * cell["mean_accuracy"]),
                  "this run"]
@@ -302,8 +313,7 @@ def emit_comparison_tables(cells, out_dir, table_rows):
                  fmt(row["group0_with"]), fmt(row["group1_without"]),
                  fmt(row["group1_with"]), fmt(row["bps"]), "literature"]
             )
-        for label, selector in table_rows.items():
-            cell = select_cell(cells, selector)
+        for label, cell in rows:
             for measure in ("fpr", "fnr"):
                 with_g0 = cell[f"mean_{measure}_g0"]
                 with_g1 = cell[f"mean_{measure}_g1"]

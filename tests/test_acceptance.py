@@ -4,7 +4,9 @@ Criteria 1-4 need the combined UCI Adult Income CSV.  Its location is
 taken from $BPSFAIR_ADULT_CSV or data/adult.csv under the repository
 root; without the file those tests skip (scripts/fetch_adult.py
 assembles it on a machine with network access).  Everything else runs
-self-contained.  $BPSFAIR_JOBS controls training parallelism.
+self-contained.  $BPSFAIR_JOBS controls training parallelism, read with
+the CLI's rule when a grid runs: a malformed value fails only the grid
+criteria, with the CLI's ConfigError.
 """
 
 import math
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bpsfair.cli import _jobs
 from bpsfair.data import SplitPlan, adult_preset, load_csv, mc_splits, synthesize_biased
 from bpsfair.engine import GridSpec, TrainConfig, dataset_for_split, run_grid, train_model
 from bpsfair.errors import UndefinedMeasureError
@@ -29,7 +32,6 @@ from bpsfair.metrics import MeasureKind, bps_binary, bps_report, confusion, hard
 from bpsfair.network import NetworkConfig, serialize
 
 REPO = Path(__file__).resolve().parents[1]
-JOBS = max(1, int(os.environ.get("BPSFAIR_JOBS", "1") or 1))
 
 ARCH1 = ((108, "relu"), (108, "relu"))
 ARCH2 = ((108, "leaky_relu"), (324, "leaky_relu"))
@@ -88,7 +90,7 @@ def adult_base(hidden, mode=DenominatorMode.AS_WRITTEN):
 def adult_grid(tag, hidden, grid, mode=DenominatorMode.AS_WRITTEN):
     if tag not in _adult_cache:
         _adult_cache[tag] = run_grid(
-            adult_table(), adult_base(hidden, mode), grid, adult_plan(), jobs=JOBS
+            adult_table(), adult_base(hidden, mode), grid, adult_plan(), jobs=_jobs(None)
         )
     return _adult_cache[tag]
 
@@ -215,7 +217,7 @@ def test_criterion_5_synthetic_fnr_curve(synth_setup):
     table, base, plan = synth_setup
     grid = GridSpec(templates=[[("FNR", 1.0)]], variants=[CONT], powers=[1],
                     alphas=[0.0, 0.3])
-    result = run_grid(table, base, grid, plan, jobs=JOBS)
+    result = run_grid(table, base, grid, plan, jobs=_jobs(None))
     baseline = result.cell(alpha=0.0)
     regularized = result.cell(alpha=0.3)
     gain = regularized.means["bps_fnr"] - baseline.means["bps_fnr"]
@@ -246,7 +248,7 @@ def test_criterion_6_decoupling_later_at_higher_power(synth_setup):
         powers=[1, 3],
         alphas=[round(0.1 * i, 1) for i in range(11)],
     )
-    result = run_grid(table, base, grid, plan, jobs=JOBS)
+    result = run_grid(table, base, grid, plan, jobs=_jobs(None))
     by_power = {
         k: [c for c in result.cells if c.key.power == k] for k in (1, 3)
     }

@@ -16,7 +16,7 @@ from bpsfair.data import load_csv
 from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
 from bpsfair.network import NetworkConfig, init, load_model, save_model
-from bpsfair.report import read_runs_csv
+from bpsfair.report import file_digest, read_runs_csv
 
 
 def write_config(path, **overrides):
@@ -254,6 +254,25 @@ class TestReportCommand:
         # the original config still works
         assert main(["report", "--out", str(out),
                      "--config", str(workspace / "cfg.yaml")]) == 0
+
+    def test_unmatched_table_selector_rewrites_nothing(self, workspace, capsys):
+        # cells.csv and the plot series used to be rebuilt, and prule_table.csv
+        # rewritten, before the selector was refused
+        out, cfg = workspace / "grid", workspace / "tables.yaml"
+        write_config(cfg, report={"tables": [{"label": "x", "alpha": 0.3}]})
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+        runs = (out / "runs.csv").read_text().splitlines(keepends=True)
+        (out / "runs.csv").write_text("".join(runs[:-1]))
+        write_config(cfg, report={"tables": [{"label": "x", "alpha": 0.7}]})
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps({**manifest,
+                                                       "config_digest": file_digest(cfg)}))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert {"cells.csv", "prule_table.csv", "error_rate_table.csv"} <= set(before)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--config", str(cfg)]) == 2
+        assert "matched 0 cells" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("blob, problem", [
         (b"{not json", "not valid JSON: Expecting property name enclosed in double quotes"),

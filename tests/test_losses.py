@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpsfair import losses
 from bpsfair.errors import ConfigError, InputShapeError, UndefinedMeasureError
 from bpsfair.losses import (
     DenominatorMode,
     FairnessTerm,
+    LossValue,
     SoftVariant,
+    TermValue,
     binary_cross_entropy,
     combined_loss,
     combined_loss_and_gradient,
@@ -25,7 +28,7 @@ from bpsfair.losses import (
     soft_bps,
     soft_measure,
 )
-from bpsfair.metrics import MeasureKind, bps_binary, confusion, hard_measure
+from bpsfair.metrics import MeasureKind, bps_binary, confusion, hard_measure, measure_coefficients
 
 def stable_seed(*parts):
     return zlib.crc32(repr(parts).encode())
@@ -457,10 +460,12 @@ class TestStackedLoss:
             tuple(FairnessTerm(k, SIG, alpha, power) for k in kinds)
             for alpha, power in ((0.0, 2), (0.7, 1), (0.3, 3))
         ]
-        values, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        totals, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        values = combined_loss(term_sets, stack, labels, groups, mode)
         for i, terms in enumerate(term_sets):
             alone, alone_grad = combined_loss_and_gradient(terms, stack[i], labels, groups, mode)
-            assert values[i] == alone
+            assert totals[i] == alone
+            assert values[i] == combined_loss(terms, stack[i], labels, groups, mode)
             np.testing.assert_array_equal(grad[i], alone_grad)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -480,10 +485,12 @@ class TestStackedLoss:
         labels, groups = rng.integers(0, 2, n), rng.integers(0, 2, n)
         term_sets = [tuple(FairnessTerm(k, variant, alpha, power) for k in kinds)
                      for alpha, power in weights]
-        values, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        totals, grad = combined_loss_and_gradient(term_sets, stack, labels, groups, mode)
+        values = combined_loss(term_sets, stack, labels, groups, mode)
         for i, terms in enumerate(term_sets):
             alone, alone_grad = combined_loss_and_gradient(terms, stack[i], labels, groups, mode)
-            assert values[i] == alone
+            assert totals[i] == alone
+            assert values[i] == combined_loss(terms, stack[i], labels, groups, mode)
             assert grad[i].tobytes() == alone_grad.tobytes()
 
     def test_terms_must_line_up(self):
@@ -498,6 +505,137 @@ class TestStackedLoss:
                           stack, labels, groups)
         with pytest.raises(InputShapeError):
             combined_loss([(fpr,)], stack, labels, groups)
+
+
+def loop_ratio(m0, m1):
+    """min/max ratio of two measures (Python floats); 1 when both are 0."""
+    if max(m0, m1) == 0.0:
+        return 1.0
+    return m0 / m1 if m0 <= m1 else m1 / m0
+
+
+def loop_ratio_grad(m0, m1):
+    """d loop_ratio / d (m0, m1); ties route the subgradient through group 0."""
+    if max(m0, m1) == 0.0:
+        return 0.0, 0.0
+    if m0 <= m1:
+        return 1.0 / m1, -m0 / (m1 * m1)
+    return -m1 / (m0 * m0), 1.0 / m0
+
+
+def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
+    """The combined loss one model at a time, with one LossValue per model: the oracle
+    for the array-valued evaluation."""
+    probs, labels = losses._check_vectors(probs, labels, probs_ndims=(1, 2))
+    mode = DenominatorMode(mode)
+    stacked = probs.ndim == 2
+    term_sets = [tuple(t) for t in terms] if stacked else [tuple(terms)]
+    probs = probs if stacked else probs[None]
+    present, cell = losses._cells(groups, labels)
+    counts = losses._counts(cell, 2) if present.size == 2 else None
+    bce, grad = losses._bce(probs, labels, want_grad)
+    bce = bce.tolist()
+    totals = list(bce)
+    per_term = [[] for _ in term_sets]
+    models = len(term_sets)
+    trains = np.zeros(models, dtype=bool)
+    by_variant = {}
+    for column in losses._term_columns(term_sets):
+        kind, variant = column[0].kind, column[0].variant
+        if counts is None or not (counts @ measure_coefficients(kind)[1, 1]).all():
+            for term_values, term in zip(per_term, column):
+                term_values.append(TermValue(term=term, soft_bps=1.0, term_loss=0.0,
+                                             skipped=True))
+            continue
+        if variant not in by_variant:
+            w, dw = losses._weights(variant, probs, want_grad)
+            by_variant[variant] = (losses._tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
+        tables, _, d_total = by_variant[variant]
+        m, dm = losses._measure(kind, mode, tables, want_grad)
+        slopes = []
+        for i, (term, (m0, m1)) in enumerate(zip(column, m.tolist())):
+            r = loop_ratio(m0, m1)
+            loss = (1.0 - r) ** term.power
+            if term.alpha != 0.0:
+                totals[i] += term.alpha * loss
+                trains[i] = True
+                slope = -term.alpha * term.power * (1.0 - r) ** (term.power - 1)
+                d0, d1 = loop_ratio_grad(m0, m1)
+                slopes.append((slope * d0, slope * d1))
+            else:
+                slopes.append((0.0, 0.0))
+            per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
+        if want_grad:
+            d_total += np.array(slopes)[..., None] * dm
+    if want_grad and trains.any():
+        for _, dw, d_total in by_variant.values():
+            step = d_total.reshape(models, 4)[:, cell]
+            if dw is not None:
+                step *= dw
+            np.add(grad, step, out=grad, where=trains[:, None])
+    values = tuple(LossValue(total=total, bce=b, per_term=tuple(term_values))
+                   for total, b, term_values in zip(totals, bce, per_term))
+    if not stacked:
+        return values[0], (grad[0] if want_grad else None)
+    return values, grad
+
+
+class TestArrayLossMatchesLoop:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        models=st.integers(1, 44),
+        n=st.integers(2, 299),
+        columns=st.lists(st.tuples(st.sampled_from(ALL_KINDS),
+                                   st.sampled_from([CONT, SIG, SoftVariant.sigmoided(10.0)])),
+                         max_size=3),
+        mode=st.sampled_from([AS_WRITTEN, RATE]),
+        saturated=st.sampled_from([0.0, 0.3, 1.0]),
+        group_values=st.sampled_from([(0, 1), (0, 3), (3, 3)]),
+        mirrored=st.booleans(),
+    )
+    def test_same_bits_as_the_per_model_loop(self, seed, models, n, columns, mode, saturated,
+                                             group_values, mirrored):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0.0, 1.0, (models, n))
+        corner = rng.random((models, n)) < saturated  # outputs pinned at exactly 0 or 1
+        stack[corner] = rng.integers(0, 2, corner.sum())
+        labels, groups = rng.integers(0, 2, n), rng.choice(group_values, n)
+        if mirrored:  # the second group's rows copy the first's, so the measures tie exactly
+            half = n // 2
+            stack = np.concatenate([stack[:, :half]] * 2, axis=1)
+            labels, groups = np.concatenate([labels[:half]] * 2), np.repeat(group_values, half)
+        alphas = rng.choice([0.0, 0.05, 0.3, 1.0, 2.5], (models, len(columns)))
+        powers = rng.integers(1, 5, (models, len(columns))).tolist()
+        term_sets = [tuple(FairnessTerm(kind, variant, alpha, power)
+                           for (kind, variant), alpha, power in zip(columns, a_i, k_i))
+                     for a_i, k_i in zip(alphas.tolist(), powers)]
+        for terms, probs in ((term_sets, stack), (term_sets[0], stack[0])):
+            expected, expected_grad = loop_evaluate(terms, probs, labels, groups, mode, True)
+            totals, grad = combined_loss_and_gradient(terms, probs, labels, groups, mode)
+            values = combined_loss(terms, probs, labels, groups, mode)
+            # repr tells -0.0 from 0.0 and a numpy scalar from a float
+            assert repr(values) == repr(expected) and values == expected
+            assert grad.tobytes() == expected_grad.tobytes()
+            if probs.ndim == 1:
+                assert type(totals) is float and totals.hex() == expected.total.hex()
+            else:
+                assert totals.tobytes() == np.array([v.total for v in expected]).tobytes()
+
+    def test_training_path_builds_no_loss_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the training path built a loss object")
+
+        monkeypatch.setattr(losses, "LossValue", refuse)
+        monkeypatch.setattr(losses, "TermValue", refuse)
+        rng = np.random.default_rng(11)
+        probs, labels, groups = random_fixture(rng, n=24)
+        terms = (FairnessTerm(MeasureKind.FPR, CONT, 0.5, 2),
+                 FairnessTerm(MeasureKind.FNR, SIG, 0.0, 1))
+        combined_loss_and_gradient([terms, terms], np.stack([probs, probs[::-1]]), labels, groups)
+        combined_loss_and_gradient(terms, probs, labels, groups)
+        with pytest.raises(AssertionError, match="built a loss object"):
+            combined_loss(terms, probs, labels, groups)
 
 
 class TestTermParsing:

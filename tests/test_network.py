@@ -558,9 +558,8 @@ def _total_loss(state, X, masks, term_sets, labels, groups, mode):
     """Sum over the stacked models of the combined loss, through a train-mode forward."""
     probs, cache = forward(state, X, mode="train", dropout_masks=masks)
     terms = term_sets if state.models is not None else term_sets[0]
-    values, dprobs = combined_loss_and_gradient(terms, probs, labels, groups, mode)
-    values = values if state.models is not None else (values,)
-    return sum(v.total for v in values), cache, dprobs
+    totals, dprobs = combined_loss_and_gradient(terms, probs, labels, groups, mode)
+    return sum(np.atleast_1d(totals).tolist()), cache, dprobs
 
 
 @st.composite

@@ -15,6 +15,7 @@ from bpsfair.metrics import bps_binary
 from bpsfair.network import NetworkConfig
 from bpsfair.report import (
     cells_from_runs,
+    comparison_cells,
     emit_comparison_tables,
     emit_plot_series,
     emit_results,
@@ -159,7 +160,8 @@ class TestComparisonTables:
     def test_tables_include_literature_and_run_rows(self, grid_result, tmp_path):
         rows = emit_results(grid_result, tmp_path)
         cells = cells_from_runs(rows)
-        emit_comparison_tables(cells, tmp_path, {"Architecture 1": {"alpha": 0.5}})
+        tables = comparison_cells(cells, {"Architecture 1": {"alpha": 0.5}})
+        emit_comparison_tables(tables, tmp_path)
         with open(tmp_path / "prule_table.csv") as fh:
             prule = list(csv.DictReader(fh))
         techniques = [r["technique"] for r in prule]
@@ -172,7 +174,7 @@ class TestComparisonTables:
     def test_bps_column_consistent_with_group_values(self, grid_result, tmp_path):
         rows = emit_results(grid_result, tmp_path)
         cells = cells_from_runs(rows)
-        emit_comparison_tables(cells, tmp_path, {"Arch": {"alpha": 0.5}})
+        emit_comparison_tables(comparison_cells(cells, {"Arch": {"alpha": 0.5}}), tmp_path)
         with open(tmp_path / "error_rate_table.csv") as fh:
             table = list(csv.DictReader(fh))
         ours = [r for r in table if r["source"] == "this run"]
@@ -185,7 +187,7 @@ class TestComparisonTables:
         rows = emit_results(grid_result, tmp_path)
         cells = cells_from_runs(rows)
         baseline = next(c for c in cells if c["alpha"] == 0.0)
-        emit_comparison_tables(cells, tmp_path, {"Arch": {"alpha": 0.5}})
+        emit_comparison_tables(comparison_cells(cells, {"Arch": {"alpha": 0.5}}), tmp_path)
         with open(tmp_path / "error_rate_table.csv") as fh:
             table = list(csv.DictReader(fh))
         fpr_row = next(r for r in table if r["source"] == "this run" and r["measure"] == "FPR")
@@ -197,7 +199,7 @@ class TestComparisonTables:
         rows = emit_results(grid_result, tmp_path)
         cells = [c for c in cells_from_runs(rows) if c["alpha"] != 0.0]
         with pytest.raises(ConfigError):
-            emit_comparison_tables(cells, tmp_path, {"Arch": {"alpha": 0.5}})
+            comparison_cells(cells, {"Arch": {"alpha": 0.5}})
         # both cells trained from the same per-iteration seeds
         stored = read_runs_csv(tmp_path / "runs.csv")
         seeds = {}
@@ -210,13 +212,13 @@ class TestComparisonTables:
     def test_selector_errors(self, grid_result, tmp_path, selector):
         rows = emit_results(grid_result, tmp_path)
         with pytest.raises(ConfigError):
-            emit_comparison_tables(cells_from_runs(rows), tmp_path, {"Arch": selector})
+            comparison_cells(cells_from_runs(rows), {"Arch": selector})
 
     def test_ambiguous_selector_rejected(self, grid_result, tmp_path):
         rows = emit_results(grid_result, tmp_path)
         cells = cells_from_runs(rows)
         with pytest.raises(ConfigError):
-            emit_comparison_tables(cells, tmp_path, {"Arch": {"measures": "STP"}})
+            comparison_cells(cells, {"Arch": {"measures": "STP"}})
 
 
 class TestManifest:
