@@ -30,6 +30,7 @@ from .metrics import BpsReport, evaluate_prediction_dump
 from .network import load_model, save_model
 from .report import (
     cells_from_runs,
+    check_plot_measures,
     comparison_cells,
     emit_comparison_tables,
     emit_plot_series,
@@ -37,6 +38,7 @@ from .report import (
     file_digest,
     fmt,
     read_runs_csv,
+    stored_fields,
     write_cells_csv,
     write_manifest,
 )
@@ -45,8 +47,10 @@ __all__ = ["main"]
 
 
 def _jobs(flag) -> int:
-    """``--jobs``, else $BPSFAIR_JOBS, else 1; the variable must hold a positive integer."""
+    """``--jobs``, else $BPSFAIR_JOBS, else 1; either must be a positive integer."""
     if flag is not None:
+        if flag < 1:
+            raise ConfigError(f"jobs must be a positive integer, got {flag!r}")
         return flag
     env = os.environ.get("BPSFAIR_JOBS")
     if not env:
@@ -158,14 +162,23 @@ def cmd_grid(args) -> int:
     cfg = load_config(args.config)
     if cfg.grid is None:
         raise ConfigError("config has no [grid] section")
+    # every cell is known before training: a grid whose report cannot be written is refused
+    iterations = cfg.grid.iterations_for(cfg.plan)
+    planned = [stored_fields(key.fields()) for key in cfg.grid.cells()]
+    check_plot_measures(planned, cfg.plot_measures)
+    if cfg.table_rows:
+        comparison_cells(planned, cfg.table_rows)
     table, data_path = _load_table(cfg, args.dataset)
     seed = args.seed if args.seed is not None else cfg.training["seed"]
     base_config = cfg.train_config(1, seed_override=seed)  # input_dim resolved per split
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create the results directory: {exc}") from None
 
     result = run_grid(table, base_config, cfg.grid, cfg.plan, jobs=jobs)
-    out = Path(args.out)
-    rows = emit_results(result, out)
-    cells = cells_from_runs(rows)
+    cells = emit_results(result, out)
     tables = comparison_cells(cells, cfg.table_rows) if cfg.table_rows else None
     emit_plot_series(cells, out, measures=cfg.plot_measures)
     if tables:
@@ -175,7 +188,7 @@ def cmd_grid(args) -> int:
         "variants": [str(v) for v in cfg.grid.variants],
         "powers": list(cfg.grid.powers),
         "alphas": list(cfg.grid.alphas),
-        "iterations": cfg.grid.iterations or cfg.plan.iterations,
+        "iterations": iterations,
     }
     write_manifest(out, config_path=args.config, dataset_path=data_path,
                    grid_spec=grid_echo, version=__version__)
@@ -245,9 +258,9 @@ def cmd_report(args) -> int:
         _check_config_digest(out, args.config)
         cfg = load_config(args.config)
         table_rows, plot_measures = cfg.table_rows, cfg.plot_measures
-    rows = read_runs_csv(runs_path)
-    cells = cells_from_runs(rows)
-    # a selector that matches no cell is refused before any derived file is rewritten
+    cells = cells_from_runs(read_runs_csv(runs_path))
+    # a plot measure or selector that matches no cell is refused before any file is rewritten
+    check_plot_measures(cells, plot_measures)
     tables = comparison_cells(cells, table_rows) if table_rows else None
     write_cells_csv(cells, out / "cells.csv")
     emit_plot_series(cells, out, measures=plot_measures)

@@ -300,6 +300,15 @@ class GridSpec:
         if any(a < 0 for a in self.alphas):
             raise ConfigError("alpha values must be non-negative")
 
+    def iterations_for(self, plan: SplitPlan) -> int:
+        """The Monte Carlo iterations this grid runs under ``plan``; ConfigError if out of range."""
+        iterations = plan.iterations if self.iterations is None else self.iterations
+        if iterations < 1 or iterations > plan.iterations:
+            raise ConfigError(
+                f"grid iterations {iterations} out of range for plan with {plan.iterations}"
+            )
+        return iterations
+
     def cells(self):
         for template, variant, power, alpha in itertools.product(
             self.templates, self.variants, self.powers, self.alphas
@@ -400,28 +409,41 @@ def run_scalars(run: RunResult) -> dict:
     return out
 
 
-def cell_statistics(rows, columns) -> tuple[dict, dict, int, int]:
-    """(means, variances, n_success, n_diverged) of one cell's run rows.
+def cell_statistics(block, cell_of_run, diverged) -> tuple:
+    """(means, variances, n_success, n_diverged) of every cell's runs.
 
-    A row maps scalar columns to values and ``diverged`` to a flag, as a
-    row of runs.csv does.  Each column's mean and unbiased variance come
-    from the rows that did not diverge; the others are only counted.
+    ``block`` is a (runs, columns) array, NaN (or None) where a run has
+    no value; run r belongs to cell ``cell_of_run[r]`` (cells are
+    numbered from 0) and ``diverged[r]`` flags it.  Each cell's column
+    mean and unbiased variance come from its runs that did not diverge,
+    as (cells, columns) arrays; the others are only counted.
     """
-    ok = [row for row in rows if not row["diverged"]]
-    columns = tuple(columns)
-    # one contiguous row per column: a row's sum is the pairwise sum of a 1-D
-    # column, so mean and var equal mean_and_variance's bit for bit; None reads as NaN
-    block = np.array([list(map(row.get, columns)) for row in ok], dtype=np.float64)
-    block = np.ascontiguousarray(block.reshape(len(ok), len(columns)).T)
-    holes = np.isnan(block).any(axis=1)
-    if len(ok) > 1:
-        means, variances = block.mean(axis=1).tolist(), block.var(axis=1, ddof=1).tolist()
-    else:  # one run has variance 0 by convention; with none, every column is a hole
-        means, variances = block.sum(axis=1).tolist(), [0.0] * len(columns)
-        holes |= not ok
-    for j in np.flatnonzero(holes).tolist():
-        means[j], variances[j] = mean_and_variance(block[j])
-    return dict(zip(columns, means)), dict(zip(columns, variances)), len(ok), len(rows) - len(ok)
+    cell_of_run = np.asarray(cell_of_run, dtype=np.int64)
+    diverged = np.asarray(diverged, dtype=bool)
+    block = np.asarray(block, dtype=np.float64)
+    n_cells = int(cell_of_run.max()) + 1 if cell_of_run.size else 0
+    n_ok = np.bincount(cell_of_run[~diverged], minlength=n_cells)
+    n_diverged = np.bincount(cell_of_run[diverged], minlength=n_cells)
+    # the runs that did not diverge, cell by cell, each cell's in run order
+    ok_runs = np.flatnonzero(~diverged)
+    ok_runs = ok_runs[np.argsort(cell_of_run[ok_runs], kind="stable")]
+    first = np.cumsum(n_ok) - n_ok
+    means = np.full((n_cells, block.shape[1]), np.nan)  # no run: every column is a hole
+    variances = means.copy()
+    for n in np.unique(n_ok[n_ok > 0]).tolist():
+        cells = np.flatnonzero(n_ok == n)
+        # (cells, columns, runs), contiguous: each reduction is the pairwise sum of one
+        # 1-D column, so mean and var equal mean_and_variance's bit for bit
+        group = np.ascontiguousarray(
+            block[ok_runs[first[cells, None] + np.arange(n)]].transpose(0, 2, 1))
+        if n > 1:
+            mean, var = group.mean(axis=-1), group.var(axis=-1, ddof=1)
+        else:  # one run has variance 0 by convention
+            mean, var = group.sum(axis=-1), np.zeros(group.shape[:2])
+        for c, j in zip(*np.nonzero(np.isnan(group).any(axis=-1))):
+            mean[c, j], var[c, j] = mean_and_variance(group[c, j])
+        means[cells], variances[cells] = mean, var
+    return means, variances, n_ok, n_diverged
 
 
 def mean_and_variance(values) -> tuple[float, float]:
@@ -533,11 +555,7 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-    iterations = plan.iterations if grid.iterations is None else grid.iterations
-    if iterations < 1 or iterations > plan.iterations:
-        raise ConfigError(
-            f"grid iterations {iterations} out of range for plan with {plan.iterations}"
-        )
+    iterations = grid.iterations_for(plan)
     keys = list(grid.cells())
     groups: dict = {}
     for key in keys:
@@ -561,11 +579,14 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     cells = []
     for key in sorted(keys, key=lambda k: tuple(k.fields().values())):
         runs = tuple(results[(key, it)] for it in range(iterations))
-        rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
-        columns = dict.fromkeys(k for row in rows for k in row if k != "diverged")
-        means, variances, n_ok, n_div = cell_statistics(rows, columns)
+        rows = [run_scalars(run) for run in runs]
+        columns = tuple(dict.fromkeys(k for row in rows for k in row))
+        block = [[row.get(c) for c in columns] for row in rows]  # None reads as NaN
+        means, variances, n_ok, n_div = cell_statistics(
+            block, np.zeros(len(runs), np.int64), [run.diverged for run in runs])
         cells.append(
-            CellResult(key=key, runs=runs, means=means, variances=variances,
-                       n_success=n_ok, n_diverged=n_div)
+            CellResult(key=key, runs=runs, means=dict(zip(columns, means[0].tolist())),
+                       variances=dict(zip(columns, variances[0].tolist())),
+                       n_success=int(n_ok[0]), n_diverged=int(n_div[0]))
         )
     return GridResult(cells=tuple(cells), plan=plan)

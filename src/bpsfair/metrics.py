@@ -10,7 +10,6 @@ perfect parity between groups, 0 is maximal bias.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -307,16 +306,16 @@ def read_prediction_dump(path):
         raise not_utf8_error(path) from None
     if not text or not text.isascii() or any(c in text for c in _NOT_PLAIN):
         return _read_dump_rows(path)
-    header_line, _, body = text.partition("\n")
-    header = _dump_header(path, next(csv.reader([header_line])))
+    header = _dump_header(path, next(csv.reader([text.partition("\n")[0]])))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             # older numpy reads an int64 cell such as 0.7 through float(), with
             # only a DeprecationWarning, where int() rejects it
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(io.StringIO(body), dtype=_DUMP_DTYPE, delimiter=",",
-                               comments=None, usecols=header, ndmin=1)
+            # numpy reads a path in C chunks, where it iterates a file object line by line
+            table = np.loadtxt(path, dtype=_DUMP_DTYPE, delimiter=",", comments=None,
+                               skiprows=1, usecols=header, ndmin=1, encoding="utf-8")
     except (ValueError, DeprecationWarning):
         return _read_dump_rows(path)
     y_true, y_prob, group = (np.ascontiguousarray(table[c]) for c in PREDICTION_DUMP_COLUMNS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from datetime import datetime, timezone
@@ -40,6 +41,8 @@ __all__ = [
     "emit_results",
     "emit_plot_series",
     "comparison_cells",
+    "check_plot_measures",
+    "stored_fields",
     "emit_comparison_tables",
     "write_manifest",
     "literature_constants",
@@ -48,20 +51,39 @@ __all__ = [
 ]
 
 
-def fmt(value) -> str:
-    """Fixed formatting: 6 significant digits, empty for missing."""
-    if value is None:
-        return ""
+def _fmt_float(v) -> str:
+    return f"{v:.6g}" if v == v else ""
+
+
+def _fmt_other(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return f"{v:.6g}"
+    return _fmt_float(float(value))
+
+
+# fmt's rule for each exact type; subclasses and any other type take _fmt_other
+_FORMATTERS = {type(None): lambda v: "", str: str, bool: "01".__getitem__, int: str,
+               float: _fmt_float, np.float64: _fmt_float}
+
+
+def fmt(value) -> str:
+    """Fixed formatting: 6 significant digits, empty for missing."""
+    return _FORMATTERS.get(type(value), _fmt_other)(value)
+
+
+def _fmt_column(values) -> list:
+    """``fmt`` of every value of one column, with one formatter per value type."""
+    return [_FORMATTERS.get(type(v), _fmt_other)(v) for v in values]
+
+
+def _write_columns(path, header, columns):
+    """Write a CSV from its header and its columns of formatted cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(itertools.chain([header], zip(*columns)))
 
 
 def runs_table_from_grid(result: GridResult):
@@ -76,86 +98,127 @@ def runs_table_from_grid(result: GridResult):
     return rows
 
 
-def _max_terms(rows) -> int:
-    best = 0
-    for row in rows:
-        i = 0
-        while f"term{i}_loss" in row:
-            i += 1
-        best = max(best, i)
-    return best
+def _n_terms(names) -> int:
+    i = 0
+    while f"term{i}_loss" in names:
+        i += 1
+    return i
 
 
 def write_runs_csv(rows, path):
     """One row per training run, fixed documented column order."""
-    columns = RUN_FIELDS + scalar_columns(_max_terms(rows))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(row.get(c)) for c in columns])
+    columns = RUN_FIELDS + scalar_columns(max(map(_n_terms, rows), default=0))
+    _write_columns(path, columns, [_fmt_column([row.get(c) for row in rows]) for c in columns])
+
+
+_INT_FIELDS = frozenset({"power", "iteration", "seed", "best_epoch", "divergence_epoch"})
+
+
+def _parse_column(name, cells):
+    """(typed values, None), or (None, (row, message)) naming the first bad cell.
+
+    Blank cells read as None in the integer columns and as NaN in the
+    other numeric ones; a blank beta, power or alpha is an error.
+    """
+    if name in ("measures", "variant"):
+        return list(cells), None
+    if name == "diverged":
+        return [cell == "1" for cell in cells], None
+    kind = int if name in _INT_FIELDS else float
+    blank = None if kind is int else math.nan
+    try:  # one typed pass; a column with a bad cell takes the cell-by-cell pass below
+        if "" not in cells:
+            return list(map(kind, cells)), None
+        if name not in CELL_FIELDS:
+            return [kind(cell) if cell else blank for cell in cells], None
+    except ValueError:
+        pass
+    values = []
+    for row_no, cell in enumerate(cells):
+        if not cell and name in CELL_FIELDS:
+            return None, (row_no, f"column {name!r} is blank")
+        try:
+            values.append(kind(cell) if cell else blank)
+        except ValueError:
+            return None, (row_no, f"column {name!r} holds {cell!r}, not "
+                                  f"{'an integer' if kind is int else 'a number'}")
+    return values, None
+
+
+def stored_fields(fields: dict) -> dict:
+    """A cell's CELL_FIELDS values as runs.csv stores them and read_runs_csv reads them back.
+
+    beta and alpha keep ``fmt``'s 6 significant digits, so a selector
+    matched against them matches the cells ``report`` rebuilds.
+    """
+    return {name: float(fmt(v)) if name in ("beta", "alpha") else v for name, v in fields.items()}
 
 
 def read_runs_csv(path):
-    """Inverse of write_runs_csv; numeric fields parsed, blanks to NaN.
+    """Inverse of write_runs_csv: {column name: per-run values}, in header order.
 
-    A header without a CELL_FIELDS or ``diverged`` column raises DataError.
-    So does a row with more or fewer fields than the header, a blank beta,
-    power or alpha (cells are sorted by them) or a numeric cell that does
-    not parse, naming the row (counted from 0 after the header) and the
-    column.
+    Each column is parsed in one typed pass: measures and variant stay
+    strings, ``diverged`` is True for "1", and the other columns are
+    integers (blank reads as None) or floats (blank reads as NaN).  A
+    header without a CELL_FIELDS or ``diverged`` column raises DataError.
+    So does a row with more or fewer fields than the header, a blank
+    beta, power or alpha (cells are sorted by them) or a numeric cell
+    that does not parse, naming the first such row (counted from 0 after
+    the header, blank lines skipped) and, within it, the first column.
+    A name the header repeats takes its last column's values.
     """
-    int_fields = {"power", "iteration", "seed", "best_epoch", "divergence_epoch"}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or ()
-            records = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            records = [row for row in reader if row]
     except UnicodeDecodeError:
         raise not_utf8_error(path) from None
     missing = [c for c in CELL_FIELDS + ("diverged",) if c not in header]
     if missing:
         raise DataError(f"{path}: the header has no {missing} column(s)")
-    rows = []
-    for row_no, raw in enumerate(records):
-        if None in raw:
-            raise DataError(f"{path}: row {row_no}: more fields than the header", rows=[row_no])
-        if None in raw.values():
-            raise DataError(f"{path}: row {row_no}: fewer fields than the header", rows=[row_no])
-        row = {}
-        for key, val in raw.items():
-            if key in ("measures", "variant"):
-                row[key] = val
-            elif key == "diverged":
-                row[key] = val == "1"
-            elif val == "" and key in CELL_FIELDS:
-                raise DataError(f"{path}: row {row_no}: column {key!r} is blank", rows=[row_no])
-            elif val == "":
-                row[key] = None if key in int_fields else float("nan")
-            else:
-                kind = int if key in int_fields else float
-                try:
-                    row[key] = kind(val)
-                except ValueError:
-                    raise DataError(f"{path}: row {row_no}: column {key!r} holds {val!r}, not "
-                                    f"{'an integer' if kind is int else 'a number'}",
-                                    rows=[row_no]) from None
-        rows.append(row)
-    return rows
+    width = len(header)
+    n_good = next((r for r, row in enumerate(records) if len(row) != width), len(records))
+    raw_columns = list(zip(*records[:n_good])) or [()] * width
+    position = {name: i for i, name in enumerate(header)}  # first-seen order, last column
+    columns, failures = {}, []
+    for name, i in position.items():
+        columns[name], failure = _parse_column(name, raw_columns[i])
+        if failure:
+            failures.append(failure)
+    if failures:
+        row_no, message = min(failures, key=lambda failure: failure[0])
+        raise DataError(f"{path}: row {row_no}: {message}", rows=[row_no])
+    if n_good < len(records):
+        which = "more" if len(records[n_good]) > width else "fewer"
+        raise DataError(f"{path}: row {n_good}: {which} fields than the header", rows=[n_good])
+    return columns
 
 
-def cells_from_runs(rows):
-    """Group runs by cell, in CELL_FIELDS order, with means and unbiased variances."""
+def cells_from_runs(runs):
+    """Group runs by cell, in CELL_FIELDS order, with means and unbiased variances.
+
+    ``runs`` maps column names to per-run values, as read_runs_csv
+    returns them; a scalar column it lacks reads as NaN.
+    """
     groups: dict = {}
-    for row in rows:
-        groups.setdefault(tuple(row[f] for f in CELL_FIELDS), []).append(row)
-    columns = scalar_columns(_max_terms(rows))
+    for run, key in enumerate(zip(*(runs[f] for f in CELL_FIELDS))):
+        groups.setdefault(key, []).append(run)
+    keys = sorted(groups)
+    cell_of_run = np.empty(len(runs["diverged"]), dtype=np.int64)
+    for cell, key in enumerate(keys):
+        cell_of_run[groups[key]] = cell
+    columns = scalar_columns(_n_terms(runs))
+    missing = [None] * cell_of_run.size
+    block = np.array([runs.get(c, missing) for c in columns], dtype=np.float64).T
+    means, variances, n_ok, n_diverged = cell_statistics(block, cell_of_run, runs["diverged"])
+    names = [name for c in columns for name in (f"mean_{c}", f"var_{c}")]
+    stats = np.stack([means, variances], axis=-1).reshape(len(keys), len(names))
     cells = []
-    for key in sorted(groups):
-        means, variances, n_ok, n_diverged = cell_statistics(groups[key], columns)
-        cell = dict(zip(CELL_FIELDS, key), n_runs=n_ok, n_diverged=n_diverged)
-        for col in columns:
-            cell[f"mean_{col}"], cell[f"var_{col}"] = means[col], variances[col]
+    for key, n_runs, n_div, values in zip(keys, n_ok.tolist(), n_diverged.tolist(),
+                                          stats.tolist()):
+        cell = dict(zip(CELL_FIELDS, key), n_runs=n_runs, n_diverged=n_div)
+        cell.update(zip(names, values))
         cells.append(cell)
     return cells
 
@@ -165,15 +228,11 @@ def write_cells_csv(cells, path):
         raise ConfigError("no cells to write")
     stat_cols = [c for c in cells[0] if c not in CELL_FIELDS + ("n_runs", "n_diverged")]
     columns = [*CELL_FIELDS, "n_runs", "n_diverged", *stat_cols]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for cell in cells:
-            writer.writerow([fmt(cell.get(c)) for c in columns])
+    _write_columns(path, columns, [_fmt_column([cell.get(c) for cell in cells]) for c in columns])
 
 
 def emit_results(result: GridResult, out_dir):
-    """Write runs.csv and cells.csv; returns the stored run rows.
+    """Write runs.csv and cells.csv; returns the cells written.
 
     cells.csv is aggregated from the re-read runs.csv, so stored results
     are the single source of truth and `report` rebuilds every derived
@@ -185,9 +244,9 @@ def emit_results(result: GridResult, out_dir):
     if not rows:
         raise ConfigError("no run results to emit")
     write_runs_csv(rows, out / "runs.csv")
-    stored = read_runs_csv(out / "runs.csv")
-    write_cells_csv(cells_from_runs(stored), out / "cells.csv")
-    return stored
+    cells = cells_from_runs(read_runs_csv(out / "runs.csv"))
+    write_cells_csv(cells, out / "cells.csv")
+    return cells
 
 
 def _series_name(measures: str, variant: str, beta, power) -> str:
@@ -212,7 +271,7 @@ def emit_plot_series(cells, out_dir, measures=None):
             (cell["measures"], cell["variant"], cell["beta"], cell["power"]), []
         ).append(cell)
 
-    bps_cols = [f"mean_{c}" for c in scalar_columns(0) if c.startswith("bps_")]
+    bps_cols = [c for c in scalar_columns(0) if c.startswith("bps_")]
     written = []
     for (meas, variant, beta, power), cell_list in sorted(series.items()):
         if measures is not None and meas not in measures:
@@ -222,26 +281,16 @@ def emit_plot_series(cells, out_dir, measures=None):
             c[len("mean_"):] for c in cell_list[0]
             if c.startswith("mean_term") and c.endswith("_loss")
         )
-        header = (
-            ["alpha"]
-            + [c[5:] for c in bps_cols]
-            + ["accuracy_x100", "bce_x100"]
-            + [f"{t}_x100" for t in term_cols]
-            + [f"var_{c[5:]}" for c in bps_cols]
-            + ["var_accuracy", "var_bce"]
-        )
+        scaled = ["accuracy", "bce", *term_cols]
+        header = (["alpha", *bps_cols, *(f"{c}_x100" for c in scaled)]
+                  + [f"var_{c}" for c in (*bps_cols, "accuracy", "bce")])
+        columns = ([[cell["alpha"] for cell in cell_list]]
+                   + [[cell[f"mean_{c}"] for cell in cell_list] for c in bps_cols]
+                   + [[100.0 * cell[f"mean_{c}"] for cell in cell_list] for c in scaled]
+                   + [[cell[f"var_{c}"] for cell in cell_list]
+                      for c in (*bps_cols, "accuracy", "bce")])
         path = out / _series_name(meas, variant, beta, power)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for cell in cell_list:
-                row = [fmt(cell["alpha"])]
-                row += [fmt(cell[c]) for c in bps_cols]
-                row += [fmt(100.0 * cell["mean_accuracy"]), fmt(100.0 * cell["mean_bce"])]
-                row += [fmt(100.0 * cell[f"mean_{t}"]) for t in term_cols]
-                row += [fmt(cell[f"var_{c[5:]}"]) for c in bps_cols]
-                row += [fmt(cell["var_accuracy"]), fmt(cell["var_bce"])]
-                writer.writerow(row)
+        _write_columns(path, header, map(_fmt_column, columns))
         written.append(path)
     return written
 
@@ -269,6 +318,20 @@ def comparison_cells(cells, table_rows):
         raise ConfigError("comparison tables need an alpha=0 baseline cell")
     return baselines[0], [(label, select_cell(cells, selector))
                           for label, selector in table_rows.items()]
+
+
+def check_plot_measures(cells, measures):
+    """Refuse plot measure sets that no cell's ``measures`` names.
+
+    ``measures`` of None plots every measure set.
+    """
+    if measures is None:
+        return
+    known = list(dict.fromkeys(cell["measures"] for cell in cells))
+    unknown = [m for m in measures if m not in known]
+    if unknown:
+        raise ConfigError(f"report.plot_measures {unknown} name no measure set of the cells; "
+                          f"they have {known}")
 
 
 def emit_comparison_tables(tables, out_dir):

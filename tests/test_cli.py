@@ -176,6 +176,58 @@ class TestGrid:
         assert main(["synth", "--config", str(workspace / "cfg.yaml"),
                      "--out", str(workspace / "again.csv")]) == 0
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"report": {"tables": [{"label": "x", "alpha": 0.7}]}}, "matched 0 cells"),
+        ({"report": {"tables": [{"label": "x", "measures": "FNR"}]}}, "matched 2 cells"),
+        ({"report": {"tables": [{"label": "x", "alpha": 0.3}]},
+          "grid": {"measures": [["FNR"]], "powers": [1], "alphas": [0.3, 0.5]}},
+         "comparison tables need an alpha=0 baseline cell"),
+        ({"report": {"plot_measures": ["FPR"]}},
+         "report.plot_measures ['FPR'] name no measure set of the cells"),
+    ])
+    def test_unwritable_report_refused_before_training(self, workspace, capsys, monkeypatch,
+                                                       overrides, message):
+        # the grid used to train every model and write runs.csv before it refused these
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_grid was entered")
+
+        monkeypatch.setattr(cli, "run_grid", refuse)
+        cfg, out = write_config(workspace / "bad.yaml", **overrides), workspace / "g"
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+        assert not out.exists()
+
+    def test_out_that_cannot_be_created_refused_before_training(self, workspace, capsys,
+                                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_grid was entered")
+
+        monkeypatch.setattr(cli, "run_grid", refuse)
+        out = workspace / "taken"
+        out.write_text("a file, not a directory")
+        assert main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --out {out}: cannot create the results directory")
+
+    def test_selector_matches_alpha_as_runs_csv_stores_it(self, workspace, capsys):
+        # runs.csv keeps 6 significant digits: alpha 0.3333333 is stored, and reported, as 0.333333
+        grid = {"measures": [["FNR"]], "variants": ["continuous"], "powers": [1],
+                "alphas": [0.0, 0.3333333]}
+        refused = write_config(workspace / "full.yaml", grid=grid,
+                               report={"tables": [{"label": "x", "alpha": 0.3333333}]})
+        out = workspace / "refused"
+        assert main(["grid", "--config", str(refused), "--out", str(out)]) == 2
+        assert "matched 0 cells" in capsys.readouterr().err
+        assert not out.exists()
+        accepted = write_config(workspace / "stored.yaml", grid=grid,
+                                report={"tables": [{"label": "x", "alpha": 0.333333}]})
+        out = workspace / "accepted"
+        assert main(["grid", "--config", str(accepted), "--out", str(out)]) == 0
+        assert "0.333333" in (out / "cells.csv").read_text()
+        assert (out / "prule_table.csv").exists()
+        assert main(["report", "--out", str(out), "--config", str(accepted)]) == 0
+
 
 class TestReportCommand:
     def test_rebuilds_byte_identical(self, workspace):

@@ -208,9 +208,14 @@ class TestEvaluate:
 
 
 def aggregate(runs):
-    """cell_statistics over the runs' rows, as run_grid builds them."""
-    rows = [{"diverged": run.diverged, **run_scalars(run)} for run in runs]
-    return cell_statistics(rows, dict.fromkeys(k for row in rows for k in row if k != "diverged"))
+    """cell_statistics over one cell's runs, as run_grid calls it; stats keyed by column."""
+    rows = [run_scalars(run) for run in runs]
+    columns = tuple(dict.fromkeys(k for row in rows for k in row))
+    means, variances, n_ok, n_div = cell_statistics(
+        [[row.get(c) for c in columns] for row in rows], [0] * len(runs),
+        [run.diverged for run in runs])
+    return (dict(zip(columns, means[0].tolist())), dict(zip(columns, variances[0].tolist())),
+            int(n_ok[0]), int(n_div[0]))
 
 
 class TestAggregate:
@@ -263,14 +268,19 @@ class TestAggregate:
                 # a None value is a missing column
                 row.update((c, v) for c, v in zip(columns, values) if v is not None)
                 rows.append(row)
-        means, variances, n_ok, n_div = cell_statistics(rows, columns)
+        block = np.array([[row.get(c) for c in columns] for row in rows],
+                         dtype=np.float64).reshape(len(rows), len(columns))
+        means, variances, n_ok, n_div = cell_statistics(
+            block, [0] * len(rows), [row["diverged"] for row in rows])
+        if not rows:  # cells are numbered by their runs: no run, no cell
+            assert means.shape == variances.shape == (0, 3) and n_ok.size == n_div.size == 0
+            return
         ok = [row for row in rows if not row["diverged"]]
-        assert (n_ok, n_div) == (len(ok), len(rows) - len(ok))
-        for col in columns:
+        assert (n_ok.tolist(), n_div.tolist()) == ([len(ok)], [len(rows) - len(ok)])
+        for j, col in enumerate(columns):
             want = mean_and_variance([row.get(col) for row in ok])
-            got = (means[col], variances[col])
+            got = (means[0, j], variances[0, j])
             assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert all(type(v) is float for v in got)
 
     def test_all_diverged_flagged(self):
         means, variances, n_ok, n_div = aggregate([self.run_with(0.1, diverged=True)])
@@ -511,6 +521,9 @@ class TestLockstepGrid:
                     assert_same_run(run, solo)
         assert 0 < n_diverged < sum(len(c.runs) for c in result.cells)
         assert all(c.n_success == 2 for c in result.cells if c.key.alpha < 1.0)
+        # the statistics come from arrays, but a CellResult holds Python floats
+        assert all(type(v) is float for c in result.cells
+                   for stats in (c.means, c.variances) for v in stats.values())
 
 
 class TestAdultFormatPipeline:
@@ -613,7 +626,7 @@ class TestCellSchema:
         assert [(beta, alpha) for _, _, beta, _, alpha in order] == [
             (2.0, 0.0), (2.0, 0.1), (10.0, 0.0), (10.0, 0.1)]
         runs = read_runs_csv(tmp_path / "runs.csv")
-        assert list(dict.fromkeys(tuple(r[f] for f in CELL_FIELDS) for r in runs)) == order
+        assert list(dict.fromkeys(zip(*(runs[f] for f in CELL_FIELDS)))) == order
         with open(tmp_path / "cells.csv", newline="") as fh:
             cells = [tuple(row[f] for f in CELL_FIELDS) for row in csv.DictReader(fh)]
         assert cells == [tuple(fmt(v) for v in fields) for fields in order]

@@ -2,14 +2,27 @@
 
 import csv
 import json
+import math
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpsfair.data import SplitPlan, synthesize_biased
-from bpsfair.engine import GridSpec, TrainConfig, run_grid
-from bpsfair.errors import ConfigError
+from bpsfair.data import SplitPlan, not_utf8_error, synthesize_biased
+from bpsfair.engine import (
+    CELL_FIELDS,
+    RUN_FIELDS,
+    GridSpec,
+    TrainConfig,
+    mean_and_variance,
+    run_grid,
+    scalar_columns,
+)
+from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import SoftVariant
 from bpsfair.metrics import bps_binary
 from bpsfair.network import NetworkConfig
@@ -60,26 +73,39 @@ class TestFmt:
         assert fmt(7) == "7"
         assert fmt("FPR") == "FPR"
 
+    def test_every_type_formats_as_the_isinstance_rules(self):
+        class Label(str):
+            pass
+
+        class Count(int):
+            pass
+
+        values = [None, "", "x", Label("y"), True, False, np.bool_(True), 0, -7, Count(5),
+                  10 ** 30, np.int64(-3), np.int32(4), np.uint8(200), 0.0, -0.0, 1e-310,
+                  123456.5, math.inf, -math.inf, math.nan, np.float64(-0.0), np.float64(2.5e-7),
+                  np.float32(0.1), np.float32(math.nan), np.float16(3.0)]
+        assert [fmt(v) for v in values] == [oracle_fmt(v) for v in values]
+
 
 class TestRunsCsv:
     def test_row_count_and_header(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
+        cells = emit_results(grid_result, tmp_path)
         with open(tmp_path / "runs.csv") as fh:
             lines = fh.read().strip().split("\n")
         assert len(lines) == 1 + 4  # header + 2 cells x 2 iterations
         header = lines[0].split(",")
         assert header[: len(RUNS_HEADER_PREFIX)] == RUNS_HEADER_PREFIX
-        assert len(rows) == 4
+        assert [c["n_runs"] for c in cells] == [2, 2]
 
     def test_round_trip_preserves_values(self, grid_result, tmp_path):
         rows = runs_table_from_grid(grid_result)
         write_runs_csv(rows, tmp_path / "runs.csv")
         back = read_runs_csv(tmp_path / "runs.csv")
-        assert len(back) == len(rows)
-        for orig, parsed in zip(rows, back):
-            assert parsed["measures"] == orig["measures"]
-            assert parsed["alpha"] == orig["alpha"]
-            assert parsed["accuracy"] == pytest.approx(orig["accuracy"], rel=1e-5)
+        assert all(len(column) == len(rows) for column in back.values())
+        for r, orig in enumerate(rows):
+            assert back["measures"][r] == orig["measures"]
+            assert back["alpha"][r] == orig["alpha"]
+            assert back["accuracy"][r] == pytest.approx(orig["accuracy"], rel=1e-5)
 
     def test_emission_is_byte_stable(self, grid_result, tmp_path):
         emit_results(grid_result, tmp_path / "a")
@@ -94,9 +120,10 @@ class TestCellsCsv:
         stored = read_runs_csv(tmp_path / "runs.csv")
         with open(tmp_path / "cells.csv") as fh:
             cells = list(csv.DictReader(fh))
+        runs = [dict(zip(stored, values)) for values in zip(*stored.values())]
         for cell in cells:
             members = [
-                r for r in stored
+                r for r in runs
                 if r["measures"] == cell["measures"] and r["alpha"] == float(cell["alpha"])
                 and r["power"] == int(cell["power"])
             ]
@@ -119,8 +146,7 @@ class TestCellsCsv:
 
 class TestPlotSeries:
     def test_alpha_ascending_and_scaling(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = cells_from_runs(rows)
+        cells = emit_results(grid_result, tmp_path)
         paths = emit_plot_series(cells, tmp_path)
         assert len(paths) == 1
         with open(paths[0]) as fh:
@@ -158,8 +184,7 @@ class TestPlotSeries:
 
 class TestComparisonTables:
     def test_tables_include_literature_and_run_rows(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = cells_from_runs(rows)
+        cells = emit_results(grid_result, tmp_path)
         tables = comparison_cells(cells, {"Architecture 1": {"alpha": 0.5}})
         emit_comparison_tables(tables, tmp_path)
         with open(tmp_path / "prule_table.csv") as fh:
@@ -172,8 +197,7 @@ class TestComparisonTables:
         assert len(lit_rows) == len(literature_constants()["prule"])
 
     def test_bps_column_consistent_with_group_values(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = cells_from_runs(rows)
+        cells = emit_results(grid_result, tmp_path)
         emit_comparison_tables(comparison_cells(cells, {"Arch": {"alpha": 0.5}}), tmp_path)
         with open(tmp_path / "error_rate_table.csv") as fh:
             table = list(csv.DictReader(fh))
@@ -184,8 +208,7 @@ class TestComparisonTables:
             assert abs(recomputed - float(row["bps"])) < 0.1
 
     def test_without_column_comes_from_baseline_cell(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = cells_from_runs(rows)
+        cells = emit_results(grid_result, tmp_path)
         baseline = next(c for c in cells if c["alpha"] == 0.0)
         emit_comparison_tables(comparison_cells(cells, {"Arch": {"alpha": 0.5}}), tmp_path)
         with open(tmp_path / "error_rate_table.csv") as fh:
@@ -196,27 +219,25 @@ class TestComparisonTables:
         )
 
     def test_baseline_and_same_seeds_required(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = [c for c in cells_from_runs(rows) if c["alpha"] != 0.0]
+        cells = [c for c in emit_results(grid_result, tmp_path) if c["alpha"] != 0.0]
         with pytest.raises(ConfigError):
             comparison_cells(cells, {"Arch": {"alpha": 0.5}})
         # both cells trained from the same per-iteration seeds
         stored = read_runs_csv(tmp_path / "runs.csv")
         seeds = {}
-        for r in stored:
-            seeds.setdefault(r["alpha"], set()).add(r["seed"])
+        for alpha, seed in zip(stored["alpha"], stored["seed"]):
+            seeds.setdefault(alpha, set()).add(seed)
         assert seeds[0.0] == seeds[0.5]
 
     @pytest.mark.parametrize("selector", [{"measures_label": "STP", "alpha": 0.5}, {"alpha": 0.7}],
                              ids=["unknown-field", "no-match"])
     def test_selector_errors(self, grid_result, tmp_path, selector):
-        rows = emit_results(grid_result, tmp_path)
+        cells = emit_results(grid_result, tmp_path)
         with pytest.raises(ConfigError):
-            comparison_cells(cells_from_runs(rows), {"Arch": selector})
+            comparison_cells(cells, {"Arch": selector})
 
     def test_ambiguous_selector_rejected(self, grid_result, tmp_path):
-        rows = emit_results(grid_result, tmp_path)
-        cells = cells_from_runs(rows)
+        cells = emit_results(grid_result, tmp_path)
         with pytest.raises(ConfigError):
             comparison_cells(cells, {"Arch": {"measures": "STP"}})
 
@@ -234,3 +255,271 @@ class TestManifest:
         assert len(manifest["dataset_digest"]) == 64
         assert manifest["tool_version"] == "0.1.0"
         assert manifest["grid_spec"] == {"alphas": [0.0]}
+
+
+# The row-at-a-time report path that the column-at-a-time one replaced: the
+# oracle of TestColumnarMatchesRowByRow.
+def oracle_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if math.isnan(v):
+        return ""
+    return f"{v:.6g}"
+
+
+def oracle_max_terms(rows) -> int:
+    best = 0
+    for row in rows:
+        i = 0
+        while f"term{i}_loss" in row:
+            i += 1
+        best = max(best, i)
+    return best
+
+
+def oracle_write_runs_csv(rows, path):
+    columns = RUN_FIELDS + scalar_columns(oracle_max_terms(rows))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([oracle_fmt(row.get(c)) for c in columns])
+
+
+def oracle_read_runs_csv(path):
+    int_fields = {"power", "iteration", "seed", "best_epoch", "divergence_epoch"}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()
+            records = list(reader)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
+    missing = [c for c in CELL_FIELDS + ("diverged",) if c not in header]
+    if missing:
+        raise DataError(f"{path}: the header has no {missing} column(s)")
+    rows = []
+    for row_no, raw in enumerate(records):
+        if None in raw:
+            raise DataError(f"{path}: row {row_no}: more fields than the header", rows=[row_no])
+        if None in raw.values():
+            raise DataError(f"{path}: row {row_no}: fewer fields than the header", rows=[row_no])
+        row = {}
+        for key, val in raw.items():
+            if key in ("measures", "variant"):
+                row[key] = val
+            elif key == "diverged":
+                row[key] = val == "1"
+            elif val == "" and key in CELL_FIELDS:
+                raise DataError(f"{path}: row {row_no}: column {key!r} is blank", rows=[row_no])
+            elif val == "":
+                row[key] = None if key in int_fields else float("nan")
+            else:
+                kind = int if key in int_fields else float
+                try:
+                    row[key] = kind(val)
+                except ValueError:
+                    raise DataError(f"{path}: row {row_no}: column {key!r} holds {val!r}, not "
+                                    f"{'an integer' if kind is int else 'a number'}",
+                                    rows=[row_no]) from None
+        rows.append(row)
+    return rows
+
+
+def oracle_cell_statistics(rows, columns):
+    ok = [row for row in rows if not row["diverged"]]
+    columns = tuple(columns)
+    block = np.array([list(map(row.get, columns)) for row in ok], dtype=np.float64)
+    block = np.ascontiguousarray(block.reshape(len(ok), len(columns)).T)
+    holes = np.isnan(block).any(axis=1)
+    if len(ok) > 1:
+        means, variances = block.mean(axis=1).tolist(), block.var(axis=1, ddof=1).tolist()
+    else:
+        means, variances = block.sum(axis=1).tolist(), [0.0] * len(columns)
+        holes |= not ok
+    for j in np.flatnonzero(holes).tolist():
+        means[j], variances[j] = mean_and_variance(block[j])
+    return dict(zip(columns, means)), dict(zip(columns, variances)), len(ok), len(rows) - len(ok)
+
+
+def oracle_cells_from_runs(rows):
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(tuple(row[f] for f in CELL_FIELDS), []).append(row)
+    columns = scalar_columns(oracle_max_terms(rows))
+    cells = []
+    for key in sorted(groups):
+        means, variances, n_ok, n_diverged = oracle_cell_statistics(groups[key], columns)
+        cell = dict(zip(CELL_FIELDS, key), n_runs=n_ok, n_diverged=n_diverged)
+        for col in columns:
+            cell[f"mean_{col}"], cell[f"var_{col}"] = means[col], variances[col]
+        cells.append(cell)
+    return cells
+
+
+def oracle_write_cells_csv(cells, path):
+    stat_cols = [c for c in cells[0] if c not in CELL_FIELDS + ("n_runs", "n_diverged")]
+    columns = [*CELL_FIELDS, "n_runs", "n_diverged", *stat_cols]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for cell in cells:
+            writer.writerow([oracle_fmt(cell.get(c)) for c in columns])
+
+
+def oracle_emit_plot_series(cells, out):
+    series: dict = {}
+    for cell in cells:
+        series.setdefault(
+            (cell["measures"], cell["variant"], cell["beta"], cell["power"]), []
+        ).append(cell)
+    bps_cols = [f"mean_{c}" for c in scalar_columns(0) if c.startswith("bps_")]
+    for (meas, variant, beta, power), cell_list in sorted(series.items()):
+        cell_list.sort(key=lambda c: c["alpha"])
+        term_cols = sorted(c[len("mean_"):] for c in cell_list[0]
+                           if c.startswith("mean_term") and c.endswith("_loss"))
+        header = (["alpha"] + [c[5:] for c in bps_cols] + ["accuracy_x100", "bce_x100"]
+                  + [f"{t}_x100" for t in term_cols] + [f"var_{c[5:]}" for c in bps_cols]
+                  + ["var_accuracy", "var_bce"])
+        tag = variant if variant != "sigmoided" or beta in (None, 1.0) else f"{variant}-b{beta:g}"
+        name = f"series_{meas.replace('*', 'x')}_{tag}_k{power}.csv"
+        with open(Path(out) / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for cell in cell_list:
+                row = [oracle_fmt(cell["alpha"])]
+                row += [oracle_fmt(cell[c]) for c in bps_cols]
+                row += [oracle_fmt(100.0 * cell["mean_accuracy"]),
+                        oracle_fmt(100.0 * cell["mean_bce"])]
+                row += [oracle_fmt(100.0 * cell[f"mean_{t}"]) for t in term_cols]
+                row += [oracle_fmt(cell[f"var_{c[5:]}"]) for c in bps_cols]
+                row += [oracle_fmt(cell["var_accuracy"]), oracle_fmt(cell["var_bce"])]
+                writer.writerow(row)
+
+
+def bits(value):
+    """A value with each float replaced by its IEEE bytes, so -0.0 and NaN payloads count."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return struct.pack("<d", value) if type(value) is float else value
+
+
+def outcome(read, path):
+    """What a runs.csv reader makes of ``path``: its rows, or its DataError."""
+    try:
+        rows = read(path)
+    except DataError as exc:
+        return "DataError", str(exc), exc.rows
+    if isinstance(rows, dict):  # the column table, as rows
+        rows = [dict(zip(rows, values)) for values in zip(*rows.values())]
+    return "rows", bits(rows)
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1234565, 123456.5]
+
+
+@st.composite
+def run_rows(draw):
+    """Rows as runs_table_from_grid gives them, over a few cells of 1-8 iterations.
+
+    A fifth of the runs diverged (blank scalars); a fifth of the scalars are
+    special values, and some are numpy floats rather than Python ones.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        columns = scalar_columns(int(rng.integers(0, 4)))
+        fields = {
+            "measures": str(rng.choice(["FPR", "FNR", "FPR+FNR", "STPx2+FPR", "ACC"])),
+            "variant": str(rng.choice(["continuous", "sigmoided"])),
+            "beta": float(rng.choice([1.0, 2.0, 10.0, 0.5])),
+            "power": int(rng.integers(1, 5)),
+            "alpha": float(rng.choice([0.0, 0.1, 0.25, 1.0, 2.5, -0.0])),
+        }
+        for iteration in range(int(rng.integers(1, 9))):
+            row = {**fields, "iteration": iteration, "seed": 7 + iteration}
+            if rng.random() < 0.2:
+                row.update(diverged=True, divergence_epoch=int(rng.integers(1, 31)))
+            else:
+                values = rng.uniform(-2.0, 2.0, len(columns)) * 10.0 ** rng.integers(-8, 8)
+                special = rng.random(len(columns)) < 0.2
+                values[special] = rng.choice(SPECIAL, special.sum())
+                row.update(diverged=False, divergence_epoch=None)
+                row.update(zip(columns, values.tolist() if rng.random() < 0.5 else values))
+                row["best_epoch"] = float(rng.integers(1, 31))
+            rows.append(row)
+    return rows
+
+
+@st.composite
+def malformed(draw, text):
+    """``text`` with 1-3 edits of its data rows: an extra or a missing field, a blank
+    cell field, an unparsable number or a blank line, each at a random position."""
+    lines = text.split("\r\n")
+    header = lines[0].split(",")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if i and line]))
+        cells = lines[i].split(",")
+        action = draw(st.sampled_from(["extra", "missing", "blank", "number", "line"]))
+        if action == "line":
+            lines.insert(i, "")
+        elif action == "extra":
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(["", "1", "x"])))
+        elif action == "missing":
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        elif action == "blank":
+            j = header.index(draw(st.sampled_from(CELL_FIELDS)))
+            cells[min(j, len(cells) - 1)] = ""
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(
+                st.sampled_from(["abc", "1.5", "1e", " ", "0x1", "--1", "1_0", "nan"]))
+        if action != "line":
+            lines[i] = ",".join(cells)
+    return "\r\n".join(lines)
+
+
+class TestColumnarMatchesRowByRow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, inf * inf
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(rows=run_rows(), data=st.data())
+    def test_same_bytes_and_errors_as_the_row_path(self, rows, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new"), Path(tmp, "old")
+            new.mkdir()
+            old.mkdir()
+            write_runs_csv(rows, new / "runs.csv")
+            oracle_write_runs_csv(rows, old / "runs.csv")
+            assert (new / "runs.csv").read_bytes() == (old / "runs.csv").read_bytes()
+
+            cells = cells_from_runs(read_runs_csv(new / "runs.csv"))
+            expected = oracle_cells_from_runs(oracle_read_runs_csv(old / "runs.csv"))
+            assert bits(cells) == bits(expected)  # every mean and variance bit
+            write_cells_csv(cells, new / "cells.csv")
+            oracle_write_cells_csv(expected, old / "cells.csv")
+            emit_plot_series(cells, new)
+            oracle_emit_plot_series(expected, old)
+            written = sorted(path.name for path in new.iterdir())
+            assert written == sorted(path.name for path in old.iterdir())
+            for name in written:
+                assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+            bad = Path(tmp, "bad.csv")
+            text = (old / "runs.csv").read_bytes().decode("utf-8")
+            bad.write_bytes(data.draw(malformed(text)).encode("utf-8"))
+            assert outcome(read_runs_csv, bad) == outcome(oracle_read_runs_csv, bad)
+
+    def test_repeated_header_name_takes_its_last_column(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        header = ",".join(RUN_FIELDS + ("accuracy", "accuracy"))
+        path.write_text(f"{header}\nFPR,continuous,1,1,0,0,7,0,,abc,0.5\n", encoding="utf-8")
+        assert outcome(read_runs_csv, path) == outcome(oracle_read_runs_csv, path)
+        assert read_runs_csv(path)["accuracy"] == [0.5]
