@@ -8,8 +8,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .data import (
@@ -120,11 +118,10 @@ def _write_report_csv(report: BpsReport, path, accuracy=None):
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     table, data_path = _load_table(cfg, args.dataset)
-    seed = args.seed if args.seed is not None else cfg.training["seed"]
     split = mc_splits(table.n_rows, cfg.plan)[0]
     encoder = fit_encoder(table, rows=split[0])
     dataset = apply_encoder(table, encoder)
-    train_config = cfg.train_config(dataset.X.shape[1], seed_override=seed)
+    train_config = cfg.train_config(dataset.X.shape[1], seed_override=args.seed)
 
     state, result = train_model(dataset, split, train_config)
     out = Path(args.out)
@@ -169,8 +166,7 @@ def cmd_grid(args) -> int:
     if cfg.table_rows:
         comparison_cells(planned, cfg.table_rows)
     table, data_path = _load_table(cfg, args.dataset)
-    seed = args.seed if args.seed is not None else cfg.training["seed"]
-    base_config = cfg.train_config(1, seed_override=seed)  # input_dim resolved per split
+    base_config = cfg.train_config(1, seed_override=args.seed)  # input_dim resolved per split
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +214,7 @@ def cmd_evaluate(args) -> int:
                               "artifact written by `bpsfair train`") from None
         table = load_csv(args.dataset, schema)
         dataset = apply_encoder(table, encoder)
-        frag = evaluate_state(state, dataset, np.arange(dataset.n_rows))
+        frag = evaluate_state(state, dataset)
         report, accuracy = frag.report, frag.accuracy
     _print_report(report, accuracy)
     if args.out:

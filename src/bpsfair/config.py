@@ -3,8 +3,10 @@
 Sections: ``dataset`` (preset or explicit schema plus file path),
 ``network``, ``training``, ``loss`` (terms for single runs), ``grid``
 (axes for grid searches), ``split``, ``synth`` (generator parameters),
-and ``report`` (comparison-table row selectors).  A complete example
-lives in ``configs/`` at the repository root.
+and ``report`` (comparison-table row selectors).  A section refuses a
+key it does not name, and a key it leaves out takes the default of the
+dataclass the section builds.  A complete example lives in ``configs/``
+at the repository root.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .data import DatasetSchema, SplitPlan, adult_preset, not_utf8_error, synthetic_preset
-from .engine import DEFAULT_ALPHAS, GridSpec, TrainConfig
+from .engine import GridSpec, TrainConfig
 from .errors import ConfigError
 from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
 from .network import NetworkConfig
@@ -25,11 +27,15 @@ __all__ = ["RunConfig", "load_config"]
 
 @dataclass
 class RunConfig:
-    """Parsed experiment description."""
+    """Parsed experiment description.
+
+    ``network`` and ``training`` hold the NetworkConfig and TrainConfig
+    arguments the config gives; the dataclasses hold the defaults.
+    """
 
     dataset_path: Path | None
     schema: DatasetSchema | None
-    network: dict  # architecture fields; input_dim resolved after encoding
+    network: dict  # input_dim resolved after encoding
     training: dict
     terms: tuple
     denominator_mode: DenominatorMode
@@ -67,8 +73,11 @@ def _typed(kind, value, key):
     An integer field takes no fractional, infinite or NaN number, which int()
     would truncate or reject with an OverflowError.  A bool, str or list
     field takes only a YAML boolean, string or list: bool() would read the
-    string "false" as True, and str() or list() would take any value.
+    string "false" as True, and str() or list() would take any value.  A
+    kind ``[k]`` takes a list of ``k`` values.
     """
+    if isinstance(kind, list):
+        return [_typed(kind[0], item, key) for item in _typed(list, value, key)]
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -77,6 +86,20 @@ def _typed(kind, value, key):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+
+
+def _fields(block: dict, section: str, kinds: dict) -> dict:
+    """``block``'s values, each typed by ``_typed`` as ``kinds`` names it.
+
+    A key ``kinds`` does not name raises ConfigError; a key of kind None is
+    taken as written and checked by the caller.  A key the block leaves out
+    stays out, so the dataclass the section builds supplies its default.
+    """
+    unknown = sorted(set(block) - set(kinds), key=str)
+    if unknown:
+        raise ConfigError(f"unknown [{section}] fields {unknown}")
+    return {key: value if kinds[key] is None else _typed(kinds[key], value, f"{section}.{key}")
+            for key, value in block.items()}
 
 
 def _require_mapping(doc, section, optional=False):
@@ -99,42 +122,50 @@ def _parse_schema(block) -> DatasetSchema:
         raise ConfigError(f"malformed dataset schema ({type(exc).__name__}: {exc})") from None
 
 
+_DATASET_FIELDS = {"path": str, "preset": None, "feature_dim": int, "schema": None}
+
+
 def _parse_dataset(block):
     if block is None:
         return None, None
-    path = Path(_typed(str, block["path"], "dataset.path")) if "path" in block else None
-    preset = block.get("preset")
+    fields = _fields(block, "dataset", _DATASET_FIELDS)
+    path = Path(fields["path"]) if "path" in fields else None
+    preset = fields.get("preset")
     if preset == "adult":
         schema = adult_preset()
     elif preset == "synthetic":
-        schema = synthetic_preset(_typed(int, block.get("feature_dim", 6), "dataset.feature_dim"))
+        schema = synthetic_preset(fields.get("feature_dim", 6))
     elif preset is not None:
         raise ConfigError(f"unknown dataset preset {preset!r}")
-    elif "schema" in block:
-        schema = _parse_schema(block["schema"])
+    elif "schema" in fields:
+        schema = _parse_schema(fields["schema"])
     else:
         schema = None
     return path, schema
 
 
+_NETWORK_FIELDS = {"hidden": list, "activation": None, "dropout": float, "batch_norm": bool,
+                   "seed": int}
+_NETWORK_ARGS = {"dropout": "dropout_rate", "batch_norm": "use_batch_norm"}
+
+
 def _parse_network(block) -> dict:
-    widths = block.get("hidden")
+    """NetworkConfig arguments, without input_dim; NetworkConfig holds the defaults."""
+    fields = _fields(block, "network", _NETWORK_FIELDS)
+    widths = fields.pop("hidden", None)
     if not widths:
         raise ConfigError("[network] needs a hidden layer width list")
-    widths = _typed(list, widths, "network.hidden")
-    activation = block.get("activation", "relu")
-    if isinstance(activation, str):
-        activations = [activation] * len(widths)
-    else:
-        activations = _typed(list, activation, "network.activation")
-        if len(activations) != len(widths):
-            raise ConfigError("per-layer activation list must match hidden widths")
-    return {
-        "hidden": tuple((_typed(int, w, "network.hidden"), a) for w, a in zip(widths, activations)),
-        "dropout_rate": _typed(float, block.get("dropout", 0.0), "network.dropout"),
-        "use_batch_norm": _typed(bool, block.get("batch_norm", False), "network.batch_norm"),
-        "seed": _typed(int, block.get("seed", 0), "network.seed"),
-    }
+    hidden = tuple(_typed(int, w, "network.hidden") for w in widths)
+    if "activation" in fields:  # else NetworkConfig's: a bare width is a ReLU layer
+        activation = fields.pop("activation")
+        if isinstance(activation, str):
+            activations = [activation] * len(hidden)
+        else:
+            activations = _typed(list, activation, "network.activation")
+            if len(activations) != len(hidden):
+                raise ConfigError("per-layer activation list must match hidden widths")
+        hidden = tuple(zip(hidden, activations))
+    return {"hidden": hidden, **{_NETWORK_ARGS.get(k, k): v for k, v in fields.items()}}
 
 
 def _parse_variant(spec) -> SoftVariant:
@@ -158,66 +189,44 @@ def _parse_measures_entry(entry):
     return tuple(template)
 
 
+_GRID_FIELDS = {"measures": list, "variants": list, "powers": [int], "alphas": [float],
+                "iterations": int}
+
+
 def _parse_grid(block) -> GridSpec | None:
+    """The axes the block gives; GridSpec holds the defaults."""
     if block is None:
         return None
-
-    def axis(key, default):
-        return _typed(list, block.get(key, default), f"grid.{key}")
-
-    templates = tuple(_parse_measures_entry(entry) for entry in axis("measures", [["FPR"]]))
-    variants = tuple(_parse_variant(v) for v in axis("variants", ["continuous"]))
-    powers = tuple(_typed(int, p, "grid.powers") for p in axis("powers", [1, 2, 3, 4]))
-    alphas = tuple(_typed(float, a, "grid.alphas") for a in axis("alphas", list(DEFAULT_ALPHAS)))
-    iterations = block.get("iterations")
-    return GridSpec(
-        templates=templates,
-        variants=variants,
-        powers=powers,
-        alphas=alphas,
-        iterations=None if iterations is None else _typed(int, iterations, "grid.iterations"),
-    )
+    axes = _fields(block, "grid", _GRID_FIELDS)
+    if "measures" in axes:
+        axes["templates"] = tuple(map(_parse_measures_entry, axes.pop("measures")))
+    if "variants" in axes:
+        axes["variants"] = tuple(map(_parse_variant, axes["variants"]))
+    return GridSpec(**axes)
 
 
+_TABLE_ROW_FIELDS = {"label": None, "measures": str, "variant": str, "beta": float,
+                     "power": int, "alpha": float}
+
+
+def _parse_table_row(entry):
+    """(label, cell selector) of one [report] table row."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"each [report] table row must be a mapping, got {entry!r}")
+    selector = _fields(entry, "report.tables", _TABLE_ROW_FIELDS)
+    if "label" not in selector:
+        raise ConfigError("each [report] table row needs a label")
+    return str(selector.pop("label")), selector
+
+
+_TRAINING_FIELDS = {"batch_size": int, "epochs": int, "lr": float, "seed": int,
+                    "keep_trace": bool, "beta1": float, "beta2": float, "adam_eps": float,
+                    "denominator_mode": DenominatorMode}
+_SPLIT_FIELDS = {"iterations": int, "train_fraction": float, "val_fraction": float,
+                 "base_seed": int}
+# synthesize_biased's arguments; the function holds the defaults
 _SYNTH_FIELDS = {"n": int, "base_rate_g0": float, "base_rate_g1": float,
                  "group_fraction": float, "feature_dim": int, "noise": float, "seed": int}
-
-
-def _parse_synth(block) -> dict | None:
-    """Typed ``synthesize_biased`` arguments; the function holds the defaults."""
-    if block is None:
-        return None
-    unknown = sorted(set(block) - set(_SYNTH_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown [synth] fields {unknown}")
-    return {key: _typed(_SYNTH_FIELDS[key], value, f"synth.{key}") for key, value in block.items()}
-
-
-def _parse_table_rows(block) -> dict:
-    rows = {}
-    for entry in _typed(list, block or [], "report.tables"):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"each [report] table row must be a mapping, got {entry!r}")
-        entry = dict(entry)
-        try:
-            label = str(entry.pop("label"))
-        except KeyError:
-            raise ConfigError("each [report] table row needs a label")
-        selector = {}
-        if "measures" in entry:
-            selector["measures"] = str(entry.pop("measures"))
-        if "variant" in entry:
-            selector["variant"] = str(entry.pop("variant"))
-        if "beta" in entry:
-            selector["beta"] = _typed(float, entry.pop("beta"), "report.tables beta")
-        if "power" in entry:
-            selector["power"] = _typed(int, entry.pop("power"), "report.tables power")
-        if "alpha" in entry:
-            selector["alpha"] = _typed(float, entry.pop("alpha"), "report.tables alpha")
-        if entry:
-            raise ConfigError(f"unknown table-row fields {sorted(entry)}")
-        rows[label] = selector
-    return rows
 
 
 def load_config(path) -> RunConfig:
@@ -239,55 +248,26 @@ def load_config(path) -> RunConfig:
     unknown = set(doc) - {"dataset", "network", "training", "loss", "grid", "split",
                           "synth", "report"}
     if unknown:
-        raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown sections {sorted(unknown, key=str)}")
+
+    def section(name, kinds):
+        return _fields(_require_mapping(doc, name, optional=True) or {}, name, kinds)
 
     dataset_path, schema = _parse_dataset(_require_mapping(doc, "dataset", optional=True))
-    network = _parse_network(_require_mapping(doc, "network")) if "network" in doc else None
-
-    training_block = _require_mapping(doc, "training", optional=True) or {}
-    mode = _typed(DenominatorMode, training_block.pop("denominator_mode", "as_written"),
-                  "training.denominator_mode")
-    training = {
-        "batch_size": _typed(int, training_block.pop("batch_size", 256), "training.batch_size"),
-        "epochs": _typed(int, training_block.pop("epochs", 100), "training.epochs"),
-        "lr": _typed(float, training_block.pop("lr", 0.001), "training.lr"),
-        "seed": _typed(int, training_block.pop("seed", 0), "training.seed"),
-        "keep_trace": _typed(bool, training_block.pop("keep_trace", False), "training.keep_trace"),
-    }
-    for extra in ("beta1", "beta2", "adam_eps"):
-        if extra in training_block:
-            training[extra] = _typed(float, training_block.pop(extra), f"training.{extra}")
-    if training_block:
-        raise ConfigError(f"unknown [training] fields {sorted(training_block)}")
-
-    loss_block = _require_mapping(doc, "loss", optional=True) or {}
-    terms = tuple(parse_term(_typed(str, spec, "loss.terms"))
-                  for spec in _typed(list, loss_block.get("terms", []), "loss.terms"))
-
-    split_block = _require_mapping(doc, "split", optional=True) or {}
-    plan = SplitPlan(
-        iterations=_typed(int, split_block.get("iterations", 10), "split.iterations"),
-        train_fraction=_typed(float, split_block.get("train_fraction", 0.70),
-                              "split.train_fraction"),
-        val_fraction=_typed(float, split_block.get("val_fraction", 0.10), "split.val_fraction"),
-        base_seed=_typed(int, split_block.get("base_seed", 0), "split.base_seed"),
-    )
-
-    report_block = _require_mapping(doc, "report", optional=True) or {}
-    plot_measures = report_block.get("plot_measures")
-    if plot_measures is not None:
-        plot_measures = tuple(_typed(list, plot_measures, "report.plot_measures"))
-
+    training = section("training", _TRAINING_FIELDS)
+    mode = training.pop("denominator_mode", TrainConfig.denominator_mode)
+    report = section("report", {"tables": list, "plot_measures": list})
+    synth = _require_mapping(doc, "synth", optional=True)
     return RunConfig(
         dataset_path=dataset_path,
         schema=schema,
-        network=network or {},
+        network=_parse_network(_require_mapping(doc, "network")) if "network" in doc else {},
         training=training,
-        terms=terms,
+        terms=tuple(map(parse_term, section("loss", {"terms": [str]}).get("terms", ()))),
         denominator_mode=mode,
-        plan=plan,
+        plan=SplitPlan(**section("split", _SPLIT_FIELDS)),
         grid=_parse_grid(_require_mapping(doc, "grid", optional=True)),
-        synth=_parse_synth(_require_mapping(doc, "synth", optional=True)),
-        table_rows=_parse_table_rows(report_block.get("tables")),
-        plot_measures=plot_measures,
+        synth=None if synth is None else _fields(synth, "synth", _SYNTH_FIELDS),
+        table_rows=dict(map(_parse_table_row, report.get("tables", ()))),
+        plot_measures=tuple(report["plot_measures"]) if "plot_measures" in report else None,
     )

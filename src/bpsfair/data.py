@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from typing import Mapping, NamedTuple
 
@@ -108,8 +108,12 @@ class DatasetSchema:
 
         Labels, sensitive values and the missing token are coerced to
         strings and group codes to ints.  A missing required key raises
-        KeyError, and column lists that are not lists of strings TypeError.
+        KeyError, column lists that are not lists of strings TypeError, and
+        a key that is not a field ValueError.
         """
+        unknown = sorted(set(d) - {f.name for f in fields(cls)}, key=str)
+        if unknown:
+            raise ValueError(f"unknown schema fields {unknown}")
         return cls(
             label=d["label"],
             positive_label=str(d["positive_label"]),

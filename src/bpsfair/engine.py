@@ -244,25 +244,25 @@ def train_model(dataset: EncodedDataset, split, config: TrainConfig):
     return outcome[0], _test_result(outcome, dataset, split, config.terms, config)
 
 
-def evaluate(state, dataset: EncodedDataset, indices, terms=(),
+def evaluate(state, dataset: EncodedDataset, indices=None, terms=(),
              mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> EvalResult:
-    """Eval-mode forward on the given rows, thresholded at 0.5.
+    """Eval-mode forward on the given rows (all rows, in order, for None), thresholded at 0.5.
 
     Returns accuracy, the full BPS report, and a full-pass recomputation
     of the BCE plus each fairness term on those rows.  A probability that
     is not finite has no threshold: it raises NonFiniteOutputError.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    rows = None if indices is None else np.asarray(indices, dtype=np.int64)
     if dataset.X.shape[1] != state.config.input_dim:
         raise StateError(
             f"dataset has {dataset.X.shape[1]} features, model expects {state.config.input_dim}"
         )
-    probs, _ = forward(state, dataset.X, mode="eval", rows=idx)
+    probs, _ = forward(state, dataset.X, mode="eval", rows=rows)
     bad = probs.size - np.count_nonzero(np.isfinite(probs))
     if bad:
         raise NonFiniteOutputError(f"model output is not finite on {bad} of {probs.size} rows")
     preds = (probs >= 0.5).astype(np.int64)
-    y, a = dataset.Y[idx], dataset.A[idx]
+    y, a = (dataset.Y, dataset.A) if rows is None else (dataset.Y[rows], dataset.A[rows])
     value = combined_loss(terms, probs, y, a, mode)
     return EvalResult(
         accuracy=float(np.mean(preds == y)),

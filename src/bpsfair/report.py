@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from datetime import datetime, timezone
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -112,13 +113,20 @@ def write_runs_csv(rows, path):
 
 
 _INT_FIELDS = frozenset({"power", "iteration", "seed", "best_epoch", "divergence_epoch"})
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _in_float_range(values) -> bool:
+    """True if float64 holds every integer of ``values`` (None aside): cells_from_runs needs it."""
+    return max(map(abs, filter(None, values)), default=0) <= _FLOAT_MAX
 
 
 def _parse_column(name, cells):
     """(typed values, None), or (None, (row, message)) naming the first bad cell.
 
     Blank cells read as None in the integer columns and as NaN in the
-    other numeric ones; a blank beta, power or alpha is an error.
+    other numeric ones; a blank beta, power or alpha is an error, and so is
+    an integer that float64 cannot hold.
     """
     if name in ("measures", "variant"):
         return list(cells), None
@@ -126,13 +134,16 @@ def _parse_column(name, cells):
         return [cell == "1" for cell in cells], None
     kind = int if name in _INT_FIELDS else float
     blank = None if kind is int else math.nan
+    values = None
     try:  # one typed pass; a column with a bad cell takes the cell-by-cell pass below
         if "" not in cells:
-            return list(map(kind, cells)), None
-        if name not in CELL_FIELDS:
-            return [kind(cell) if cell else blank for cell in cells], None
+            values = list(map(kind, cells))
+        elif name not in CELL_FIELDS:
+            values = [kind(cell) if cell else blank for cell in cells]
     except ValueError:
         pass
+    if values is not None and (kind is float or _in_float_range(values)):
+        return values, None
     values = []
     for row_no, cell in enumerate(cells):
         if not cell and name in CELL_FIELDS:
@@ -142,6 +153,8 @@ def _parse_column(name, cells):
         except ValueError:
             return None, (row_no, f"column {name!r} holds {cell!r}, not "
                                   f"{'an integer' if kind is int else 'a number'}")
+        if kind is int and not _in_float_range(values[-1:]):
+            return None, (row_no, f"column {name!r} holds an integer beyond the float64 range")
     return values, None
 
 

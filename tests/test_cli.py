@@ -89,6 +89,13 @@ class TestTrain:
         assert payload["terms"] == ["FNR:continuous:0.3:1"]
         assert "FPR" in payload["bps"]
 
+    def test_seed_flag_overrides_config_seed(self, workspace):
+        for flag, seed in (([], 3), (["--seed", "11"], 11)):
+            out = workspace / f"train{seed}"
+            assert main(["train", "--config", str(workspace / "cfg.yaml"), "--out", str(out),
+                         *flag]) == 0
+            assert json.loads((out / "run_result.json").read_text())["seed"] == seed
+
     def test_missing_config_is_clean_error(self, workspace, capsys):
         code = main(["train", "--config", str(workspace / "nope.yaml"),
                      "--out", str(workspace / "x")])
@@ -262,11 +269,15 @@ class TestReportCommand:
     @pytest.mark.parametrize("column, value, message", [
         ("accuracy", "abc", "column 'accuracy' holds 'abc', not a number"),
         ("power", "1.5", "column 'power' holds '1.5', not an integer"),
+        # int() takes it, and the float64 statistics block cannot hold it
+        ("best_epoch", "1" + "0" * 400,
+         "column 'best_epoch' holds an integer beyond the float64 range"),
     ])
     def test_non_numeric_runs_csv_cell_exits_2(self, workspace, capsys, column, value,
                                                message):
         out = workspace / "grid"
         main(["grid", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        cells = (out / "cells.csv").read_bytes()
         with open(out / "runs.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         rows[2][rows[0].index(column)] = value
@@ -277,6 +288,7 @@ class TestReportCommand:
         assert exc.value.rows == (1,)
         assert main(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {out / 'runs.csv'}: row 1: ")
+        assert (out / "cells.csv").read_bytes() == cells
 
     def test_runs_csv_row_longer_than_header_exits_2(self, workspace, capsys):
         out = workspace / "grid"
@@ -386,6 +398,20 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "encoder metadata" in err
+
+    def test_artifact_schema_with_unknown_key_exits_2(self, workspace, capsys):
+        out = workspace / "train"
+        main(["train", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        state, metadata = load_model(out / "model.bpsf")
+        metadata["schema"]["categorial"] = ["f0"]
+        save_model(workspace / "typo.bpsf", state, metadata)
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(workspace / "typo.bpsf"),
+                     "--dataset", str(workspace / "synth.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {workspace / 'typo.bpsf'}: no usable schema and encoder metadata "
+            "(ValueError: unknown schema fields ['categorial'])")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_model_with_non_finite_output_exits_2(self, workspace, capsys):

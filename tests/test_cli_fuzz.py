@@ -47,6 +47,12 @@ BASE_CONFIG = {
 CONFIG = yaml.safe_dump(BASE_CONFIG).encode("utf-8")
 TABLE = synthesize_biased(n=200, base_rate_g0=0.35, base_rate_g1=0.5, feature_dim=3,
                           noise=0.5, seed=9)
+# grids read the data through an explicit schema block, so it is fuzzed too
+GRID_CONFIG = {**BASE_CONFIG, "dataset": {"path": "data.csv", "schema": TABLE.schema.to_dict()}}
+# where a misspelled key can go: every section, a report table row and the schema block
+KEY_PLACES = [("dataset",), ("dataset", "schema"), ("network",), ("training",), ("loss",),
+              ("grid",), ("split",), ("synth",), ("report",), ("report", "tables", 0)]
+MISSPELLED = ["dropout_rate", "alpha", "iteration", "categorial", "seeed", "learning_rate", "x"]
 
 
 def _data_csv() -> str:
@@ -78,6 +84,7 @@ def _runs_csv() -> str:
 
 
 DATA_CSV = _data_csv()
+GRID_DATA_CSV = "\n".join(DATA_CSV.split("\n")[:61]) + "\n"  # the header and 60 rows
 DUMP_CSV = "y_true,y_prob,group\n" + "".join(
     f"{i % 2},{(i % 7) / 7:.3f},{i // 10 % 2}\n" for i in range(20))
 ARTIFACT = _artifact()
@@ -185,6 +192,20 @@ def configs(draw):
 
 
 @st.composite
+def grid_configs(draw):
+    """GRID_CONFIG, maybe with a misspelled key in one place, then maybe mutated."""
+    doc = copy.deepcopy(GRID_CONFIG)
+    if draw(st.booleans()):
+        block = doc
+        for step in draw(st.sampled_from(KEY_PLACES)):
+            block = block[step]
+        block[draw(st.sampled_from(MISSPELLED))] = draw(VALUES)
+    if draw(st.booleans()):
+        mutate_document(draw, doc)
+    return mutate_bytes(draw, yaml.safe_dump(doc).encode("utf-8"))
+
+
+@st.composite
 def csv_files(draw, text):
     """``text`` with 0-3 cells replaced, a line dropped or doubled, and maybe a byte edit."""
     lines = text.split("\n")
@@ -225,6 +246,7 @@ def assert_exits_cleanly(argv, capsys):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ")
+    return code
 
 
 def short_first_row(text):
@@ -241,8 +263,10 @@ class TestEveryCommandExitsCleanly:
                            ("dump.csv", DUMP_CSV.encode("utf-8")), ("m.bpsf", ARTIFACT),
                            ("runs.csv", RUNS_CSV.encode("utf-8")), ("manifest.json", MANIFEST)]:
             (tmp_path / name).write_bytes(blob)
+        (tmp_path / "g.yaml").write_text(yaml.safe_dump(GRID_CONFIG), encoding="utf-8")
         for argv in (["synth", "--config", "c.yaml", "--out", "s.csv"],
                      ["train", "--config", "c.yaml", "--out", "out"],
+                     ["grid", "--config", "g.yaml", "--out", "grid", "--jobs", "1"],
                      ["evaluate", "--predictions", "dump.csv"],
                      ["evaluate", "--model", "m.bpsf", "--dataset", "data.csv"],
                      ["report", "--out", ".", "--config", "c.yaml"]):
@@ -273,6 +297,21 @@ class TestEveryCommandExitsCleanly:
         (d / "c.yaml").write_bytes(config)
         (d / "data.csv").write_bytes(data_csv)
         assert_exits_cleanly(["train", "--config", d / "c.yaml", "--out", d / "out"], capsys)
+
+    @FUZZ
+    @given(config=grid_configs())
+    @example(config=yaml.safe_dump(GRID_CONFIG).encode("utf-8"))
+    def test_grid(self, tmp_path_factory, capsys, monkeypatch, config):
+        # a tiny in-process grid: 60 rows, 1 epoch, 1 iteration, 2 alphas, --jobs 1
+        d = tmp_path_factory.mktemp("grid")
+        monkeypatch.chdir(d)  # the config's dataset path is relative
+        (d / "c.yaml").write_bytes(config)
+        (d / "data.csv").write_text(GRID_DATA_CSV, encoding="utf-8")
+        out = d / "out"
+        code = assert_exits_cleanly(["grid", "--config", d / "c.yaml", "--out", out,
+                                     "--jobs", "1"], capsys)
+        if code == 2:  # a refused config leaves --out as it was: absent
+            assert not out.exists()
 
     @FUZZ
     @given(dump=csv_files(DUMP_CSV))

@@ -825,6 +825,12 @@ class TestSchemaDict:
         with pytest.raises(TypeError, match="expected a list of strings"):
             DatasetSchema.from_dict({**d, key: value})
 
+    def test_unknown_key(self):
+        d = {"label": "y", "positive_label": "1", "sensitive": "g", "sensitive_map": {"a": 0},
+             "continuous": ["x"], "categorial": ["c"]}
+        with pytest.raises(ValueError, match=r"unknown schema fields \['categorial'\]"):
+            DatasetSchema.from_dict(d)
+
     def test_missing_key(self):
         with pytest.raises(KeyError):
             DatasetSchema.from_dict({"label": "y", "positive_label": "1", "continuous": ["x"]})

@@ -206,6 +206,15 @@ class TestEvaluate:
         for kind in MeasureKind:
             assert frag.report.bps(kind) == oracle.bps(kind)
 
+    def test_no_indices_scores_every_row_in_order(self):
+        dataset, split, _, _ = separable_setup()
+        state, _ = train_model(dataset, split, small_config(epochs=2))
+        terms = (FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha=0.5, power=2),)
+        every = evaluate(state, dataset, None, terms)
+        assert every == evaluate(state, dataset, np.arange(dataset.n_rows), terms)
+        probs, _ = forward(state, dataset.X, mode="eval")
+        assert every.accuracy == float(np.mean((probs >= 0.5) == dataset.Y))
+
 
 def aggregate(runs):
     """cell_statistics over one cell's runs, as run_grid calls it; stats keyed by column."""
