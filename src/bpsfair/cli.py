@@ -206,12 +206,12 @@ def cmd_evaluate(args) -> int:
         if args.dataset is None:
             raise ConfigError("evaluating a model artifact needs --dataset")
         try:
-            schema = DatasetSchema.from_dict(metadata["schema"])
-            encoder = EncoderState.from_dict(metadata["encoder"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FormatError(f"{args.model}: no usable schema and encoder metadata "
-                              f"({type(exc).__name__}: {exc}); evaluate --model needs an "
-                              "artifact written by `bpsfair train`") from None
+            schema = DatasetSchema.from_dict(metadata.get("schema"))
+            encoder = EncoderState.from_dict(metadata.get("encoder"))
+        except ConfigError as exc:
+            raise FormatError(f"{args.model}: no usable schema and encoder metadata ({exc}); "
+                              "evaluate --model needs an artifact written by `bpsfair train`"
+                              ) from None
         table = load_csv(args.dataset, schema)
         dataset = apply_encoder(table, encoder)
         frag = evaluate_state(state, dataset)

@@ -19,6 +19,7 @@ import yaml
 from .data import DatasetSchema, SplitPlan, adult_preset, not_utf8_error, synthetic_preset
 from .engine import GridSpec, TrainConfig
 from .errors import ConfigError
+from .fields import TEXT, read, typed
 from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
 from .network import NetworkConfig
 
@@ -62,73 +63,13 @@ class RunConfig:
         )
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-               list: "a list", DenominatorMode: f"one of {[m.value for m in DenominatorMode]}",
-               MeasureKind: f"one of {[m.value for m in MeasureKind]}"}
-
-
-def _typed(kind, value, key):
-    """``kind(value)``; a value that does not convert raises ConfigError naming ``key``.
-
-    An integer field takes no fractional, infinite or NaN number, which int()
-    would truncate or reject with an OverflowError.  A bool, str or list
-    field takes only a YAML boolean, string or list: bool() would read the
-    string "false" as True, and str() or list() would take any value.  A
-    kind ``[k]`` takes a list of ``k`` values.
-    """
-    if isinstance(kind, list):
-        return [_typed(kind[0], item, key) for item in _typed(list, value, key)]
-    try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        if kind in (bool, str, list) and not isinstance(value, kind):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
-
-
-def _fields(block: dict, section: str, kinds: dict) -> dict:
-    """``block``'s values, each typed by ``_typed`` as ``kinds`` names it.
-
-    A key ``kinds`` does not name raises ConfigError; a key of kind None is
-    taken as written and checked by the caller.  A key the block leaves out
-    stays out, so the dataclass the section builds supplies its default.
-    """
-    unknown = sorted(set(block) - set(kinds), key=str)
-    if unknown:
-        raise ConfigError(f"unknown [{section}] fields {unknown}")
-    return {key: value if kinds[key] is None else _typed(kinds[key], value, f"{section}.{key}")
-            for key, value in block.items()}
-
-
-def _require_mapping(doc, section, optional=False):
-    block = doc.get(section)
-    if block is None:
-        if optional:
-            return None
-        raise ConfigError(f"config is missing the [{section}] section")
-    if not isinstance(block, dict):
-        raise ConfigError(f"[{section}] must be a mapping")
-    return dict(block)
-
-
-def _parse_schema(block) -> DatasetSchema:
-    try:
-        return DatasetSchema.from_dict(block)
-    except KeyError as exc:
-        raise ConfigError(f"dataset schema is missing {exc}")
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed dataset schema ({type(exc).__name__}: {exc})") from None
-
-
 _DATASET_FIELDS = {"path": str, "preset": None, "feature_dim": int, "schema": None}
 
 
 def _parse_dataset(block):
     if block is None:
         return None, None
-    fields = _fields(block, "dataset", _DATASET_FIELDS)
+    fields = read(block, "dataset", _DATASET_FIELDS)
     path = Path(fields["path"]) if "path" in fields else None
     preset = fields.get("preset")
     if preset == "adult":
@@ -138,30 +79,29 @@ def _parse_dataset(block):
     elif preset is not None:
         raise ConfigError(f"unknown dataset preset {preset!r}")
     elif "schema" in fields:
-        schema = _parse_schema(fields["schema"])
+        schema = DatasetSchema.from_dict(fields["schema"])
     else:
         schema = None
     return path, schema
 
 
-_NETWORK_FIELDS = {"hidden": list, "activation": None, "dropout": float, "batch_norm": bool,
+_NETWORK_FIELDS = {"hidden": [int], "activation": None, "dropout": float, "batch_norm": bool,
                    "seed": int}
 _NETWORK_ARGS = {"dropout": "dropout_rate", "batch_norm": "use_batch_norm"}
 
 
 def _parse_network(block) -> dict:
     """NetworkConfig arguments, without input_dim; NetworkConfig holds the defaults."""
-    fields = _fields(block, "network", _NETWORK_FIELDS)
-    widths = fields.pop("hidden", None)
-    if not widths:
+    fields = read(block, "network", _NETWORK_FIELDS)
+    hidden = fields.pop("hidden", None)
+    if not hidden:
         raise ConfigError("[network] needs a hidden layer width list")
-    hidden = tuple(_typed(int, w, "network.hidden") for w in widths)
     if "activation" in fields:  # else NetworkConfig's: a bare width is a ReLU layer
         activation = fields.pop("activation")
         if isinstance(activation, str):
             activations = [activation] * len(hidden)
         else:
-            activations = _typed(list, activation, "network.activation")
+            activations = typed([str], activation, "network.activation")
             if len(activations) != len(hidden):
                 raise ConfigError("per-layer activation list must match hidden widths")
         hidden = tuple(zip(hidden, activations))
@@ -182,10 +122,10 @@ def _parse_variant(spec) -> SoftVariant:
 def _parse_measures_entry(entry):
     """One grid template: list of measures, each 'KIND' or 'KIND*scale'."""
     template = []
-    for item in [entry] if isinstance(entry, str) else _typed(list, entry, "grid.measures entry"):
+    for item in [entry] if isinstance(entry, str) else typed(list, entry, "grid.measures entry"):
         kind, star, scale = str(item).partition("*")
-        template.append((_typed(MeasureKind, kind.strip().upper(), "grid.measures"),
-                         _typed(float, scale, "grid.measures scale") if star else 1.0))
+        template.append((typed(MeasureKind, kind.strip().upper(), "grid.measures"),
+                         typed(float, scale, "grid.measures scale") if star else 1.0))
     return tuple(template)
 
 
@@ -197,7 +137,7 @@ def _parse_grid(block) -> GridSpec | None:
     """The axes the block gives; GridSpec holds the defaults."""
     if block is None:
         return None
-    axes = _fields(block, "grid", _GRID_FIELDS)
+    axes = read(block, "grid", _GRID_FIELDS)
     if "measures" in axes:
         axes["templates"] = tuple(map(_parse_measures_entry, axes.pop("measures")))
     if "variants" in axes:
@@ -205,18 +145,16 @@ def _parse_grid(block) -> GridSpec | None:
     return GridSpec(**axes)
 
 
-_TABLE_ROW_FIELDS = {"label": None, "measures": str, "variant": str, "beta": float,
+_TABLE_ROW_FIELDS = {"label": TEXT, "measures": str, "variant": str, "beta": float,
                      "power": int, "alpha": float}
 
 
 def _parse_table_row(entry):
     """(label, cell selector) of one [report] table row."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"each [report] table row must be a mapping, got {entry!r}")
-    selector = _fields(entry, "report.tables", _TABLE_ROW_FIELDS)
+    selector = read(entry, "report.tables", _TABLE_ROW_FIELDS)
     if "label" not in selector:
         raise ConfigError("each [report] table row needs a label")
-    return str(selector.pop("label")), selector
+    return selector.pop("label"), selector
 
 
 _TRAINING_FIELDS = {"batch_size": int, "epochs": int, "lr": float, "seed": int,
@@ -250,24 +188,24 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown, key=str)}")
 
-    def section(name, kinds):
-        return _fields(_require_mapping(doc, name, optional=True) or {}, name, kinds)
+    def section(name, kinds):  # an absent or empty section takes every default
+        return read({} if doc.get(name) is None else doc[name], name, kinds)
 
-    dataset_path, schema = _parse_dataset(_require_mapping(doc, "dataset", optional=True))
+    dataset_path, schema = _parse_dataset(doc.get("dataset"))
     training = section("training", _TRAINING_FIELDS)
     mode = training.pop("denominator_mode", TrainConfig.denominator_mode)
     report = section("report", {"tables": list, "plot_measures": list})
-    synth = _require_mapping(doc, "synth", optional=True)
+    synth = doc.get("synth")
     return RunConfig(
         dataset_path=dataset_path,
         schema=schema,
-        network=_parse_network(_require_mapping(doc, "network")) if "network" in doc else {},
+        network=_parse_network(doc["network"]) if "network" in doc else {},
         training=training,
         terms=tuple(map(parse_term, section("loss", {"terms": [str]}).get("terms", ()))),
         denominator_mode=mode,
         plan=SplitPlan(**section("split", _SPLIT_FIELDS)),
-        grid=_parse_grid(_require_mapping(doc, "grid", optional=True)),
-        synth=None if synth is None else _fields(synth, "synth", _SYNTH_FIELDS),
+        grid=_parse_grid(doc.get("grid")),
+        synth=None if synth is None else read(synth, "synth", _SYNTH_FIELDS),
         table_rows=dict(map(_parse_table_row, report.get("tables", ()))),
         plot_measures=tuple(report["plot_measures"]) if "plot_measures" in report else None,
     )

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import BpsfairError, ConfigError, DataError, EmptyInputError, SchemaError
+from .fields import TEXT, Record
 
 __all__ = [
     "DatasetSchema",
@@ -44,21 +45,22 @@ INGEST_BLOCK_ROWS = 1024
 _MISSING = -2  # a dictionary lookup's entry for the missing token
 
 
-def _strings(values) -> tuple:
-    """A JSON/YAML list of strings as a tuple; anything else raises TypeError."""
-    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
-        raise TypeError(f"expected a list of strings, got {values!r}")
-    return tuple(values)
-
-
 @dataclass(frozen=True)
-class DatasetSchema:
+class DatasetSchema(Record):
     """Column roles for one CSV dataset.
 
     ``sensitive_map`` sends raw sensitive-column values to group codes 0/1.
     ``label_aliases`` normalizes label spellings before comparison with
     ``positive_label`` (the UCI Adult test file writes ``>50K.``).
+    ``from_dict`` reads the label and sensitive column names, the labels,
+    the sensitive values and the missing token as text: ``label: 1`` names
+    the column headed ``1``.
     """
+
+    KINDS = {"label": TEXT, "positive_label": TEXT, "negative_label": TEXT, "sensitive": TEXT,
+             "sensitive_map": {TEXT: int}, "categorical": [str], "continuous": [str],
+             "ignore": [str], "label_aliases": {TEXT: TEXT}, "missing_token": TEXT}
+    SECTION = "dataset.schema"
 
     label: str
     positive_label: str
@@ -87,45 +89,6 @@ class DatasetSchema:
     @property
     def used_columns(self):
         return (self.label, self.sensitive) + self.categorical + self.continuous
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "positive_label": self.positive_label,
-            "negative_label": self.negative_label,
-            "sensitive": self.sensitive,
-            "sensitive_map": dict(self.sensitive_map),
-            "categorical": list(self.categorical),
-            "continuous": list(self.continuous),
-            "ignore": list(self.ignore),
-            "label_aliases": dict(self.label_aliases),
-            "missing_token": self.missing_token,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSchema":
-        """Inverse of ``to_dict``; also reads hand-written config blocks.
-
-        Labels, sensitive values and the missing token are coerced to
-        strings and group codes to ints.  A missing required key raises
-        KeyError, column lists that are not lists of strings TypeError, and
-        a key that is not a field ValueError.
-        """
-        unknown = sorted(set(d) - {f.name for f in fields(cls)}, key=str)
-        if unknown:
-            raise ValueError(f"unknown schema fields {unknown}")
-        return cls(
-            label=d["label"],
-            positive_label=str(d["positive_label"]),
-            negative_label=str(d.get("negative_label", "0")),
-            sensitive=d["sensitive"],
-            sensitive_map={str(k): int(v) for k, v in d["sensitive_map"].items()},
-            categorical=_strings(d.get("categorical", [])),
-            continuous=_strings(d.get("continuous", [])),
-            ignore=_strings(d.get("ignore", [])),
-            label_aliases={str(k): str(v) for k, v in d.get("label_aliases", {}).items()},
-            missing_token=str(d.get("missing_token", MISSING_TOKEN)),
-        )
 
 
 class Categorical(NamedTuple):
@@ -161,35 +124,21 @@ class RawTable:
 
 
 @dataclass(frozen=True)
-class EncoderState:
+class EncoderState(Record):
     """Fitted vocabularies and normalization statistics.
 
     Vocabularies are ordered; continuous columns with zero training
     variance are marked constant and encode to 0.
     """
 
+    KINDS = {"vocabularies": {str: [str]}, "means": {str: float}, "stds": {str: float},
+             "constant_columns": [str]}
+    SECTION = "encoder"
+
     vocabularies: Mapping[str, tuple]
     means: Mapping[str, float]
     stds: Mapping[str, float]
     constant_columns: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "vocabularies": {c: list(v) for c, v in self.vocabularies.items()},
-            "means": dict(self.means),
-            "stds": dict(self.stds),
-            "constant_columns": list(self.constant_columns),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderState":
-        """Inverse of ``to_dict``; a value of the wrong type raises TypeError or ValueError."""
-        return cls(
-            vocabularies={c: _strings(v) for c, v in d["vocabularies"].items()},
-            means={c: float(v) for c, v in d["means"].items()},
-            stds={c: float(v) for c, v in d["stds"].items()},
-            constant_columns=_strings(d["constant_columns"]),
-        )
 
 
 @dataclass
@@ -224,6 +173,8 @@ class SplitPlan:
             raise ConfigError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.val_fraction >= 1.0:
             raise ConfigError("train + validation fractions must leave room for a test split")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
 
 
 def load_csv(path, schema: DatasetSchema) -> RawTable:
@@ -582,6 +533,8 @@ def synthesize_biased(
         raise ConfigError("n and feature_dim must be positive")
     if noise < 0.0:
         raise ConfigError(f"noise must be non-negative, got {noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     a = (rng.random(n) >= group_fraction).astype(np.int64)

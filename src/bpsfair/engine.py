@@ -97,6 +97,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
             raise ConfigError(f"adam_eps must be a finite positive number, got {self.adam_eps!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

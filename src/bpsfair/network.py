@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputShapeError, StateError
+from .fields import Record
 
 __all__ = [
     "NetworkConfig",
@@ -64,8 +65,15 @@ _ACTIVATIONS = ("relu", "leaky_relu")
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    """Architecture description; ``hidden`` is a sequence of (width, activation)."""
+class NetworkConfig(Record):
+    """Architecture description; ``hidden`` is a sequence of (width, activation).
+
+    A bare integer in ``hidden`` is a ReLU layer of that width.
+    """
+
+    KINDS = {"input_dim": int, "hidden": list, "dropout_rate": float, "use_batch_norm": bool,
+             "seed": int}
+    SECTION = "config"
 
     input_dim: int
     hidden: tuple
@@ -74,11 +82,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        hidden = tuple(
-            (spec, "relu") if isinstance(spec, int) else (int(spec[0]), str(spec[1]))
-            for spec in self.hidden
-        )
+        hidden = tuple(map(_layer_spec, self.hidden))
         object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))  # as serialize writes it
         if self.input_dim <= 0:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not hidden:
@@ -90,6 +96,8 @@ class NetworkConfig:
                 raise ConfigError(f"unknown activation {act!r}, expected one of {_ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"network seed must be non-negative, got {self.seed}")
 
     @property
     def widths(self):
@@ -110,6 +118,20 @@ class NetworkConfig:
     def stat_shapes(self) -> tuple:
         """Shape of each running statistic: bn_mean, then bn_var, per hidden layer."""
         return tuple((w,) for w in self.widths for _ in range(2)) if self.use_batch_norm else ()
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _layer_spec(spec) -> tuple:
+    """A ``hidden`` entry as (width, activation); a bare width is a ReLU layer."""
+    if _is_int(spec):
+        return spec, "relu"
+    if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and _is_int(spec[0])
+            and isinstance(spec[1], str)):
+        raise ConfigError(f"a hidden layer is a width or a (width, activation) pair, got {spec!r}")
+    return tuple(spec)
 
 
 def _split(buf, shapes):
@@ -521,15 +543,8 @@ def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
     if state.models is not None:
         raise StateError("serialize one model of a stack at a time")
     arrays = _state_arrays(state)
-    cfg = state.config
     header = {
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden": [[w, a] for w, a in cfg.hidden],
-            "dropout_rate": cfg.dropout_rate,
-            "use_batch_norm": cfg.use_batch_norm,
-            "seed": cfg.seed,
-        },
+        "config": state.config.to_dict(),
         "metadata": encoder_metadata if encoder_metadata is not None else {},
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
@@ -541,34 +556,6 @@ def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
     for _, arr in arrays:
         buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return buf.getvalue()
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _header_config(cfg_d) -> NetworkConfig:
-    """The NetworkConfig of an artifact header; FormatError unless it is well typed."""
-    try:
-        hidden = cfg_d["hidden"]
-        if not (_is_int(cfg_d["input_dim"]) and _is_int(cfg_d["seed"]) and cfg_d["seed"] >= 0
-                and isinstance(hidden, list)
-                and all(isinstance(spec, list) and len(spec) == 2 and _is_int(spec[0])
-                        and isinstance(spec[1], str) for spec in hidden)
-                and isinstance(cfg_d["dropout_rate"], (int, float))
-                and isinstance(cfg_d["use_batch_norm"], bool)):
-            raise FormatError(f"artifact config has fields of the wrong type: {cfg_d!r}")
-        return NetworkConfig(
-            input_dim=cfg_d["input_dim"],
-            hidden=tuple((w, a) for w, a in hidden),
-            dropout_rate=cfg_d["dropout_rate"],
-            use_batch_norm=cfg_d["use_batch_norm"],
-            seed=cfg_d["seed"],
-        )
-    except KeyError as exc:
-        raise FormatError(f"artifact config missing field {exc}")
-    except ConfigError as exc:
-        raise FormatError(f"artifact config invalid: {exc}")
 
 
 def _manifest_sizes(manifest):
@@ -588,10 +575,11 @@ def _manifest_sizes(manifest):
 def deserialize(blob: bytes):
     """Unpack an artifact; returns (NetworkState, metadata dict).
 
-    The header is checked before any array is read: a well-typed config,
-    a manifest of {name, shape} entries whose sizes sum to the payload,
-    and a payload the size the config's architecture needs.  Any other
-    artifact raises FormatError.
+    The header is checked before any array is read: a config that
+    ``serialize`` would write back byte for byte, a manifest of {name,
+    shape} entries whose sizes sum to the payload, and a payload the size
+    the config's architecture needs.  Any other artifact raises
+    FormatError.
     """
     if len(blob) < len(MAGIC) + 8:
         raise FormatError("artifact too short for header")
@@ -611,7 +599,12 @@ def deserialize(blob: bytes):
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
             and isinstance(header.get("metadata"), dict) and "arrays" in header):
         raise FormatError("artifact header needs config and metadata mappings and arrays")
-    config = _header_config(header["config"])
+    try:
+        config = NetworkConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise FormatError(f"artifact config invalid: {exc}") from None
+    if json.dumps(config.to_dict(), sort_keys=True) != json.dumps(header["config"], sort_keys=True):
+        raise FormatError(f"artifact config is not as serialize writes it: {header['config']!r}")
     manifest, metadata = header["arrays"], header["metadata"]
 
     sizes = _manifest_sizes(manifest)

@@ -116,6 +116,27 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides, flags", [
+    ("train", {"network": {"hidden": [8], "seed": -1}}, []),
+    ("train", {"training": {"epochs": 1, "seed": -3}}, []),
+    ("grid", {"split": {"iterations": 2, "base_seed": -5}}, []),
+    ("synth", {"synth": {"n": 600, "seed": -1}}, []),
+    ("train", {}, ["--seed", "-2"]),
+    ("grid", {}, ["--seed", "-2"]),
+    ("synth", {}, ["--seed", "-2"]),
+], ids=["network.seed", "training.seed", "split.base_seed", "synth.seed", "train--seed",
+        "grid--seed", "synth--seed"])
+def test_negative_seed_exits_2_without_writing(workspace, capsys, command, overrides, flags):
+    # numpy's generators take no negative seed: these ended in a ValueError traceback
+    cfg = write_config(workspace / "neg.yaml", **overrides)
+    out = workspace / ("neg.csv" if command == "synth" else "neg_out")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert re.match(r"error: (network |base_)?seed must be non-negative, got -\d",
+                    capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestGrid:
     def test_emits_results_and_series(self, workspace):
         out = workspace / "grid"
@@ -411,7 +432,22 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: {workspace / 'typo.bpsf'}: no usable schema and encoder metadata "
-            "(ValueError: unknown schema fields ['categorial'])")
+            "(unknown [dataset.schema] fields ['categorial'])")
+
+    def test_artifact_encoder_with_unknown_key_exits_2(self, workspace, capsys):
+        out = workspace / "train"
+        main(["train", "--config", str(workspace / "cfg.yaml"), "--out", str(out)])
+        state, metadata = load_model(out / "model.bpsf")
+        metadata["encoder"]["mean"] = {"f0": 0.0}
+        save_model(workspace / "typo.bpsf", state, metadata)
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(workspace / "typo.bpsf"),
+                     "--dataset", str(workspace / "synth.csv"), "--out", str(workspace / "ev")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {workspace / 'typo.bpsf'}: no usable schema and encoder metadata "
+            "(unknown [encoder] fields ['mean'])")
+        assert not (workspace / "ev").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_model_with_non_finite_output_exits_2(self, workspace, capsys):
@@ -522,6 +558,9 @@ class TestConfigParsing:
         ("synth", "n", "abc"),
         ("synth", "noise", "loud"),
         ("synth", "seed", 2.5),
+        # int(True) is 1: `epochs: yes` trained one epoch
+        ("training", "epochs", True),
+        ("synth", "noise", False),
     ])
     def test_malformed_value_names_its_key(self, tmp_path, section, field, value):
         cfg_path = write_config(tmp_path / "cfg.yaml")
@@ -590,6 +629,41 @@ class TestConfigParsing:
         table = load_csv(cfg.dataset_path, cfg.schema)
         assert table.dropped_count == 1
         np.testing.assert_array_equal(table.continuous["x"], [1.0, 2.0])
+
+    def test_numeric_label_column_is_read_as_text(self, tmp_path):
+        # YAML reads `label: 1` as an int; the header's "1" column must still match it
+        rows = [f"{i % 2},{i / 40:.3f},{'ab'[i % 3 % 2]}" for i in range(40)]
+        (tmp_path / "num.csv").write_text("\n".join(["1,x,g", *rows]) + "\n")
+        cfg_path = write_config(tmp_path / "cfg.yaml", dataset={
+            "path": str(tmp_path / "num.csv"),
+            "schema": {"label": 1, "positive_label": 1, "sensitive": "g",
+                       "sensitive_map": {"a": 0, "b": 1}, "continuous": ["x"]},
+        })
+        assert load_config(cfg_path).schema.label == "1"
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "model.bpsf").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        # int(0.7) is 0: Female was put in group 0
+        ("sensitive_map", {"a": 0.7, "b": 1},
+         "dataset.schema.sensitive_map.a must be an integer, got 0.7"),
+        # str([1]) is "[1]": refused only once the CSV was read
+        ("positive_label", [1], "dataset.schema.positive_label must be a string or number"),
+        ("label", None, "dataset.schema.label must be a string or number, got None"),
+        ("label_aliases", {"x": {"y": 1}}, "dataset.schema.label_aliases.x must be a string"),
+    ], ids=["sensitive_map-fraction", "positive_label-list", "label-null", "label_aliases-mapping"])
+    def test_malformed_schema_value_names_its_key(self, tmp_path, capsys, key, value, message):
+        schema = {"label": "y", "positive_label": "1", "sensitive": "g",
+                  "sensitive_map": {"a": 0, "b": 1}, "continuous": ["x"], key: value}
+        cfg_path = write_config(tmp_path / "cfg.yaml",
+                                dataset={"path": str(tmp_path / "none.csv"), "schema": schema})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_synth_block_typed(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.yaml", synth={"n": 600.0, "noise": 1})

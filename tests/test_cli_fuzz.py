@@ -280,6 +280,7 @@ class TestEveryCommandExitsCleanly:
     @example(config=edited_config(("grid", "measures", 0, 0), None))  # MeasureKind("NONE")
     @example(config=edited_config(("report", "tables", 0), "x"))  # dict("x")
     @example(config=edited_config(("loss", "terms", 0), None))  # None.strip()
+    @example(config=edited_config(("synth", "seed"), -1))  # default_rng(-1)
     def test_synth(self, tmp_path_factory, capsys, config):
         d = tmp_path_factory.mktemp("synth")
         (d / "c.yaml").write_bytes(config)
@@ -290,6 +291,12 @@ class TestEveryCommandExitsCleanly:
     @example(config=edited_config(("network",), DELETE),  # NetworkConfig(**{})
              data_csv=DATA_CSV.encode("utf-8"))
     @example(config=edited_config(("dataset", "path"), "."),  # a directory: IsADirectoryError
+             data_csv=DATA_CSV.encode("utf-8"))
+    @example(config=edited_config(("network", "seed"), -1),  # default_rng(-1)
+             data_csv=DATA_CSV.encode("utf-8"))
+    @example(config=edited_config(("training", "seed"), -3),  # default_rng((-3, epoch, 0))
+             data_csv=DATA_CSV.encode("utf-8"))
+    @example(config=edited_config(("split", "base_seed"), -5),  # default_rng(-5 + iteration)
              data_csv=DATA_CSV.encode("utf-8"))
     def test_train(self, tmp_path_factory, capsys, monkeypatch, config, data_csv):
         d = tmp_path_factory.mktemp("train")

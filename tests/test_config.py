@@ -1,13 +1,15 @@
 """Config parsing: one typed field reader for every section.
 
-``load_config`` types each value of a section with ``_typed`` and refuses
-a key the section does not name; the dataclass each section builds holds
-the defaults.  ``oracle_from_doc`` keeps the per-section parsers this
-reader replaced, and a property requires the same parse from both on
-valid documents.
+``load_config`` types each value of a section with ``fields.typed`` and
+refuses a key the section does not name; the dataclass each section
+builds holds the defaults.  ``oracle_from_doc`` keeps the per-section
+parsers this reader replaced, with their own value reader and schema
+reader, and a property requires the same parse from both on valid
+documents.
 """
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpsfair import cli
-from bpsfair.config import RunConfig, _typed, load_config
-from bpsfair.data import DatasetSchema, SplitPlan, adult_preset, synthetic_preset
+from bpsfair.config import RunConfig, load_config
+from bpsfair.data import MISSING_TOKEN, DatasetSchema, SplitPlan, adult_preset, synthetic_preset
 from bpsfair.engine import DEFAULT_ALPHAS, GridSpec, TrainConfig
 from bpsfair.errors import ConfigError
 from bpsfair.losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
@@ -28,9 +30,53 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 
 # ---- oracle: the per-section parsers, each with its own defaults and key handling ----
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list", DenominatorMode: f"one of {[m.value for m in DenominatorMode]}",
+               MeasureKind: f"one of {[m.value for m in MeasureKind]}"}
+
+
+def _typed(kind, value, key):
+    """The value reader the per-section parsers used: ``kind(value)``, with type gates."""
+    if isinstance(kind, list):
+        return [_typed(kind[0], item, key) for item in _typed(list, value, key)]
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        if kind in (bool, str, list) and not isinstance(value, kind):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+
+
+def _strings(values) -> tuple:
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return tuple(values)
+
+
+def oracle_schema_from_dict(d):
+    """The hand-written DatasetSchema reader: str()/int() coercion, KeyError when a key is missing."""
+    unknown = sorted(set(d) - {f.name for f in fields(DatasetSchema)}, key=str)
+    if unknown:
+        raise ValueError(f"unknown schema fields {unknown}")
+    return DatasetSchema(
+        label=d["label"],
+        positive_label=str(d["positive_label"]),
+        negative_label=str(d.get("negative_label", "0")),
+        sensitive=d["sensitive"],
+        sensitive_map={str(k): int(v) for k, v in d["sensitive_map"].items()},
+        categorical=_strings(d.get("categorical", [])),
+        continuous=_strings(d.get("continuous", [])),
+        ignore=_strings(d.get("ignore", [])),
+        label_aliases={str(k): str(v) for k, v in d.get("label_aliases", {}).items()},
+        missing_token=str(d.get("missing_token", MISSING_TOKEN)),
+    )
+
+
 def oracle_parse_schema(block):
     try:
-        return DatasetSchema.from_dict(block)
+        return oracle_schema_from_dict(block)
     except KeyError as exc:
         raise ConfigError(f"dataset schema is missing {exc}")
     except (TypeError, ValueError, AttributeError) as exc:
@@ -376,8 +422,7 @@ VALID = {
 # (where the key goes, the misspelled key, the start of the error)
 MISSPELLED = [
     (("dataset",), "pathh", "unknown [dataset] fields ['pathh']"),
-    (("dataset", "schema"), "categorial",
-     "malformed dataset schema (ValueError: unknown schema fields ['categorial'])"),
+    (("dataset", "schema"), "categorial", "unknown [dataset.schema] fields ['categorial']"),
     (("network",), "dropout_rate", "unknown [network] fields ['dropout_rate']"),
     (("training",), "learning_rate", "unknown [training] fields ['learning_rate']"),
     (("loss",), "term", "unknown [loss] fields ['term']"),

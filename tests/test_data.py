@@ -822,15 +822,16 @@ class TestSchemaDict:
         # a string used to become one column per letter: "age" gave ("a", "g", "e")
         d = {"label": "y", "positive_label": "1", "sensitive": "g", "sensitive_map": {"a": 0},
              "continuous": ["x"]}
-        with pytest.raises(TypeError, match="expected a list of strings"):
+        with pytest.raises(ConfigError, match=rf"^dataset\.schema\.{key} must be a (list|string)"):
             DatasetSchema.from_dict({**d, key: value})
 
     def test_unknown_key(self):
         d = {"label": "y", "positive_label": "1", "sensitive": "g", "sensitive_map": {"a": 0},
              "continuous": ["x"], "categorial": ["c"]}
-        with pytest.raises(ValueError, match=r"unknown schema fields \['categorial'\]"):
+        with pytest.raises(ConfigError, match=r"unknown \[dataset\.schema\] fields \['categorial'\]"):
             DatasetSchema.from_dict(d)
 
     def test_missing_key(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match=r"missing \[dataset\.schema\] fields "
+                                              r"\['sensitive', 'sensitive_map'\]"):
             DatasetSchema.from_dict({"label": "y", "positive_label": "1", "continuous": ["x"]})

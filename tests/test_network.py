@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpsfair.data import DatasetSchema, EncoderState
 from bpsfair.errors import ConfigError, FormatError, InputShapeError, StateError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant, combined_loss_and_gradient
 from bpsfair.metrics import MeasureKind
@@ -765,6 +766,47 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
+def network_configs(draw):
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    return NetworkConfig(
+        input_dim=draw(st.integers(1, 6)),
+        hidden=tuple((w, draw(st.sampled_from(["relu", "leaky_relu"]))) for w in widths),
+        dropout_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        use_batch_norm=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+NAMES = st.text(max_size=5)
+
+
+@st.composite
+def schemas(draw):
+    label, sensitive, *features = draw(st.lists(NAMES, min_size=3, max_size=6, unique=True))
+    cut = draw(st.integers(0, len(features)))
+    return DatasetSchema(
+        label=label, positive_label=draw(NAMES), negative_label=draw(NAMES), sensitive=sensitive,
+        sensitive_map=draw(st.dictionaries(NAMES, st.integers(0, 1), max_size=3)),
+        categorical=features[:cut], continuous=features[cut:],
+        ignore=draw(st.lists(NAMES, max_size=2)),
+        label_aliases=draw(st.dictionaries(NAMES, NAMES, max_size=2)),
+        missing_token=draw(NAMES),
+    )
+
+
+@st.composite
+def encoders(draw):
+    columns = draw(st.lists(NAMES, max_size=3, unique=True))
+    stats = st.floats(allow_nan=False, allow_infinity=False)
+    return EncoderState(
+        vocabularies={c: tuple(draw(st.lists(NAMES, max_size=3))) for c in columns},
+        means={c: draw(stats) for c in columns}, stds={c: draw(stats) for c in columns},
+        constant_columns=tuple(draw(st.lists(st.sampled_from(columns), max_size=2)))
+        if columns else (),
+    )
+
+
+@st.composite
 def mutated_artifacts(draw):
     blob, header = _artifact()
     kind = draw(st.sampled_from(["value", "delete", "shape", "truncate", "append", "flip"]))
@@ -804,9 +846,14 @@ class TestArtifactManifest:
         lambda h: h["config"].update(seed=-1),
         lambda h: h.update(metadata=[]),
         lambda h: h.pop("config"),
+        lambda h: h["config"].update(width=4),
+        lambda h: h["config"].update(input_dim="3"),
+        lambda h: h["config"].update(use_batch_norm=1),
+        lambda h: h["config"].update(dropout_rate="0.1"),
     ], ids=["arrays-int", "negative-shape", "string-shape", "float-shape", "no-name",
             "extra-array", "huge-layer", "float-input-dim", "short-hidden-spec",
-            "negative-seed", "metadata-list", "no-config"])
+            "negative-seed", "metadata-list", "no-config", "unknown-config-key",
+            "string-input-dim", "int-batch-norm", "string-dropout"])
     def test_malformed_header_is_format_error(self, mutate):
         blob, header = _artifact()
         mutate(header)
@@ -828,6 +875,19 @@ class TestArtifactManifest:
         blob, _ = _artifact()
         state, metadata = deserialize(blob)
         assert serialize(state, metadata) == blob
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(cfg=network_configs(), schema=schemas(), encoder=encoders())
+    def test_serialize_deserialize_serialize_is_byte_exact(self, cfg, schema, encoder):
+        state = init(cfg)
+        for p in state.parameters():
+            p += np.random.default_rng(cfg.seed).normal(size=p.shape)
+        blob = serialize(state, {"schema": schema.to_dict(), "encoder": encoder.to_dict()})
+        again, metadata = deserialize(blob)
+        assert again.config == cfg
+        assert serialize(again, metadata) == blob
+        assert DatasetSchema.from_dict(metadata["schema"]) == schema
+        assert EncoderState.from_dict(metadata["encoder"]) == encoder
 
 
 class TestReproducibility:
