@@ -18,7 +18,11 @@ __all__ = ["TEXT", "typed", "read", "Record"]
 
 
 class TEXT:
-    """Kind of a scalar read as its text, ``str(value)``; a list, mapping or null is refused."""
+    """Kind of a scalar read as its text, ``str(value)``.
+
+    A list, mapping or null is refused, and so is a boolean: YAML reads an
+    unquoted ``yes`` or ``no`` as one, whose text would be ``True`` or ``False``.
+    """
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
@@ -42,7 +46,7 @@ def typed(kind, value, key):
                 for k, v in typed(dict, value, key).items()}
     try:
         if kind is TEXT:
-            if value is None or isinstance(value, (list, dict)):
+            if value is None or isinstance(value, (bool, list, dict)):
                 raise ValueError
             return str(value)
         if (kind in (int, float) and isinstance(value, bool)
@@ -53,7 +57,8 @@ def typed(kind, value, key):
     except (TypeError, ValueError, OverflowError):
         name = (f"one of {[m.value for m in kind]}" if isinstance(kind, type)
                 and issubclass(kind, Enum) else _KIND_NAMES[kind])
-        raise ConfigError(f"{key} must be {name}, got {value!r}") from None
+        hint = " (quote yes/no/true/false)" if kind is TEXT and isinstance(value, bool) else ""
+        raise ConfigError(f"{key} must be {name}, got {value!r}{hint}") from None
 
 
 def read(block, section: str, kinds: dict) -> dict:

@@ -22,7 +22,6 @@ steps.  ``state[i]`` is model i as a plain single-model state.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -62,6 +61,7 @@ EVAL_BLOCK_ROWS = 256
 MAGIC = b"BPSFMODL"
 FORMAT_VERSION = 1
 _ACTIVATIONS = ("relu", "leaky_relu")
+_BN_STATS = ("bn_mean", "bn_var")  # running statistics, not trained
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,30 @@ class NetworkConfig(Record):
         return tuple(w for w, _ in self.hidden)
 
     @cached_property
+    def layout(self) -> tuple:
+        """(name, shape) of each state array, in artifact payload order.
+
+        Per hidden layer ``W``, ``b`` and, with batch norm, ``bn_scale``,
+        ``bn_shift``, ``bn_mean``, ``bn_var``; then the output ``W``, ``b``.
+        """
+        dims = [self.input_dim, *self.widths, 1]
+        arrays = []
+        for l, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+            arrays += [(f"W{l}", (fan_in, fan_out)), (f"b{l}", (fan_out,))]
+            if self.use_batch_norm and l < len(self.hidden):
+                arrays += [(f"{kind}{l}", (fan_out,))
+                           for kind in ("bn_scale", "bn_shift", *_BN_STATS)]
+        return tuple(arrays)
+
+    @cached_property
     def param_shapes(self) -> tuple:
         """Shape of each trainable array, in ``NetworkState.parameters()`` order."""
-        dims = [self.input_dim, *self.widths, 1]
-        shapes = []
-        for l, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-            if self.use_batch_norm and l < len(self.hidden):
-                shapes += [(fan_out,), (fan_out,)]
-        return tuple(shapes)
+        return tuple(shape for name, shape in self.layout if not name.startswith(_BN_STATS))
 
     @cached_property
     def stat_shapes(self) -> tuple:
         """Shape of each running statistic: bn_mean, then bn_var, per hidden layer."""
-        return tuple((w,) for w in self.widths for _ in range(2)) if self.use_batch_norm else ()
+        return tuple(shape for name, shape in self.layout if name.startswith(_BN_STATS))
 
 
 def _is_int(x):
@@ -514,21 +524,18 @@ def adam_step(state: NetworkState, adam: AdamState, grads):
     return state, adam
 
 
-def _state_arrays(state: NetworkState):
-    """All state arrays (parameters plus running stats) with stable names."""
-    arrays = []
-    n_hidden = len(state.config.hidden)
-    for l in range(n_hidden):
-        arrays.append((f"W{l}", state.weights[l]))
-        arrays.append((f"b{l}", state.biases[l]))
-        if state.config.use_batch_norm:
-            arrays.append((f"bn_scale{l}", state.bn_scale[l]))
-            arrays.append((f"bn_shift{l}", state.bn_shift[l]))
-            arrays.append((f"bn_mean{l}", state.bn_mean[l]))
-            arrays.append((f"bn_var{l}", state.bn_var[l]))
-    arrays.append((f"W{n_hidden}", state.weights[n_hidden]))
-    arrays.append((f"b{n_hidden}", state.biases[n_hidden]))
-    return arrays
+def _layout_arrays(state: NetworkState):
+    """The state's arrays in ``config.layout`` order."""
+    params, stats = iter(state.parameters()), iter(_split(state.stats, state.config.stat_shapes))
+    return [next(stats if name.startswith(_BN_STATS) else params)
+            for name, _ in state.config.layout]
+
+
+def _header(config: NetworkConfig, metadata) -> str:
+    """The JSON header ``serialize`` writes: config, metadata and the layout as manifest."""
+    manifest = [{"name": name, "shape": list(shape)} for name, shape in config.layout]
+    return json.dumps({"config": config.to_dict(), "metadata": metadata, "arrays": manifest},
+                      sort_keys=True)
 
 
 def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
@@ -542,43 +549,20 @@ def serialize(state: NetworkState, encoder_metadata=None) -> bytes:
     """
     if state.models is not None:
         raise StateError("serialize one model of a stack at a time")
-    arrays = _state_arrays(state)
-    header = {
-        "config": state.config.to_dict(),
-        "metadata": encoder_metadata if encoder_metadata is not None else {},
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
-    buf.write(header_bytes)
-    for _, arr in arrays:
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
-
-
-def _manifest_sizes(manifest):
-    """Element count of each manifest entry; FormatError unless it is a list of {name, shape}."""
-    if not isinstance(manifest, list):
-        raise FormatError(f"artifact manifest must be a list, got {manifest!r}")
-    sizes = []
-    for entry in manifest:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(_is_int(d) and d >= 0 for d in entry["shape"])):
-            raise FormatError(f"bad artifact manifest entry {entry!r}")
-        sizes.append(math.prod(entry["shape"]))
-    return sizes
+    header = _header(state.config, encoder_metadata if encoder_metadata is not None else {})
+    header_bytes = header.encode("utf-8")
+    return b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes,
+                     *(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                       for arr in _layout_arrays(state))])
 
 
 def deserialize(blob: bytes):
     """Unpack an artifact; returns (NetworkState, metadata dict).
 
-    The header is checked before any array is read: a config that
-    ``serialize`` would write back byte for byte, a manifest of {name,
-    shape} entries whose sizes sum to the payload, and a payload the size
-    the config's architecture needs.  Any other artifact raises
+    One rule: the header, dumped again with ``json.dumps(..., sort_keys=True)``,
+    is the header ``serialize`` writes for its config and metadata, and the
+    payload is the config's layout as float64s, exactly.  The payload size
+    is checked before any state is allocated.  Any other artifact raises
     FormatError.
     """
     if len(blob) < len(MAGIC) + 8:
@@ -596,42 +580,25 @@ def deserialize(blob: bytes):
     except (ValueError, RecursionError) as exc:  # a decode error is a ValueError
         raise FormatError(f"corrupt artifact header: {exc}")
     offset += header_len
-    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
-            and isinstance(header.get("metadata"), dict) and "arrays" in header):
-        raise FormatError("artifact header needs config and metadata mappings and arrays")
+    if not (isinstance(header, dict) and isinstance(header.get("metadata"), dict)):
+        raise FormatError("artifact header needs a metadata mapping")
     try:
-        config = NetworkConfig.from_dict(header["config"])
+        config = NetworkConfig.from_dict(header.get("config"))
     except ConfigError as exc:
         raise FormatError(f"artifact config invalid: {exc}") from None
-    if json.dumps(config.to_dict(), sort_keys=True) != json.dumps(header["config"], sort_keys=True):
-        raise FormatError(f"artifact config is not as serialize writes it: {header['config']!r}")
-    manifest, metadata = header["arrays"], header["metadata"]
-
-    sizes = _manifest_sizes(manifest)
-    total, payload = sum(sizes), len(blob) - offset
-    if 8 * total != payload:
-        raise FormatError(f"the manifest needs {8 * total} payload bytes, the artifact "
+    metadata = header["metadata"]
+    if json.dumps(header, sort_keys=True) != _header(config, metadata):
+        raise FormatError("artifact header is not as serialize writes it: a key, value or "
+                          "manifest entry differs from the header of its config")
+    sizes = [math.prod(shape) for _, shape in config.layout]
+    needed, payload = 8 * sum(sizes), len(blob) - offset
+    if payload != needed:  # so init below allocates no more than the payload holds
+        raise FormatError(f"the architecture needs {needed} payload bytes, the artifact "
                           f"holds {payload}: truncated or trailing bytes")
-    needed = sum(map(math.prod, config.param_shapes + config.stat_shapes))
-    if total != needed:  # so init below allocates no more than the payload holds
-        raise FormatError(f"artifact holds {total} values, its architecture needs {needed}")
-
-    values = {}
-    for entry, size in zip(manifest, sizes):
-        values[entry["name"]] = (
-            np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-            .reshape(entry["shape"])
-            .copy()
-        )
-        offset += 8 * size
     state = init(config)
-    for name, arr in _state_arrays(state):
-        if name not in values:
-            raise FormatError(f"artifact missing array {name!r}")
-        if values[name].shape != arr.shape:
-            raise FormatError(f"artifact array {name!r} has shape {values[name].shape}, "
-                              f"expected {arr.shape}")
-        arr[...] = values[name]
+    for arr, size in zip(_layout_arrays(state), sizes):
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(arr.shape)
+        offset += 8 * size
     return state, metadata
 
 

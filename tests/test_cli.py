@@ -652,7 +652,13 @@ class TestConfigParsing:
         ("positive_label", [1], "dataset.schema.positive_label must be a string or number"),
         ("label", None, "dataset.schema.label must be a string or number, got None"),
         ("label_aliases", {"x": {"y": 1}}, "dataset.schema.label_aliases.x must be a string"),
-    ], ids=["sensitive_map-fraction", "positive_label-list", "label-null", "label_aliases-mapping"])
+        # YAML reads an unquoted yes as true, whose text "True" matched no label in the CSV
+        ("positive_label", True, "dataset.schema.positive_label must be a string or number, "
+         "got True (quote yes/no/true/false)"),
+        ("sensitive_map", {True: 1}, "dataset.schema.sensitive_map key must be a string or "
+         "number, got True (quote yes/no/true/false)"),
+    ], ids=["sensitive_map-fraction", "positive_label-list", "label-null", "label_aliases-mapping",
+            "positive_label-yes", "sensitive_map-key-yes"])
     def test_malformed_schema_value_names_its_key(self, tmp_path, capsys, key, value, message):
         schema = {"label": "y", "positive_label": "1", "sensitive": "g",
                   "sensitive_map": {"a": 0, "b": 1}, "continuous": ["x"], key: value}

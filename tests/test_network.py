@@ -1,14 +1,22 @@
-"""Forward/backward correctness, Adam behavior, and artifact round trips."""
+"""Forward/backward correctness, Adam behavior, and artifact round trips.
+
+``oracle_deserialize`` keeps the artifact reader whose array manifest had
+its own name-keyed codec; a property requires every artifact that
+``deserialize`` accepts to read the same through it.
+"""
 
 import json
+import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpsfair import network
 from bpsfair.data import DatasetSchema, EncoderState
 from bpsfair.errors import ConfigError, FormatError, InputShapeError, StateError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant, combined_loss_and_gradient
@@ -806,12 +814,115 @@ def encoders(draw):
     )
 
 
+def _swap_entries(manifest, a, b):
+    """Exchange the manifest entries named ``a`` and ``b``."""
+    i, j = ([entry["name"] for entry in manifest].index(name) for name in (a, b))
+    manifest[i], manifest[j] = manifest[j], manifest[i]
+
+
+# ---- oracle: the name-keyed manifest codec that the one header rule replaced ----
+
+def _oracle_is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _oracle_state_arrays(state):
+    """All state arrays (parameters plus running stats) with stable names."""
+    arrays = []
+    n_hidden = len(state.config.hidden)
+    for l in range(n_hidden):
+        arrays.append((f"W{l}", state.weights[l]))
+        arrays.append((f"b{l}", state.biases[l]))
+        if state.config.use_batch_norm:
+            arrays.append((f"bn_scale{l}", state.bn_scale[l]))
+            arrays.append((f"bn_shift{l}", state.bn_shift[l]))
+            arrays.append((f"bn_mean{l}", state.bn_mean[l]))
+            arrays.append((f"bn_var{l}", state.bn_var[l]))
+    arrays.append((f"W{n_hidden}", state.weights[n_hidden]))
+    arrays.append((f"b{n_hidden}", state.biases[n_hidden]))
+    return arrays
+
+
+def _oracle_manifest_sizes(manifest):
+    """Element count of each manifest entry; FormatError unless it is a list of {name, shape}."""
+    if not isinstance(manifest, list):
+        raise FormatError(f"artifact manifest must be a list, got {manifest!r}")
+    sizes = []
+    for entry in manifest:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(_oracle_is_int(d) and d >= 0 for d in entry["shape"])):
+            raise FormatError(f"bad artifact manifest entry {entry!r}")
+        sizes.append(math.prod(entry["shape"]))
+    return sizes
+
+
+def oracle_deserialize(blob):
+    """The artifact reader with a config rule and a separate name-keyed manifest codec."""
+    magic = b"BPSFMODL"
+    if len(blob) < len(magic) + 8:
+        raise FormatError("artifact too short for header")
+    if blob[: len(magic)] != magic:
+        raise FormatError("bad magic: not a model artifact")
+    version, header_len = struct.unpack_from("<II", blob, len(magic))
+    if version != 1:
+        raise FormatError(f"unsupported artifact version {version} (expected 1)")
+    offset = len(magic) + 8
+    if len(blob) < offset + header_len:
+        raise FormatError("artifact truncated inside header")
+    try:
+        header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"corrupt artifact header: {exc}")
+    offset += header_len
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("metadata"), dict) and "arrays" in header):
+        raise FormatError("artifact header needs config and metadata mappings and arrays")
+    try:
+        config = NetworkConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise FormatError(f"artifact config invalid: {exc}") from None
+    if json.dumps(config.to_dict(), sort_keys=True) != json.dumps(header["config"], sort_keys=True):
+        raise FormatError(f"artifact config is not as serialize writes it: {header['config']!r}")
+    manifest, metadata = header["arrays"], header["metadata"]
+
+    sizes = _oracle_manifest_sizes(manifest)
+    total, payload = sum(sizes), len(blob) - offset
+    if 8 * total != payload:
+        raise FormatError(f"the manifest needs {8 * total} payload bytes, the artifact "
+                          f"holds {payload}: truncated or trailing bytes")
+    needed = sum(map(math.prod, config.param_shapes + config.stat_shapes))
+    if total != needed:
+        raise FormatError(f"artifact holds {total} values, its architecture needs {needed}")
+
+    values = {}
+    for entry, size in zip(manifest, sizes):
+        values[entry["name"]] = (
+            np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
+            .reshape(entry["shape"])
+            .copy()
+        )
+        offset += 8 * size
+    state = init(config)
+    for name, arr in _oracle_state_arrays(state):
+        if name not in values:
+            raise FormatError(f"artifact missing array {name!r}")
+        if values[name].shape != arr.shape:
+            raise FormatError(f"artifact array {name!r} has shape {values[name].shape}, "
+                              f"expected {arr.shape}")
+        arr[...] = values[name]
+    return state, metadata
+
+
 @st.composite
 def mutated_artifacts(draw):
     blob, header = _artifact()
-    kind = draw(st.sampled_from(["value", "delete", "shape", "truncate", "append", "flip"]))
-    if kind in ("value", "delete", "shape"):
-        if kind == "shape":
+    kind = draw(st.sampled_from(["value", "delete", "shape", "permute", "truncate", "append",
+                                 "flip"]))
+    if kind in ("value", "delete", "shape", "permute"):
+        if kind == "permute":
+            header["arrays"] = draw(st.permutations(header["arrays"]))
+        elif kind == "shape":
             entry = draw(st.sampled_from(header["arrays"]))
             entry["shape"] = draw(st.lists(st.integers(-3, 10**10), max_size=3) | JSON_VALUES)
         else:
@@ -850,10 +961,13 @@ class TestArtifactManifest:
         lambda h: h["config"].update(input_dim="3"),
         lambda h: h["config"].update(use_batch_norm=1),
         lambda h: h["config"].update(dropout_rate="0.1"),
+        lambda h: _swap_entries(h["arrays"], "bn_mean0", "bn_var0"),
+        lambda h: h.update(note=1),
     ], ids=["arrays-int", "negative-shape", "string-shape", "float-shape", "no-name",
             "extra-array", "huge-layer", "float-input-dim", "short-hidden-spec",
             "negative-seed", "metadata-list", "no-config", "unknown-config-key",
-            "string-input-dim", "int-batch-norm", "string-dropout"])
+            "string-input-dim", "int-batch-norm", "string-dropout", "swapped-manifest",
+            "extra-header-key"])
     def test_malformed_header_is_format_error(self, mutate):
         blob, header = _artifact()
         mutate(header)
@@ -870,6 +984,34 @@ class TestArtifactManifest:
         # a mutation that kept the artifact well formed gives a state that round-trips
         again = serialize(state, metadata)
         assert serialize(*deserialize(again)) == again
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(mutated_artifacts())
+    def test_accepts_only_what_the_oracle_accepts(self, blob):
+        try:
+            state, metadata = deserialize(blob)
+        except FormatError:
+            return
+        want, want_metadata = oracle_deserialize(blob)
+        assert state.config == want.config
+        assert_same_bytes([state.params, state.stats], [want.params, want.stats])
+        # as JSON text, so a NaN read twice compares equal
+        assert json.dumps(metadata, sort_keys=True) == json.dumps(want_metadata, sort_keys=True)
+
+    def test_payload_size_is_checked_before_allocation(self, monkeypatch):
+        blob, header = _artifact()
+        cfg = NetworkConfig.from_dict(header["config"])
+        huge = replace(cfg, hidden=((10**9, "relu"),) + cfg.hidden[1:])
+        # config and manifest agree on a 10**9-wide layer; the payload is the small one's
+        header["config"] = huge.to_dict()
+        header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in huge.layout]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init ran before the payload size was checked")
+
+        monkeypatch.setattr(network, "init", refuse)
+        with pytest.raises(FormatError, match="payload bytes"):
+            deserialize(_with_header(blob, header))
 
     def test_round_trip_of_the_fuzzed_artifact_is_bit_exact(self):
         blob, _ = _artifact()
