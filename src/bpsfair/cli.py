@@ -24,6 +24,7 @@ from .data import (
 from .engine import evaluate as evaluate_state
 from .engine import run_grid, train_model
 from .errors import BpsfairError, ConfigError, FormatError
+from .fields import POSITIVE_INT, typed
 from .metrics import BpsReport, evaluate_prediction_dump
 from .network import load_model, save_model
 from .report import (
@@ -47,19 +48,9 @@ __all__ = ["main"]
 def _jobs(flag) -> int:
     """``--jobs``, else $BPSFAIR_JOBS, else 1; either must be a positive integer."""
     if flag is not None:
-        if flag < 1:
-            raise ConfigError(f"jobs must be a positive integer, got {flag!r}")
-        return flag
+        return typed(POSITIVE_INT, flag, "jobs")
     env = os.environ.get("BPSFAIR_JOBS")
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"BPSFAIR_JOBS must be a positive integer, got {env!r}")
-    return jobs
+    return typed(POSITIVE_INT, env, "BPSFAIR_JOBS") if env else 1
 
 
 def _load_table(cfg: RunConfig, dataset_override):
@@ -117,6 +108,7 @@ def _write_report_csv(report: BpsReport, path, accuracy=None):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    cfg.train_config(1, seed_override=args.seed)  # its checks need no data, so they run first
     table, data_path = _load_table(cfg, args.dataset)
     split = mc_splits(table.n_rows, cfg.plan)[0]
     encoder = fit_encoder(table, rows=split[0])
@@ -165,8 +157,8 @@ def cmd_grid(args) -> int:
     check_plot_measures(planned, cfg.plot_measures)
     if cfg.table_rows:
         comparison_cells(planned, cfg.table_rows)
-    table, data_path = _load_table(cfg, args.dataset)
     base_config = cfg.train_config(1, seed_override=args.seed)  # input_dim resolved per split
+    table, data_path = _load_table(cfg, args.dataset)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import yaml
 
-from .data import DatasetSchema, SplitPlan, adult_preset, not_utf8_error, synthetic_preset
+from .data import (SYNTH_KINDS, DatasetSchema, SplitPlan, adult_preset, not_utf8_error,
+                   synthetic_preset)
 from .engine import GridSpec, TrainConfig
 from .errors import ConfigError
-from .fields import TEXT, read, typed
+from .fields import NON_NEGATIVE, POSITIVE, POSITIVE_INT, TEXT, read, typed
 from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
 from .network import NetworkConfig
 
@@ -85,9 +86,10 @@ def _parse_dataset(block):
     return path, schema
 
 
-_NETWORK_FIELDS = {"hidden": [int], "activation": None, "dropout": float, "batch_norm": bool,
-                   "seed": int}
-_NETWORK_ARGS = {"dropout": "dropout_rate", "batch_norm": "use_batch_norm"}
+# the NetworkConfig field each key sets, read as that field's kind
+_NETWORK_ARGS = {"dropout": "dropout_rate", "batch_norm": "use_batch_norm", "seed": "seed"}
+_NETWORK_FIELDS = {"hidden": [POSITIVE_INT], "activation": None,
+                   **{key: NetworkConfig.KINDS[arg] for key, arg in _NETWORK_ARGS.items()}}
 
 
 def _parse_network(block) -> dict:
@@ -105,18 +107,13 @@ def _parse_network(block) -> dict:
             if len(activations) != len(hidden):
                 raise ConfigError("per-layer activation list must match hidden widths")
         hidden = tuple(zip(hidden, activations))
-    return {"hidden": hidden, **{_NETWORK_ARGS.get(k, k): v for k, v in fields.items()}}
+    return {"hidden": hidden, **{_NETWORK_ARGS[k]: v for k, v in fields.items()}}
 
 
 def _parse_variant(spec) -> SoftVariant:
-    if isinstance(spec, str) and ":" in spec:
-        name, beta = spec.split(":", 1)
-        try:
-            beta = float(beta)
-        except ValueError:
-            raise ConfigError(f"bad variant {spec!r}: beta not numeric")
-        return SoftVariant(name.strip().lower(), beta)
-    return SoftVariant(str(spec).strip().lower())
+    name, colon, beta = str(spec).partition(":")
+    beta = typed(POSITIVE, beta, f"grid.variants {spec!r} beta") if colon else 1.0
+    return SoftVariant(name.strip().lower(), beta)
 
 
 def _parse_measures_entry(entry):
@@ -125,12 +122,12 @@ def _parse_measures_entry(entry):
     for item in [entry] if isinstance(entry, str) else typed(list, entry, "grid.measures entry"):
         kind, star, scale = str(item).partition("*")
         template.append((typed(MeasureKind, kind.strip().upper(), "grid.measures"),
-                         typed(float, scale, "grid.measures scale") if star else 1.0))
+                         typed(NON_NEGATIVE, scale, "grid.measures scale") if star else 1.0))
     return tuple(template)
 
 
-_GRID_FIELDS = {"measures": list, "variants": list, "powers": [int], "alphas": [float],
-                "iterations": int}
+_GRID_FIELDS = {"measures": list, "variants": list, "powers": [POSITIVE_INT],
+                "alphas": [NON_NEGATIVE], "iterations": POSITIVE_INT}
 
 
 def _parse_grid(block) -> GridSpec | None:
@@ -156,15 +153,6 @@ def _parse_table_row(entry):
         raise ConfigError("each [report] table row needs a label")
     return selector.pop("label"), selector
 
-
-_TRAINING_FIELDS = {"batch_size": int, "epochs": int, "lr": float, "seed": int,
-                    "keep_trace": bool, "beta1": float, "beta2": float, "adam_eps": float,
-                    "denominator_mode": DenominatorMode}
-_SPLIT_FIELDS = {"iterations": int, "train_fraction": float, "val_fraction": float,
-                 "base_seed": int}
-# synthesize_biased's arguments; the function holds the defaults
-_SYNTH_FIELDS = {"n": int, "base_rate_g0": float, "base_rate_g1": float,
-                 "group_fraction": float, "feature_dim": int, "noise": float, "seed": int}
 
 
 def load_config(path) -> RunConfig:
@@ -192,7 +180,7 @@ def load_config(path) -> RunConfig:
         return read({} if doc.get(name) is None else doc[name], name, kinds)
 
     dataset_path, schema = _parse_dataset(doc.get("dataset"))
-    training = section("training", _TRAINING_FIELDS)
+    training = section("training", TrainConfig.KINDS)
     mode = training.pop("denominator_mode", TrainConfig.denominator_mode)
     report = section("report", {"tables": list, "plot_measures": list})
     synth = doc.get("synth")
@@ -203,9 +191,9 @@ def load_config(path) -> RunConfig:
         training=training,
         terms=tuple(map(parse_term, section("loss", {"terms": [str]}).get("terms", ()))),
         denominator_mode=mode,
-        plan=SplitPlan(**section("split", _SPLIT_FIELDS)),
+        plan=SplitPlan(**section("split", SplitPlan.KINDS)),
         grid=_parse_grid(doc.get("grid")),
-        synth=None if synth is None else read(synth, "synth", _SYNTH_FIELDS),
+        synth=None if synth is None else read(synth, "synth", SYNTH_KINDS),
         table_rows=dict(map(_parse_table_row, report.get("tables", ()))),
         plot_measures=tuple(report["plot_measures"]) if "plot_measures" in report else None,
     )

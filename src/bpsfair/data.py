@@ -16,7 +16,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import BpsfairError, ConfigError, DataError, EmptyInputError, SchemaError
-from .fields import TEXT, Record
+from .fields import (FRACTION, NON_NEGATIVE, NON_NEGATIVE_INT, OPEN_FRACTION, POSITIVE_INT, TEXT,
+                     Record, typed)
 
 __all__ = [
     "DatasetSchema",
@@ -158,8 +159,12 @@ class EncodedDataset:
 
 
 @dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """Monte Carlo cross-validation plan: repeated seeded shuffles."""
+
+    KINDS = {"iterations": POSITIVE_INT, "train_fraction": OPEN_FRACTION,
+             "val_fraction": FRACTION, "base_seed": NON_NEGATIVE_INT}
+    SECTION = "split"
 
     iterations: int = 10
     train_fraction: float = 0.70
@@ -167,14 +172,9 @@ class SplitPlan:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.train_fraction < 1.0 or not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("split fractions must lie in (0, 1)")
+        super().__post_init__()
         if self.train_fraction + self.val_fraction >= 1.0:
             raise ConfigError("train + validation fractions must leave room for a test split")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
 
 
 def load_csv(path, schema: DatasetSchema) -> RawTable:
@@ -507,6 +507,12 @@ def synthetic_preset(feature_dim: int) -> DatasetSchema:
     )
 
 
+# synthesize_biased's arguments, as [synth] reads them; the function holds the defaults
+SYNTH_KINDS = {"n": POSITIVE_INT, "base_rate_g0": OPEN_FRACTION, "base_rate_g1": OPEN_FRACTION,
+               "group_fraction": OPEN_FRACTION, "feature_dim": POSITIVE_INT, "noise": NON_NEGATIVE,
+               "seed": NON_NEGATIVE_INT}
+
+
 def synthesize_biased(
     n: int = 10_000,
     base_rate_g0: float = 0.34,
@@ -525,16 +531,9 @@ def synthesize_biased(
     accuracy-trained model picks up group-correlated shortcuts and shows
     measurable bias at the baseline.
     """
-    for name, v in (("base_rate_g0", base_rate_g0), ("base_rate_g1", base_rate_g1),
-                    ("group_fraction", group_fraction)):
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"{name} must be in (0, 1), got {v}")
-    if n < 1 or feature_dim < 1:
-        raise ConfigError("n and feature_dim must be positive")
-    if noise < 0.0:
-        raise ConfigError(f"noise must be non-negative, got {noise}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    arguments = locals()
+    for name, kind in SYNTH_KINDS.items():
+        typed(kind, arguments[name], name)
 
     rng = np.random.default_rng(seed)
     a = (rng.random(n) >= group_fraction).astype(np.int64)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import EncodedDataset, RawTable, SplitPlan, apply_encoder, fit_encoder, mc_splits
 from .errors import ConfigError, DivergenceError, NonFiniteOutputError, StateError
+from .fields import FRACTION, NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE_INT, Record, typed
 from .losses import (
     DenominatorMode,
     FairnessTerm,
@@ -69,8 +70,13 @@ def scalar_columns(n_terms: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Everything one training run needs besides the data."""
+class TrainConfig(Record):
+    """Everything one training run needs besides the data; ``KINDS`` reads ``[training]``."""
+
+    KINDS = {"batch_size": POSITIVE_INT, "epochs": POSITIVE_INT, "lr": POSITIVE,
+             "seed": NON_NEGATIVE_INT, "keep_trace": bool, "beta1": FRACTION, "beta2": FRACTION,
+             "adam_eps": POSITIVE, "denominator_mode": DenominatorMode}
+    SECTION = "training"
 
     network: NetworkConfig
     terms: tuple = ()
@@ -85,20 +91,10 @@ class TrainConfig:
     keep_trace: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
         if self.network.use_batch_norm and self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 when batch norm is enabled")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ConfigError(f"lr must be a finite positive number, got {self.lr!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
-            raise ConfigError(f"adam_eps must be a finite positive number, got {self.adam_eps!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -274,6 +270,11 @@ def evaluate(state, dataset: EncodedDataset, indices=None, terms=(),
     )
 
 
+def _measures_label(template) -> str:
+    return "+".join(kind.value if scale == 1.0 else f"{kind.value}*{scale:g}"
+                    for kind, scale in template)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axes of a regularization grid search.
@@ -290,22 +291,30 @@ class GridSpec:
     iterations: int | None = None
 
     def __post_init__(self):
-        templates = tuple(
-            tuple((MeasureKind(k), float(s)) for k, s in template) for template in self.templates
-        )
+        templates = tuple(tuple((MeasureKind(k), typed(NON_NEGATIVE, s, "scale"))
+                                for k, s in template) for template in self.templates)
         object.__setattr__(self, "templates", templates)
         object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if not (self.templates and self.variants and self.powers and self.alphas):
-            raise ConfigError("grid axes must all be non-empty")
-        if any(a < 0 for a in self.alphas):
-            raise ConfigError("alpha values must be non-negative")
+        object.__setattr__(self, "powers",
+                           tuple(typed(POSITIVE_INT, p, "power") for p in self.powers))
+        object.__setattr__(self, "alphas",
+                           tuple(typed(NON_NEGATIVE, a, "alpha") for a in self.alphas))
+        if self.iterations is not None:
+            typed(POSITIVE_INT, self.iterations, "iterations")
+        # runs.csv keys a run by its cell's fields, beta and alpha at fmt's 6 significant
+        # digits; two values of one axis stored alike would pool their runs into one cell
+        for axis, stored in (("measures", list(map(_measures_label, templates))),
+                             ("variants", [f"{v.name}:{v.beta:.6g}" for v in self.variants]),
+                             ("powers", list(self.powers)),
+                             ("alphas", [float(f"{a:.6g}") for a in self.alphas])):
+            if not stored or len(set(stored)) < len(stored):
+                raise ConfigError(f"grid.{axis} must list one or more values, none twice as "
+                                  f"runs.csv stores them, got {stored}")
 
     def iterations_for(self, plan: SplitPlan) -> int:
         """The Monte Carlo iterations this grid runs under ``plan``; ConfigError if out of range."""
         iterations = plan.iterations if self.iterations is None else self.iterations
-        if iterations < 1 or iterations > plan.iterations:
+        if iterations > plan.iterations:
             raise ConfigError(
                 f"grid iterations {iterations} out of range for plan with {plan.iterations}"
             )
@@ -329,10 +338,7 @@ class CellKey:
 
     @property
     def measures_label(self) -> str:
-        parts = []
-        for kind, scale in self.measures:
-            parts.append(kind.value if scale == 1.0 else f"{kind.value}*{scale:g}")
-        return "+".join(parts)
+        return _measures_label(self.measures)
 
     def terms(self) -> tuple:
         """Fairness terms for this cell.
@@ -555,8 +561,7 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     pool runs the tasks, with jobs == 1 this process does.  Aggregation is
     deterministic in the task identity rather than completion order.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
+    typed(POSITIVE_INT, jobs, "jobs")
     iterations = grid.iterations_for(plan)
     keys = list(grid.cells())
     groups: dict = {}

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputShapeError, UndefinedMeasureError
+from .fields import NON_NEGATIVE, POSITIVE, POSITIVE_INT, typed
 from .metrics import MeasureKind, _as_binary_vector, measure_coefficients, measure_parts
 
 __all__ = [
@@ -54,8 +55,7 @@ class SoftVariant:
     def __post_init__(self):
         if self.name not in ("continuous", "sigmoided"):
             raise ConfigError(f"unknown soft variant {self.name!r}")
-        if self.name == "sigmoided" and self.beta <= 0:
-            raise ConfigError(f"sigmoid sharpness must be positive, got {self.beta}")
+        object.__setattr__(self, "beta", typed(POSITIVE, self.beta, "beta"))
         if self.name == "continuous" and self.beta != 1.0:
             raise ConfigError(f"beta only applies to sigmoided weights, got {self.beta:g}")
 
@@ -101,10 +101,8 @@ class FairnessTerm:
     power: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"term weight must be non-negative, got {self.alpha}")
-        if self.power < 1 or int(self.power) != self.power:
-            raise ConfigError(f"term power must be an integer >= 1, got {self.power}")
+        object.__setattr__(self, "alpha", typed(NON_NEGATIVE, self.alpha, "alpha"))
+        object.__setattr__(self, "power", typed(POSITIVE_INT, self.power, "power"))
 
     def __str__(self) -> str:
         base = f"{self.kind.value}:{self.variant.name}:{self.alpha:g}:{self.power}"
@@ -114,7 +112,7 @@ class FairnessTerm:
 
 
 def parse_term(spec: str) -> FairnessTerm:
-    """Parse a ``measure:variant:alpha:power[:beta]`` term string.
+    """Parse a ``loss.terms`` entry, a ``measure:variant:alpha:power[:beta]`` string.
 
     Example: ``FPR:sigmoided:0.05:4`` or ``STP:continuous:0.8:4``.
     """
@@ -126,17 +124,11 @@ def parse_term(spec: str) -> FairnessTerm:
         kind = MeasureKind(kind_s.strip().upper())
     except ValueError:
         raise ConfigError(f"bad term spec {spec!r}: unknown measure {kind_s!r}")
-    try:
-        beta = float(parts[4]) if len(parts) == 5 else 1.0
-    except ValueError:
-        raise ConfigError(f"bad term spec {spec!r}: beta not numeric")
-    variant = SoftVariant(variant_s.strip().lower(), beta)
-    try:
-        alpha = float(alpha_s)
-        power = int(power_s)
-    except ValueError:
-        raise ConfigError(f"bad term spec {spec!r}: alpha/power not numeric")
-    return FairnessTerm(kind=kind, variant=variant, alpha=alpha, power=power)
+    key = f"loss.terms {spec!r}"
+    beta = typed(POSITIVE, parts[4], f"{key} beta") if len(parts) == 5 else 1.0
+    return FairnessTerm(kind=kind, variant=SoftVariant(variant_s.strip().lower(), beta),
+                        alpha=typed(NON_NEGATIVE, alpha_s, f"{key} alpha"),
+                        power=typed(POSITIVE_INT, power_s, f"{key} power"))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputShapeError, StateError
-from .fields import Record
+from .fields import FRACTION, NON_NEGATIVE_INT, POSITIVE_INT, Record, typed
 
 __all__ = [
     "NetworkConfig",
@@ -71,33 +71,25 @@ class NetworkConfig(Record):
     A bare integer in ``hidden`` is a ReLU layer of that width.
     """
 
-    KINDS = {"input_dim": int, "hidden": list, "dropout_rate": float, "use_batch_norm": bool,
-             "seed": int}
+    KINDS = {"input_dim": POSITIVE_INT, "hidden": list, "dropout_rate": FRACTION,
+             "use_batch_norm": bool, "seed": NON_NEGATIVE_INT}
     SECTION = "config"
 
     input_dim: int
     hidden: tuple
-    dropout_rate: float = 0.0
+    dropout_rate: float = 0.0  # stored as a float, as serialize writes it
     use_batch_norm: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         hidden = tuple(map(_layer_spec, self.hidden))
         object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))  # as serialize writes it
-        if self.input_dim <= 0:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not hidden:
             raise ConfigError("at least one hidden layer is required")
-        for width, act in hidden:
-            if width <= 0:
-                raise ConfigError(f"hidden width must be positive, got {width}")
+        for _, act in hidden:
             if act not in _ACTIVATIONS:
                 raise ConfigError(f"unknown activation {act!r}, expected one of {_ACTIVATIONS}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"network seed must be non-negative, got {self.seed}")
 
     @property
     def widths(self):
@@ -137,11 +129,11 @@ def _is_int(x):
 def _layer_spec(spec) -> tuple:
     """A ``hidden`` entry as (width, activation); a bare width is a ReLU layer."""
     if _is_int(spec):
-        return spec, "relu"
+        spec = spec, "relu"
     if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and _is_int(spec[0])
             and isinstance(spec[1], str)):
         raise ConfigError(f"a hidden layer is a width or a (width, activation) pair, got {spec!r}")
-    return tuple(spec)
+    return typed(POSITIVE_INT, spec[0], "hidden width"), spec[1]
 
 
 def _split(buf, shapes):
@@ -257,9 +249,7 @@ def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
 
     With ``models`` set, returns a stack of that many identical copies.
     """
-    if models is not None and models < 1:
-        raise ConfigError(f"models must be positive, got {models}")
-    lead = () if models is None else (models,)
+    lead = () if models is None else (typed(POSITIVE_INT, models, "models"),)
     sizes = [sum(map(math.prod, shapes))
              for shapes in (config.param_shapes, config.stat_shapes)]
     state = NetworkState(config, np.zeros(lead + (sizes[0],)), np.zeros(lead + (sizes[1],)))

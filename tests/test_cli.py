@@ -40,6 +40,10 @@ def write_config(path, **overrides):
     return path
 
 
+def no_dataset_read(*args):
+    raise AssertionError("the dataset was read")
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml")
@@ -59,7 +63,7 @@ class TestSynth:
         assert (workspace / "synth.csv").read_text() != (workspace / "synth2.csv").read_text()
 
     @pytest.mark.parametrize("synth, message", [
-        ({"n": "abc"}, "error: synth.n must be an integer, got 'abc'"),
+        ({"n": "abc"}, "error: synth.n must be a positive integer, got 'abc'"),
         ({"n": 50, "seeed": 3}, "error: unknown [synth] fields ['seeed']"),
     ])
     def test_malformed_block_exits_2(self, workspace, capsys, synth, message):
@@ -112,28 +116,89 @@ class TestTrain:
         cfg_path = write_config(workspace / "bad.yaml", training=training)
         out = workspace / "out"
         assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert capsys.readouterr().err.startswith(f"error: training.{field} must be")
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command, overrides, flags", [
-    ("train", {"network": {"hidden": [8], "seed": -1}}, []),
-    ("train", {"training": {"epochs": 1, "seed": -3}}, []),
-    ("grid", {"split": {"iterations": 2, "base_seed": -5}}, []),
-    ("synth", {"synth": {"n": 600, "seed": -1}}, []),
-    ("train", {}, ["--seed", "-2"]),
-    ("grid", {}, ["--seed", "-2"]),
-    ("synth", {}, ["--seed", "-2"]),
+@pytest.mark.parametrize("command, overrides, flags, key", [
+    ("train", {"network": {"hidden": [8], "seed": -1}}, [], "network.seed"),
+    ("train", {"training": {"epochs": 1, "seed": -3}}, [], "training.seed"),
+    ("grid", {"split": {"iterations": 2, "base_seed": -5}}, [], "split.base_seed"),
+    ("synth", {"synth": {"n": 600, "seed": -1}}, [], "synth.seed"),
+    ("train", {}, ["--seed", "-2"], "seed"),
+    ("grid", {}, ["--seed", "-2"], "seed"),
+    ("synth", {}, ["--seed", "-2"], "seed"),
 ], ids=["network.seed", "training.seed", "split.base_seed", "synth.seed", "train--seed",
         "grid--seed", "synth--seed"])
-def test_negative_seed_exits_2_without_writing(workspace, capsys, command, overrides, flags):
+def test_negative_seed_exits_2_without_writing(workspace, capsys, monkeypatch, command, overrides,
+                                               flags, key):
     # numpy's generators take no negative seed: these ended in a ValueError traceback
+    monkeypatch.setattr(cli, "load_csv", no_dataset_read)
     cfg = write_config(workspace / "neg.yaml", **overrides)
     out = workspace / ("neg.csv" if command == "synth" else "neg_out")
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
-    assert re.match(r"error: (network |base_)?seed must be non-negative, got -\d",
+    assert re.match(rf"error: {re.escape(key)} must be a non-negative integer, got -\d\n",
                     capsys.readouterr().err)
+    assert not out.exists()
+
+
+# (command, section, key, value): each was refused only after the dataset was read, named no
+# config key, or was not refused at all
+OUT_OF_RANGE = [
+    ("grid", "grid", "alphas", [0, float("nan")]),
+    ("grid", "grid", "alphas", [0, float("inf")]),
+    ("grid", "grid", "measures", [["FNR*nan"]]),
+    ("grid", "grid", "measures", [["FNR*-1"]]),
+    ("grid", "grid", "powers", [0, 1]),
+    ("train", "loss", "terms", ["FPR:continuous:nan:1"]),
+    ("synth", "synth", "noise", float("nan")),
+    ("synth", "synth", "seed", -1),
+    ("train", "training", "epochs", 0),
+    ("train", "training", "batch_size", 0),
+    ("train", "training", "seed", -3),
+    ("train", "network", "dropout", 1.5),
+    ("train", "split", "val_fraction", 1.0),
+    # cells that collide in runs.csv's key columns
+    ("grid", "grid", "alphas", [0.0, 0.5, 0.5]),
+    ("grid", "grid", "alphas", [0.0, 0.5, 0.5000001]),
+    ("grid", "grid", "powers", [1, 2, 1]),
+    ("grid", "grid", "variants", ["continuous", "sigmoided:2", "sigmoided:2.0000001"]),
+    ("grid", "grid", "measures", [["FNR"], "FNR"]),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}" for _, s, k, v in OUT_OF_RANGE])
+def test_out_of_range_value_exits_2_at_load(workspace, capsys, monkeypatch, command, section,
+                                           key, value):
+    doc = yaml.safe_load(write_config(workspace / "bad.yaml").read_text())
+    doc[section][key] = value
+    cfg = workspace / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    monkeypatch.setattr(cli, "load_csv", no_dataset_read)
+    out = workspace / ("bad.csv" if command == "synth" else "bad_out")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"network": {"hidden": [4], "activation": "tanh"}}, "unknown activation 'tanh'"),
+    ({"network": {"hidden": [4], "batch_norm": True}, "training": {"batch_size": 1}},
+     "batch_size must be >= 2 when batch norm is enabled"),
+], ids=["activation", "batch-norm-batch"])
+def test_bad_network_exits_2_before_reading_the_dataset(workspace, capsys, monkeypatch, command,
+                                                        overrides, message):
+    # these are checked when the TrainConfig is built, which once waited for the data
+    cfg = write_config(workspace / "bad.yaml", **overrides)
+    monkeypatch.setattr(cli, "load_csv", no_dataset_read)
+    out = workspace / "bad_out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 
@@ -533,7 +598,9 @@ class TestConfigParsing:
             grid={"measures": [["FPR"]], "variants": ["sigmoided:sharp"], "powers": [1],
                   "alphas": [0.1]},
         )
-        with pytest.raises(ConfigError, match="beta not numeric"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "grid.variants 'sigmoided:sharp' beta must be a finite positive number, "
+                "got 'sharp'")):
             load_config(cfg_path)
         code = main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
@@ -576,7 +643,7 @@ class TestConfigParsing:
         code = main(["train", "--config", str(cfg_path), "--out", str(workspace / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: training.epochs must be an integer, got 'many'")
+        assert err.startswith("error: training.epochs must be a positive integer, got 'many'")
 
     def test_train_with_non_utf8_config_exits_2(self, workspace, capsys):
         cfg_path = workspace / "bad.yaml"

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from bpsfair import cli
 from bpsfair.config import RunConfig, load_config
-from bpsfair.data import MISSING_TOKEN, DatasetSchema, SplitPlan, adult_preset, synthetic_preset
+from bpsfair.data import (MISSING_TOKEN, DatasetSchema, SplitPlan, adult_preset,
+                          synthesize_biased, synthetic_preset)
 from bpsfair.engine import DEFAULT_ALPHAS, GridSpec, TrainConfig
 from bpsfair.errors import ConfigError
-from bpsfair.losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
+from bpsfair.losses import DenominatorMode, FairnessTerm, MeasureKind, SoftVariant, parse_term
 from bpsfair.network import NetworkConfig
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -347,12 +348,22 @@ TRAINING = {"batch_size": st.integers(2, 512), "epochs": st.integers(1, 200),
 TERMS = st.builds("{}:{}:{}:{}".format, MEASURES, st.sampled_from(["continuous", "sigmoided"]),
                   st.sampled_from(["0", "0.5", "0.8"]), st.integers(1, 4))
 SCALED = st.builds("{}*{}".format, MEASURES, st.sampled_from(["1", "1.25"]))
+
+
+def measure_set(entry) -> tuple:
+    """The (measure, scale) pairs a grid.measures entry names: FPR, [FPR] and [FPR*1] are one."""
+    items = [entry] if isinstance(entry, str) else entry
+    return tuple((m.partition("*")[0], float(m.partition("*")[2] or 1)) for m in items)
+
+
+# a grid lists each measure set, variant, power and alpha once, as runs.csv stores it
 GRID = {"measures": st.lists(MEASURES | st.lists(MEASURES | SCALED, min_size=1, max_size=2),
-                             min_size=1, max_size=3),
+                             min_size=1, max_size=3, unique_by=measure_set),
         "variants": st.lists(st.sampled_from(["continuous", "sigmoided", "sigmoided:5.0"]),
                              min_size=1, max_size=3, unique=True),
-        "powers": st.lists(st.integers(1, 4), min_size=1, max_size=4),
-        "alphas": st.lists(st.floats(0.0, 2.0) | st.integers(0, 2), min_size=1, max_size=4),
+        "powers": st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+        "alphas": st.lists(st.floats(0.0, 2.0) | st.integers(0, 2), min_size=1, max_size=4,
+                           unique_by=lambda a: float(f"{a:.6g}")),
         "iterations": st.integers(1, 5)}
 SPLIT = {"iterations": st.integers(1, 20), "base_seed": st.integers(0, 10**6),
          # with or without the defaults, the two fractions leave a test split
@@ -494,3 +505,41 @@ class TestDefaultsHaveOneHome:
         assert cfg.train_config(3) == TrainConfig(network=network)
         assert cfg.plan == SplitPlan()
         assert cfg.grid == GridSpec()
+
+
+# ---- ranges: Python callers meet the rule the config reader applies ----
+
+NET = NetworkConfig(input_dim=3, hidden=(4,))
+CONT = SoftVariant.continuous()
+
+
+class TestPythonCallersMeetTheSameRanges:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TrainConfig(network=NET, epochs=0), "epochs must be a positive integer, got 0"),
+        (lambda: TrainConfig(network=NET, lr=float("nan")),
+         "lr must be a finite positive number, got nan"),
+        (lambda: SplitPlan(iterations=0), "iterations must be a positive integer, got 0"),
+        (lambda: SplitPlan(train_fraction=0.5, val_fraction=0.5),
+         "train + validation fractions must leave room for a test split"),
+        (lambda: synthesize_biased(noise=float("nan")),
+         "noise must be a finite non-negative number, got nan"),
+        (lambda: synthesize_biased(seed=-1), "seed must be a non-negative integer, got -1"),
+        (lambda: FairnessTerm(MeasureKind.FPR, CONT, alpha=float("inf")),
+         "alpha must be a finite non-negative number, got inf"),
+        (lambda: FairnessTerm(MeasureKind.FPR, CONT, alpha=0.5, power=1.5),
+         "power must be a positive integer, got 1.5"),
+        (lambda: SoftVariant.sigmoided(float("inf")), "beta must be a finite positive number"),
+        (lambda: NetworkConfig(input_dim=3, hidden=(4,), dropout_rate=1.5),
+         "dropout_rate must be a number in [0, 1), got 1.5"),
+        (lambda: GridSpec(powers=(0, 1)), "power must be a positive integer, got 0"),
+        (lambda: GridSpec(alphas=(0.0, 0.5, 0.5)), "grid.alphas must list one or more values"),
+        (lambda: GridSpec(iterations=0), "iterations must be a positive integer, got 0"),
+    ])
+    def test_refused_naming_the_field(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            build()
+
+    def test_fields_are_stored_as_their_kind_reads_them(self):
+        assert type(NetworkConfig(input_dim=3, hidden=(4,), dropout_rate=0).dropout_rate) is float
+        term = FairnessTerm(MeasureKind.FPR, CONT, alpha=1, power=2.0)
+        assert (type(term.alpha), type(term.power)) == (float, int)
