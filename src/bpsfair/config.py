@@ -22,7 +22,7 @@ from .engine import GridSpec, TrainConfig
 from .errors import ConfigError
 from .fields import NON_NEGATIVE, POSITIVE, POSITIVE_INT, TEXT, read, typed
 from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
-from .network import NetworkConfig
+from .network import ACTIVATION, NetworkConfig
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -100,12 +100,12 @@ def _parse_network(block) -> dict:
         raise ConfigError("[network] needs a hidden layer width list")
     if "activation" in fields:  # else NetworkConfig's: a bare width is a ReLU layer
         activation = fields.pop("activation")
-        if isinstance(activation, str):
-            activations = [activation] * len(hidden)
-        else:
-            activations = typed([str], activation, "network.activation")
-            if len(activations) != len(hidden):
-                raise ConfigError("per-layer activation list must match hidden widths")
+        if isinstance(activation, str):  # one name for every layer
+            activation = [activation] * len(hidden)
+        activations = typed([ACTIVATION], activation, "network.activation")
+        if len(activations) != len(hidden):
+            raise ConfigError(f"network.activation must name one activation per network.hidden "
+                              f"width, got {len(activations)} for {len(hidden)}")
         hidden = tuple(zip(hidden, activations))
     return {"hidden": hidden, **{_NETWORK_ARGS[k]: v for k, v in fields.items()}}
 
@@ -154,6 +154,25 @@ def _parse_table_row(entry):
     return selector.pop("label"), selector
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader refusing a mapping key given twice, at any depth; safe_load keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        first = {}
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":  # `<<` merges may override keys
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                mark = first.setdefault(key, key_node.start_mark)
+            except TypeError:  # unhashable: the base class refuses it
+                continue
+            if mark is not key_node.start_mark:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}, first given at line {mark.line + 1}",
+                    key_node.start_mark)
+        return super().construct_mapping(node, deep)
+
 
 def load_config(path) -> RunConfig:
     path = Path(path)
@@ -161,7 +180,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except UnicodeDecodeError:
         raise not_utf8_error(path, ConfigError) from None
     except yaml.YAMLError as exc:

@@ -94,7 +94,8 @@ class TrainConfig(Record):
         super().__post_init__()
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.network.use_batch_norm and self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 when batch norm is enabled")
+            raise ConfigError(f"training.batch_size must be at least 2 when network.batch_norm "
+                              f"is true, got {self.batch_size}")
 
 
 @dataclass
@@ -310,6 +311,12 @@ class GridSpec:
             if not stored or len(set(stored)) < len(stored):
                 raise ConfigError(f"grid.{axis} must list one or more values, none twice as "
                                   f"runs.csv stores them, got {stored}")
+        # a cell's term weight is alpha * scale: each is finite, their product may not be
+        alpha = max(self.alphas)
+        scale = max((s for template in templates for _, s in template), default=0.0)
+        if math.isinf(alpha * scale):
+            raise ConfigError(f"grid.alphas times a grid.measures scale must be finite, "
+                              f"got {alpha:g} * {scale:g}")
 
     def iterations_for(self, plan: SplitPlan) -> int:
         """The Monte Carlo iterations this grid runs under ``plan``; ConfigError if out of range."""

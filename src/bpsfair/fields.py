@@ -2,9 +2,10 @@
 
 A kind is ``int``, ``float``, ``bool``, ``str``, ``list``, ``dict``, an
 Enum, ``TEXT``, a ``Range`` (a number kind with a value range, such as
-``POSITIVE_INT``), ``[k]`` (a list of ``k`` values, read as a tuple) or
-``{k: v}`` (a mapping of ``k`` keys to ``v`` values).  A value, key or
-block that its kind does not take raises ConfigError naming it.
+``POSITIVE_INT``, or a string kind with a set of names), ``[k]`` (a list
+of ``k`` values, read as a tuple) or ``{k: v}`` (a mapping of ``k`` keys
+to ``v`` values).  A value, key or block that its kind does not take
+raises ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class TEXT:
 
 
 class Range(NamedTuple):
-    """Kind of a ``base`` number (``int`` or ``float``) that ``accepts``; ``name`` says which."""
+    """Kind of an ``int``, ``float`` or ``str`` value that ``accepts``; ``name`` says which."""
 
     base: type
     name: str

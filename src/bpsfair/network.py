@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputShapeError, StateError
-from .fields import FRACTION, NON_NEGATIVE_INT, POSITIVE_INT, Record, typed
+from .fields import FRACTION, NON_NEGATIVE_INT, POSITIVE_INT, Range, Record, typed
 
 __all__ = [
     "NetworkConfig",
@@ -61,6 +61,8 @@ EVAL_BLOCK_ROWS = 256
 MAGIC = b"BPSFMODL"
 FORMAT_VERSION = 1
 _ACTIVATIONS = ("relu", "leaky_relu")
+# the kind of a hidden layer's activation, in NetworkConfig and the [network] reader
+ACTIVATION = Range(str, f"one of {list(_ACTIVATIONS)}", _ACTIVATIONS.__contains__)
 _BN_STATS = ("bn_mean", "bn_var")  # running statistics, not trained
 
 
@@ -87,9 +89,6 @@ class NetworkConfig(Record):
         object.__setattr__(self, "hidden", hidden)
         if not hidden:
             raise ConfigError("at least one hidden layer is required")
-        for _, act in hidden:
-            if act not in _ACTIVATIONS:
-                raise ConfigError(f"unknown activation {act!r}, expected one of {_ACTIVATIONS}")
 
     @property
     def widths(self):
@@ -133,7 +132,8 @@ def _layer_spec(spec) -> tuple:
     if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and _is_int(spec[0])
             and isinstance(spec[1], str)):
         raise ConfigError(f"a hidden layer is a width or a (width, activation) pair, got {spec!r}")
-    return typed(POSITIVE_INT, spec[0], "hidden width"), spec[1]
+    return (typed(POSITIVE_INT, spec[0], "hidden width"),
+            typed(ACTIVATION, spec[1], "hidden activation"))
 
 
 def _split(buf, shapes):

@@ -11,14 +11,16 @@ criteria, with the CLI's ConfigError.
 
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bpsfair.cli import _jobs
+from bpsfair.config import load_config
 from bpsfair.data import SplitPlan, adult_preset, load_csv, mc_splits, synthesize_biased
-from bpsfair.engine import GridSpec, TrainConfig, dataset_for_split, run_grid, train_model
+from bpsfair.engine import TrainConfig, dataset_for_split, run_grid, train_model
 from bpsfair.errors import UndefinedMeasureError
 from bpsfair.losses import (
     DenominatorMode,
@@ -32,9 +34,7 @@ from bpsfair.metrics import MeasureKind, bps_binary, bps_report, confusion, hard
 from bpsfair.network import NetworkConfig, serialize
 
 REPO = Path(__file__).resolve().parents[1]
-
-ARCH1 = ((108, "relu"), (108, "relu"))
-ARCH2 = ((108, "leaky_relu"), (324, "leaky_relu"))
+CONFIGS = REPO / "configs"  # criteria 1-6 run these files' settings
 CONT = SoftVariant.continuous()
 
 
@@ -71,46 +71,19 @@ def adult_table():
     return _adult_cache["table"]
 
 
-def adult_plan():
-    return SplitPlan(iterations=10, train_fraction=0.70, val_fraction=0.10, base_seed=2024)
-
-
-def adult_base(hidden, mode=DenominatorMode.AS_WRITTEN):
-    return TrainConfig(
-        network=NetworkConfig(input_dim=1, hidden=hidden, dropout_rate=0.10,
-                              use_batch_norm=True, seed=0),
-        batch_size=256,
-        epochs=100,
-        lr=0.001,
-        seed=7,
-        denominator_mode=mode,
-    )
-
-
-def adult_grid(tag, hidden, grid, mode=DenominatorMode.AS_WRITTEN):
-    if tag not in _adult_cache:
-        _adult_cache[tag] = run_grid(
-            adult_table(), adult_base(hidden, mode), grid, adult_plan(), jobs=_jobs(None)
-        )
-    return _adult_cache[tag]
-
-
-def arch1_stp():
-    grid = GridSpec(templates=[[("STP", 1.0)]], variants=[CONT], powers=[4],
-                    alphas=[0.0, 0.8])
-    return adult_grid("arch1_stp", ARCH1, grid)
-
-
-def arch2_stp():
-    grid = GridSpec(templates=[[("STP", 1.0)]], variants=[CONT], powers=[4],
-                    alphas=[0.0, 0.84])
-    return adult_grid("arch2_stp", ARCH2, grid)
+def adult_grid(name):
+    """The grid of ``configs/adult_<name>.yaml``, run on the Adult file once per test run."""
+    if name not in _adult_cache:
+        cfg = load_config(CONFIGS / f"adult_{name}.yaml")
+        _adult_cache[name] = run_grid(adult_table(), cfg.train_config(1), cfg.grid, cfg.plan,
+                                      jobs=_jobs(None))
+    return _adult_cache[name]
 
 
 @needs_adult
 def test_criterion_1_adult_baseline():
     """Architecture 1 without regularization: accuracy 84.5 +/- 1.5, pRule 34 +/- 6."""
-    cell = arch1_stp().cell(alpha=0.0)
+    cell = adult_grid("arch1_stp").cell(alpha=0.0)
     acc = 100.0 * cell.means["accuracy"]
     prule = cell.means["bps_stp"]
     line = f"baseline accuracy {acc:.2f}% (target 84.5+/-1.5), pRule {prule:.1f} (target 34+/-6)"
@@ -122,7 +95,7 @@ def test_criterion_1_adult_baseline():
 @needs_adult
 def test_criterion_2_adult_stp_debiasing_arch1():
     """STP continuous loss, k=4, alpha=0.8: mean pRule >= 97 at accuracy >= 80.5%."""
-    cell = arch1_stp().cell(alpha=0.8)
+    cell = adult_grid("arch1_stp").cell(alpha=0.8)
     acc = 100.0 * cell.means["accuracy"]
     prule = cell.means["bps_stp"]
     line = f"arch 1 debiased pRule {prule:.2f} (>=97), accuracy {acc:.2f}% (>=80.5)"
@@ -134,7 +107,7 @@ def test_criterion_2_adult_stp_debiasing_arch1():
 @needs_adult
 def test_criterion_3_adult_stp_debiasing_arch2():
     """Leaky-ReLU 108/324 net, k=4, alpha=0.84: mean pRule >= 98 at accuracy >= 81%."""
-    cell = arch2_stp().cell(alpha=0.84)
+    cell = adult_grid("arch2_stp").cell(alpha=0.84)
     acc = 100.0 * cell.means["accuracy"]
     prule = cell.means["bps_stp"]
     line = f"arch 2 debiased pRule {prule:.2f} (>=98), accuracy {acc:.2f}% (>=81)"
@@ -152,13 +125,8 @@ def test_criterion_4_adult_fpr_fnr_equalization():
     measure to the hard rate it regularizes; beta=10 with RATE mode is
     the committed configuration for both architectures.
     """
-    sig = SoftVariant.sigmoided(10.0)
-    g1 = GridSpec(templates=[[("FPR", 1.0), ("FNR", 1.0)]], variants=[sig], powers=[4],
-                  alphas=[0.05])
-    arch1 = adult_grid("arch1_fprfnr", ARCH1, g1, mode=DenominatorMode.RATE).cells[0]
-    g2 = GridSpec(templates=[[("FPR", 1.0), ("FNR", 1.25)]], variants=[sig], powers=[3],
-                  alphas=[0.1])
-    arch2 = adult_grid("arch2_fprfnr", ARCH2, g2, mode=DenominatorMode.RATE).cells[0]
+    arch1 = adult_grid("arch1_fprfnr").cell(alpha=0.05)
+    arch2 = adult_grid("arch2_fprfnr").cell(alpha=0.1)
 
     line1 = (f"arch 1 BPS_FPR {arch1.means['bps_fpr']:.1f} (>=88), "
              f"BPS_FNR {arch1.means['bps_fnr']:.1f} (>=80)")
@@ -198,25 +166,21 @@ def test_adult_file_integrity():
 
 @pytest.fixture(scope="module")
 def synth_setup():
-    table = synthesize_biased(n=6000, base_rate_g0=0.34, base_rate_g1=0.46,
-                              group_fraction=0.5, feature_dim=6, noise=1.0, seed=2024)
-    plan = SplitPlan(iterations=8, train_fraction=0.7, val_fraction=0.1, base_seed=2024)
-    base = TrainConfig(
-        network=NetworkConfig(input_dim=6, hidden=((16, "relu"), (16, "relu")), seed=0),
-        batch_size=128,
-        epochs=30,
-        lr=0.005,
-        seed=7,
-        denominator_mode=DenominatorMode.RATE,
-    )
-    return table, base, plan
+    """configs/synthetic_curves.yaml: its table, base config, split plan and grid."""
+    cfg = load_config(CONFIGS / "synthetic_curves.yaml")
+    return synthesize_biased(**cfg.synth), cfg.train_config(6), cfg.plan, cfg.grid
+
+
+def template(grid, *kinds):
+    """The grid's one measure template of exactly these measure kinds."""
+    (found,) = (t for t in grid.templates if tuple(kind.value for kind, _ in t) == kinds)
+    return found
 
 
 def test_criterion_5_synthetic_fnr_curve(synth_setup):
     """At alpha=0.3 the FNR parity score jumps while accuracy barely moves."""
-    table, base, plan = synth_setup
-    grid = GridSpec(templates=[[("FNR", 1.0)]], variants=[CONT], powers=[1],
-                    alphas=[0.0, 0.3])
+    table, base, plan, grid = synth_setup
+    grid = replace(grid, templates=[template(grid, "FNR")], powers=[1], alphas=[0.0, 0.3])
     result = run_grid(table, base, grid, plan, jobs=_jobs(None))
     baseline = result.cell(alpha=0.0)
     regularized = result.cell(alpha=0.3)
@@ -241,13 +205,8 @@ def first_decoupling_alpha(cells):
 
 def test_criterion_6_decoupling_later_at_higher_power(synth_setup):
     """FPR loss decouples from the hard score; power 3 delays the onset."""
-    table, base, plan = synth_setup
-    grid = GridSpec(
-        templates=[[("FPR", 1.0)]],
-        variants=[CONT],
-        powers=[1, 3],
-        alphas=[round(0.1 * i, 1) for i in range(11)],
-    )
+    table, base, plan, grid = synth_setup
+    grid = replace(grid, templates=[template(grid, "FPR")], powers=[1, 3])
     result = run_grid(table, base, grid, plan, jobs=_jobs(None))
     by_power = {
         k: [c for c in result.cells if c.key.power == k] for k in (1, 3)

@@ -17,6 +17,7 @@ from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
 from bpsfair.network import NetworkConfig, init, load_model, save_model
 from bpsfair.report import file_digest, read_runs_csv
+from conftest import write_adult_shaped_csv
 
 
 def write_config(path, **overrides):
@@ -165,15 +166,18 @@ OUT_OF_RANGE = [
     ("grid", "grid", "powers", [1, 2, 1]),
     ("grid", "grid", "variants", ["continuous", "sigmoided:2", "sigmoided:2.0000001"]),
     ("grid", "grid", "measures", [["FNR"], "FNR"]),
+    # each in range, but a cell's term weight alpha * scale overflows to inf
+    ("grid", "grid", "alphas", [0, 1e200], {"measures": ["FPR*1e200"]}),
 ]
+OUT_OF_RANGE = [case if len(case) == 5 else (*case, {}) for case in OUT_OF_RANGE]
 
 
-@pytest.mark.parametrize("command, section, key, value", OUT_OF_RANGE,
-                         ids=[f"{s}.{k}={v}" for _, s, k, v in OUT_OF_RANGE])
+@pytest.mark.parametrize("command, section, key, value, also", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}" for _, s, k, v, _ in OUT_OF_RANGE])
 def test_out_of_range_value_exits_2_at_load(workspace, capsys, monkeypatch, command, section,
-                                           key, value):
+                                           key, value, also):
     doc = yaml.safe_load(write_config(workspace / "bad.yaml").read_text())
-    doc[section][key] = value
+    doc[section].update({key: value, **also})
     cfg = workspace / "bad.yaml"
     cfg.write_text(yaml.safe_dump(doc))
     monkeypatch.setattr(cli, "load_csv", no_dataset_read)
@@ -186,10 +190,13 @@ def test_out_of_range_value_exits_2_at_load(workspace, capsys, monkeypatch, comm
 
 @pytest.mark.parametrize("command", ["train", "grid"])
 @pytest.mark.parametrize("overrides, message", [
-    ({"network": {"hidden": [4], "activation": "tanh"}}, "unknown activation 'tanh'"),
+    ({"network": {"hidden": [4], "activation": "tanh"}},
+     "network.activation must be one of ['relu', 'leaky_relu'], got 'tanh'"),
     ({"network": {"hidden": [4], "batch_norm": True}, "training": {"batch_size": 1}},
-     "batch_size must be >= 2 when batch norm is enabled"),
-], ids=["activation", "batch-norm-batch"])
+     "training.batch_size must be at least 2 when network.batch_norm is true, got 1"),
+    ({"network": {"hidden": [4, 4], "activation": ["relu"]}},
+     "network.activation must name one activation per network.hidden width, got 1 for 2"),
+], ids=["activation", "batch-norm-batch", "activation-count"])
 def test_bad_network_exits_2_before_reading_the_dataset(workspace, capsys, monkeypatch, command,
                                                         overrides, message):
     # these are checked when the TrainConfig is built, which once waited for the data
@@ -198,7 +205,28 @@ def test_bad_network_exits_2_before_reading_the_dataset(workspace, capsys, monke
     out = workspace / "bad_out"
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("text, line", [
+    ("network: {hidden: [4]}\ntraining: {epochs: 0}\ntraining: {epochs: 1}\n",
+     "line 5, column 1: duplicate key 'training', first given at line 4"),
+    ("network: {hidden: [4], hidden: [0]}\n",
+     "line 3, column 24: duplicate key 'hidden', first given at line 3"),
+], ids=["section", "nested-key"])
+def test_repeated_key_exits_2_before_reading_the_dataset(workspace, capsys, monkeypatch, command,
+                                                         text, line):
+    # yaml.safe_load keeps the last of two equal keys: the first block was dropped unread
+    cfg = workspace / "repeated.yaml"
+    cfg.write_text("dataset: {preset: synthetic, feature_dim: 3, path: synth.csv}\ngrid: {}\n"
+                   + text, encoding="utf-8")
+    monkeypatch.setattr(cli, "load_csv", no_dataset_read)
+    out = workspace / "repeated_out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: not valid YAML at {line}\n"
     assert not out.exists()
 
 
@@ -320,6 +348,34 @@ class TestGrid:
         assert "0.333333" in (out / "cells.csv").read_text()
         assert (out / "prule_table.csv").exists()
         assert main(["report", "--out", str(out), "--config", str(accepted)]) == 0
+
+
+ADULT_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("adult_*.yaml"))
+
+
+@pytest.fixture(scope="module")
+def adult_shaped_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("adult") / "adult.csv"
+    write_adult_shaped_csv(path, 4_000, seed=3)
+    return path
+
+
+@pytest.mark.parametrize("config", ADULT_CONFIGS, ids=lambda p: p.stem)
+def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
+    # the file Adult criteria 1-4 run, cut to one epoch and one iteration
+    assert len(ADULT_CONFIGS) == 4
+    doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+    doc["training"]["epochs"] = 1
+    doc["split"]["iterations"] = 1
+    cfg = tmp_path / config.name
+    cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--dataset", str(adult_shaped_csv),
+                 "--out", str(out)]) == 0
+    for name in ("runs.csv", "cells.csv", "prule_table.csv", "error_rate_table.csv",
+                 "manifest.json"):
+        assert (out / name).exists()
+    assert list(out.glob("series_*.csv"))
 
 
 class TestReportCommand:

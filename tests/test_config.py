@@ -9,7 +9,7 @@ documents.
 """
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -534,6 +534,12 @@ class TestPythonCallersMeetTheSameRanges:
         (lambda: GridSpec(powers=(0, 1)), "power must be a positive integer, got 0"),
         (lambda: GridSpec(alphas=(0.0, 0.5, 0.5)), "grid.alphas must list one or more values"),
         (lambda: GridSpec(iterations=0), "iterations must be a positive integer, got 0"),
+        (lambda: GridSpec(templates=[[("FPR", 1e200)]], alphas=(0.0, 1e200)),
+         "grid.alphas times a grid.measures scale must be finite, got 1e+200 * 1e+200"),
+        (lambda: NetworkConfig(input_dim=3, hidden=((4, "tanh"),)),
+         "hidden activation must be one of ['relu', 'leaky_relu'], got 'tanh'"),
+        (lambda: TrainConfig(network=replace(NET, use_batch_norm=True), batch_size=1),
+         "training.batch_size must be at least 2 when network.batch_norm is true, got 1"),
     ])
     def test_refused_naming_the_field(self, build, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
