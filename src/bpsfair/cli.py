@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -33,13 +34,14 @@ from .report import (
     comparison_cells,
     emit_comparison_tables,
     emit_plot_series,
-    emit_results,
     file_digest,
     fmt,
     read_runs_csv,
+    runs_table_from_grid,
     stored_fields,
     write_cells_csv,
     write_manifest,
+    write_runs_csv,
 )
 
 __all__ = ["main"]
@@ -63,47 +65,30 @@ def _load_table(cfg: RunConfig, dataset_override):
 
 
 def _report_to_dict(report: BpsReport) -> dict:
-    out = {}
-    for kind, entry in report.entries.items():
-        out[kind.value] = {
-            "group_values": {str(g): v for g, v in entry.group_values.items()},
-            "population_value": entry.population_value,
-            "bps": entry.bps,
-            "undefined_groups": list(entry.undefined_groups),
-        }
-    return out
+    gids, rows = report.rows()
+    return {kind.value: {"group_values": dict(zip(map(str, gids), values)),
+                         "population_value": population, "bps": bps,
+                         "undefined_groups": [g for g, v in zip(gids, values) if v is None]}
+            for kind, values, population, bps in rows}
 
 
-def _print_report(report: BpsReport, accuracy=None):
+def _show_report(report: BpsReport, accuracy, out) -> None:
+    """Print each measure's first two group values and BPS; ``out`` also gets evaluation.csv."""
+    gids, rows = report.rows()
     print(f"{'measure':<9}{'group0':>10}{'group1':>10}{'bps':>9}")
-    for kind, entry in report.entries.items():
-        gids = sorted(entry.group_values)
-        cells = []
-        for gid in gids[:2]:
-            v = entry.group_values[gid]
-            cells.append("undef" if v is None else fmt(v))
-        while len(cells) < 2:
-            cells.append("-")
-        bps = "undef" if entry.bps is None else fmt(entry.bps)
-        print(f"{kind.value:<9}{cells[0]:>10}{cells[1]:>10}{bps:>9}")
+    for kind, values, _, bps in rows:
+        g0, g1, *_ = ["undef" if v is None else fmt(v) for v in values[:2]] + ["-", "-"]
+        print(f"{kind.value:<9}{g0:>10}{g1:>10}{'undef' if bps is None else fmt(bps):>9}")
+    table = [["measure", *(f"group{g}" for g in gids), "population", "bps"]]
+    table += [[kind.value, *map(fmt, values), fmt(population), fmt(bps)]
+              for kind, values, population, bps in rows]
     if accuracy is not None:
         print(f"accuracy {fmt(accuracy)}")
-
-
-def _write_report_csv(report: BpsReport, path, accuracy=None):
-    import csv
-
-    gids = sorted(next(iter(report.entries.values())).group_values)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure"] + [f"group{g}" for g in gids] + ["population", "bps"])
-        for kind, entry in report.entries.items():
-            row = [kind.value]
-            row += [fmt(entry.group_values[g]) for g in gids]
-            row += [fmt(entry.population_value), fmt(entry.bps)]
-            writer.writerow(row)
-        if accuracy is not None:
-            writer.writerow(["accuracy"] + [""] * len(gids) + ["", fmt(accuracy)])
+        table.append(["accuracy", *[""] * len(gids), "", fmt(accuracy)])
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        with open(Path(out) / "evaluation.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
 
 
 def cmd_train(args) -> int:
@@ -153,10 +138,8 @@ def cmd_grid(args) -> int:
         raise ConfigError("config has no [grid] section")
     # every cell is known before training: a grid whose report cannot be written is refused
     iterations = cfg.grid.iterations_for(cfg.plan)
-    planned = [stored_fields(key.fields()) for key in cfg.grid.cells()]
-    check_plot_measures(planned, cfg.plot_measures)
-    if cfg.table_rows:
-        comparison_cells(planned, cfg.table_rows)
+    _resolve_report([stored_fields(key.fields()) for key in cfg.grid.cells()], cfg.table_rows,
+                    cfg.plot_measures)
     base_config = cfg.train_config(1, seed_override=args.seed)  # input_dim resolved per split
     table, data_path = _load_table(cfg, args.dataset)
     out = Path(args.out)
@@ -166,11 +149,8 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"--out {out}: cannot create the results directory: {exc}") from None
 
     result = run_grid(table, base_config, cfg.grid, cfg.plan, jobs=jobs)
-    cells = emit_results(result, out)
-    tables = comparison_cells(cells, cfg.table_rows) if cfg.table_rows else None
-    emit_plot_series(cells, out, measures=cfg.plot_measures)
-    if tables:
-        emit_comparison_tables(tables, out)
+    write_runs_csv(runs_table_from_grid(result), out / "runs.csv")
+    _derive(out, cfg.table_rows, cfg.plot_measures)
     grid_echo = {
         "templates": [[f"{k.value}*{s:g}" for k, s in t] for t in cfg.grid.templates],
         "variants": [str(v) for v in cfg.grid.variants],
@@ -208,11 +188,7 @@ def cmd_evaluate(args) -> int:
         dataset = apply_encoder(table, encoder)
         frag = evaluate_state(state, dataset)
         report, accuracy = frag.report, frag.accuracy
-    _print_report(report, accuracy)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_report_csv(report, out / "evaluation.csv", accuracy)
+    _show_report(report, accuracy, args.out)
     return 0
 
 
@@ -236,6 +212,26 @@ def _check_config_digest(out: Path, config_path) -> None:
         )
 
 
+def _resolve_report(cells, table_rows, plot_measures):
+    """The comparison tables' cells (None without rows); refuses what matches no cell."""
+    check_plot_measures(cells, plot_measures)
+    return comparison_cells(cells, table_rows) if table_rows else None
+
+
+def _derive(out: Path, table_rows, plot_measures) -> None:
+    """Rebuild cells.csv, the plot series and the comparison tables from out/runs.csv.
+
+    A plot measure or table selector that matches no cell is refused
+    before any file is rewritten.
+    """
+    cells = cells_from_runs(read_runs_csv(out / "runs.csv"))
+    tables = _resolve_report(cells, table_rows, plot_measures)
+    write_cells_csv(cells, out / "cells.csv")
+    emit_plot_series(cells, out, measures=plot_measures)
+    if tables:
+        emit_comparison_tables(tables, out)
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     runs_path = out / "runs.csv"
@@ -246,14 +242,7 @@ def cmd_report(args) -> int:
         _check_config_digest(out, args.config)
         cfg = load_config(args.config)
         table_rows, plot_measures = cfg.table_rows, cfg.plot_measures
-    cells = cells_from_runs(read_runs_csv(runs_path))
-    # a plot measure or selector that matches no cell is refused before any file is rewritten
-    check_plot_measures(cells, plot_measures)
-    tables = comparison_cells(cells, table_rows) if table_rows else None
-    write_cells_csv(cells, out / "cells.csv")
-    emit_plot_series(cells, out, measures=plot_measures)
-    if tables:
-        emit_comparison_tables(tables, out)
+    _derive(out, table_rows, plot_measures)
     print(f"report rebuilt from {runs_path}")
     return 0
 

@@ -65,9 +65,10 @@ class RunConfig:
 
 
 _DATASET_FIELDS = {"path": str, "preset": None, "feature_dim": int, "schema": None}
+_FEATURE_DIM = 6  # the synthetic preset's width when none is given, as synthesize_biased's
 
 
-def _parse_dataset(block):
+def _parse_dataset(block, synth):
     if block is None:
         return None, None
     fields = read(block, "dataset", _DATASET_FIELDS)
@@ -76,7 +77,13 @@ def _parse_dataset(block):
     if preset == "adult":
         schema = adult_preset()
     elif preset == "synthetic":
-        schema = synthetic_preset(fields.get("feature_dim", 6))
+        # the preset reads the f0.. columns `bpsfair synth` writes from the same config
+        width = fields.get("feature_dim", _FEATURE_DIM)
+        written = width if synth is None else synth.get("feature_dim", _FEATURE_DIM)
+        if written != width:
+            raise ConfigError(f"dataset.feature_dim {width} and synth.feature_dim {written} "
+                              "must agree: the synthetic preset reads the columns synth writes")
+        schema = synthetic_preset(width)
     elif preset is not None:
         raise ConfigError(f"unknown dataset preset {preset!r}")
     elif "schema" in fields:
@@ -198,11 +205,11 @@ def load_config(path) -> RunConfig:
     def section(name, kinds):  # an absent or empty section takes every default
         return read({} if doc.get(name) is None else doc[name], name, kinds)
 
-    dataset_path, schema = _parse_dataset(doc.get("dataset"))
+    synth = None if doc.get("synth") is None else read(doc["synth"], "synth", SYNTH_KINDS)
+    dataset_path, schema = _parse_dataset(doc.get("dataset"), synth)
     training = section("training", TrainConfig.KINDS)
     mode = training.pop("denominator_mode", TrainConfig.denominator_mode)
     report = section("report", {"tables": list, "plot_measures": list})
-    synth = doc.get("synth")
     return RunConfig(
         dataset_path=dataset_path,
         schema=schema,
@@ -212,7 +219,7 @@ def load_config(path) -> RunConfig:
         denominator_mode=mode,
         plan=SplitPlan(**section("split", SplitPlan.KINDS)),
         grid=_parse_grid(doc.get("grid")),
-        synth=None if synth is None else read(synth, "synth", SYNTH_KINDS),
+        synth=synth,
         table_rows=dict(map(_parse_table_row, report.get("tables", ()))),
         plot_measures=tuple(report["plot_measures"]) if "plot_measures" in report else None,
     )

@@ -294,6 +294,9 @@ class GridSpec:
     def __post_init__(self):
         templates = tuple(tuple((MeasureKind(k), typed(NON_NEGATIVE, s, "scale"))
                                 for k, s in template) for template in self.templates)
+        if not all(templates):  # its cells would train BCE only at every alpha
+            raise ConfigError(f"grid.measures must not hold an empty measure set, got "
+                              f"{list(map(_measures_label, templates))}")
         object.__setattr__(self, "templates", templates)
         object.__setattr__(self, "variants", tuple(self.variants))
         object.__setattr__(self, "powers",
@@ -410,13 +413,10 @@ def run_scalars(run: RunResult) -> dict:
     if run.diverged:
         return {}
     out = {"accuracy": run.accuracy, "bce": run.bce, "best_epoch": float(run.best_epoch)}
-    for kind in MeasureKind:
-        entry = run.report[kind]
+    for kind, values, _, bps in run.report.rows()[1]:
         name = kind.value.lower()
-        out[f"bps_{name}"] = np.nan if entry.bps is None else entry.bps
-        gids = sorted(entry.group_values)
-        for slot, gid in enumerate(gids[:2]):
-            v = entry.group_values[gid]
+        out[f"bps_{name}"] = np.nan if bps is None else bps
+        for slot, v in enumerate(values[:2]):
             out[f"{name}_g{slot}"] = np.nan if v is None else v
     for i, tv in enumerate(run.per_term):
         out[f"term{i}_loss"] = tv.term_loss
@@ -476,12 +476,9 @@ def mean_and_variance(values) -> tuple[float, float]:
 def dataset_for_split(source, split) -> EncodedDataset:
     """Encode a raw table with statistics fitted on the split's train rows.
 
-    Pre-encoded datasets pass through unchanged (callers accept the
-    leakage trade-off); raw tables are re-encoded per split so the
-    encoder never sees validation or test statistics.
+    The table is re-encoded per split so the encoder never sees
+    validation or test statistics; any other source raises ConfigError.
     """
-    if isinstance(source, EncodedDataset):
-        return source
     if isinstance(source, RawTable):
         encoder = fit_encoder(source, rows=split[0])
         return apply_encoder(source, encoder)
@@ -562,10 +559,10 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
              jobs: int = 1) -> GridResult:
     """Train every grid cell for every Monte Carlo iteration and aggregate.
 
-    ``source`` is a RawTable (re-encoded per split) or a pre-encoded
-    EncodedDataset.  One task is one iteration of one (template, variant)
-    group, trained in lockstep by ``_worker_task``; with jobs > 1 a process
-    pool runs the tasks, with jobs == 1 this process does.  Aggregation is
+    ``source`` is a RawTable, re-encoded per split.  One task is one
+    iteration of one (template, variant) group, trained in lockstep by
+    ``_worker_task``; with jobs > 1 a process pool runs the tasks, with
+    jobs == 1 this process does.  Aggregation is
     deterministic in the task identity rather than completion order.
     """
     typed(POSITIVE_INT, jobs, "jobs")

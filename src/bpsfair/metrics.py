@@ -138,6 +138,15 @@ class BpsReport:
     def bps(self, kind: MeasureKind) -> float | None:
         return self.entries[kind].bps
 
+    def rows(self) -> tuple:
+        """(group ids ascending, [(kind, value per group, population value, bps), ...]).
+
+        One row per entry, in entry order; an undefined value is None.
+        """
+        gids = sorted(next(iter(self.entries.values())).group_values)
+        return gids, [(kind, [entry.group_values[g] for g in gids], entry.population_value,
+                       entry.bps) for kind, entry in self.entries.items()]
+
 
 def _as_binary_vector(name: str, values) -> np.ndarray:
     arr = np.asarray(values)

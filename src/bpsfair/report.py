@@ -81,10 +81,15 @@ def _fmt_column(values) -> list:
     return [_FORMATTERS.get(type(v), _fmt_other)(v) for v in values]
 
 
+def _write_rows(path, rows):
+    """Write a CSV from its rows of formatted cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _write_columns(path, header, columns):
     """Write a CSV from its header and its columns of formatted cells."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(itertools.chain([header], zip(*columns)))
+    _write_rows(path, itertools.chain([header], zip(*columns)))
 
 
 def runs_table_from_grid(result: GridResult):
@@ -358,47 +363,24 @@ def emit_comparison_tables(tables, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     baseline, rows = tables
     lit = literature_constants()
-
-    prule_path = out / "prule_table.csv"
-    with open(prule_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["technique", "prule", "accuracy", "source"])
-        for row in lit["prule"]:
-            writer.writerow([row["technique"], fmt(row["prule"]), fmt(row["accuracy"]),
-                             "literature"])
-        writer.writerow(
-            ["Baseline", fmt(baseline["mean_bps_stp"]),
-             fmt(100.0 * baseline["mean_accuracy"]), "this run"]
-        )
-        for label, cell in rows:
-            writer.writerow(
-                [label, fmt(cell["mean_bps_stp"]), fmt(100.0 * cell["mean_accuracy"]),
-                 "this run"]
-            )
-
-    error_path = out / "error_rate_table.csv"
-    with open(error_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["technique", "measure", "group0_without", "group0_with",
-             "group1_without", "group1_with", "bps", "source"]
-        )
-        for row in lit["error_rates"]:
-            writer.writerow(
-                [row["technique"], row["measure"], fmt(row["group0_without"]),
-                 fmt(row["group0_with"]), fmt(row["group1_without"]),
-                 fmt(row["group1_with"]), fmt(row["bps"]), "literature"]
-            )
-        for label, cell in rows:
-            for measure in ("fpr", "fnr"):
-                with_g0 = cell[f"mean_{measure}_g0"]
-                with_g1 = cell[f"mean_{measure}_g1"]
-                writer.writerow(
-                    [label, measure.upper(), fmt(baseline[f"mean_{measure}_g0"]),
-                     fmt(with_g0), fmt(baseline[f"mean_{measure}_g1"]), fmt(with_g1),
-                     fmt(bps_binary(with_g0, with_g1)), "this run"]
-                )
-    return [prule_path, error_path]
+    prule = [["technique", "prule", "accuracy", "source"]]
+    prule += [[row["technique"], fmt(row["prule"]), fmt(row["accuracy"]), "literature"]
+              for row in lit["prule"]]
+    prule += [[label, fmt(cell["mean_bps_stp"]), fmt(100.0 * cell["mean_accuracy"]), "this run"]
+              for label, cell in [("Baseline", baseline), *rows]]
+    errors = [["technique", "measure", "group0_without", "group0_with", "group1_without",
+               "group1_with", "bps", "source"]]
+    errors += [[row["technique"], row["measure"], *(fmt(row[c]) for c in errors[0][2:7]),
+                "literature"] for row in lit["error_rates"]]
+    # per group, the value without debiasing (the baseline's), then with it (the row's cell)
+    errors += [[label, m.upper(),
+                *(fmt(c[f"mean_{m}_g{g}"]) for g in (0, 1) for c in (baseline, cell)),
+                fmt(bps_binary(cell[f"mean_{m}_g0"], cell[f"mean_{m}_g1"])), "this run"]
+               for label, cell in rows for m in ("fpr", "fnr")]
+    paths = [out / "prule_table.csv", out / "error_rate_table.csv"]
+    for path, table in zip(paths, (prule, errors)):
+        _write_rows(path, table)
+    return paths
 
 
 def file_digest(path) -> str:

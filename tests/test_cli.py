@@ -75,11 +75,33 @@ class TestSynth:
         assert not out.exists()
 
     def test_defaults_fill_missing_fields(self, workspace):
-        cfg_path = write_config(workspace / "short.yaml", synth={"n": 40, "seed": 9})
+        cfg_path = write_config(workspace / "short.yaml", synth={"n": 40, "seed": 9},
+                                dataset={"preset": "synthetic", "path": "s.csv"})
         assert main(["synth", "--config", str(cfg_path), "--out", str(workspace / "s.csv")]) == 0
         lines = (workspace / "s.csv").read_text().strip().split("\n")
         assert lines[0] == "f0,f1,f2,f3,f4,f5,group,label"  # feature_dim 6
         assert len(lines) == 41
+
+
+# the "bps" block of run_result.json for the workspace config, as written when each
+# rendering of a BpsReport walked its entries on its own
+TRAIN_BPS = {
+    "FPR": {"group_values": {"0": 0.05128205128205128, "1": 0.5666666666666667},
+            "population_value": 0.2753623188405797, "bps": 9.049773755656108,
+            "undefined_groups": []},
+    "FNR": {"group_values": {"0": 0.29411764705882354, "1": 0.08823529411764706},
+            "population_value": 0.1568627450980392, "bps": 30.0, "undefined_groups": []},
+    "TPR": {"group_values": {"0": 0.7058823529411765, "1": 0.9117647058823529},
+            "population_value": 0.8431372549019608, "bps": 77.41935483870968,
+            "undefined_groups": []},
+    "TNR": {"group_values": {"0": 0.9487179487179487, "1": 0.43333333333333335},
+            "population_value": 0.7246376811594203, "bps": 45.67567567567568,
+            "undefined_groups": []},
+    "ACC": {"group_values": {"0": 0.875, "1": 0.6875}, "population_value": 0.775,
+            "bps": 78.57142857142857, "undefined_groups": []},
+    "STP": {"group_values": {"0": 0.25, "1": 0.75}, "population_value": 0.5166666666666667,
+            "bps": 33.333333333333336, "undefined_groups": []},
+}
 
 
 class TestTrain:
@@ -93,6 +115,13 @@ class TestTrain:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["terms"] == ["FNR:continuous:0.3:1"]
         assert "FPR" in payload["bps"]
+
+    def test_bps_block_pinned(self, workspace):
+        out = workspace / "train"
+        assert main(["train", "--config", str(workspace / "cfg.yaml"), "--out", str(out)]) == 0
+        bps = json.loads((out / "run_result.json").read_text())["bps"]
+        # compared as JSON text, so the key order is pinned too
+        assert json.dumps(bps) == json.dumps(TRAIN_BPS)
 
     def test_seed_flag_overrides_config_seed(self, workspace):
         for flag, seed in (([], 3), (["--seed", "11"], 11)):
@@ -168,6 +197,8 @@ OUT_OF_RANGE = [
     ("grid", "grid", "measures", [["FNR"], "FNR"]),
     # each in range, but a cell's term weight alpha * scale overflows to inf
     ("grid", "grid", "alphas", [0, 1e200], {"measures": ["FPR*1e200"]}),
+    # an empty measure set trained BCE only at every alpha and wrote series__continuous_k1.csv
+    ("grid", "grid", "measures", [[]], {"alphas": [0, 0.5]}),
 ]
 OUT_OF_RANGE = [case if len(case) == 5 else (*case, {}) for case in OUT_OF_RANGE]
 
@@ -185,6 +216,30 @@ def test_out_of_range_value_exits_2_at_load(workspace, capsys, monkeypatch, comm
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {section}.{key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "grid"])
+@pytest.mark.parametrize("dataset_dim, synth_dim", [(3, 6), (3, None), (None, 3)],
+                         ids=["both-given", "synth-default", "dataset-default"])
+def test_feature_dim_mismatch_exits_2_at_load(workspace, capsys, monkeypatch, command,
+                                              dataset_dim, synth_dim):
+    # `synth` wrote f0..f5 and `train` and `grid` read f0..f2 of it; both defaults are 6
+    doc = yaml.safe_load(write_config(workspace / "dims.yaml").read_text())
+    for section, dim in (("dataset", dataset_dim), ("synth", synth_dim)):
+        if dim is None:
+            del doc[section]["feature_dim"]
+        else:
+            doc[section]["feature_dim"] = dim
+    cfg = workspace / "dims.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    monkeypatch.setattr(cli, "load_csv", no_dataset_read)
+    out = workspace / ("dims.csv" if command == "synth" else "dims_out")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: dataset.feature_dim {dataset_dim or 6} and synth.feature_dim {synth_dim or 6} "
+        "must agree")
     assert not out.exists()
 
 
@@ -376,6 +431,14 @@ def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
                  "manifest.json"):
         assert (out / name).exists()
     assert list(out.glob("series_*.csv"))
+    # `report --config` rebuilds every derived file, the tables included, from runs.csv alone
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    for name in ("runs.csv", "manifest.json"):
+        (rebuilt / name).write_bytes((out / name).read_bytes())
+    assert main(["report", "--out", str(rebuilt), "--config", str(cfg)]) == 0
+    assert {path.name: path.read_bytes() for path in rebuilt.iterdir()} == {
+        path.name: path.read_bytes() for path in out.iterdir()}
 
 
 class TestReportCommand:
@@ -495,6 +558,59 @@ class TestReportCommand:
         assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.json'}: {problem}")
 
 
+# (dump rows, stdout, evaluation.csv) of `evaluate --predictions`: stdout shows the first two
+# groups; the CSV has every group and the population value, blank where a value is undefined
+EVALUATE_PINS = [
+    ("0,0.9,0 0,0.2,0 1,0.8,0 1,0.3,0 0,0.1,1 0,0.7,1 0,0.6,1 1,0.9,1 "
+     "1,0.4,2 0,0.2,2 1,0.55,2 0,0.51,2 1,0.05,2",
+     "measure      group0    group1      bps\n"
+     "FPR             0.5  0.666667  86.9048\n"
+     "FNR             0.5         0  58.3333\n"
+     "TPR             0.5         1  72.2222\n"
+     "TNR             0.5  0.333333  83.0688\n"
+     "ACC             0.5       0.5  90.4274\n"
+     "STP             0.5      0.75  79.6459\n",
+     "measure,group0,group1,group2,population,bps\r\n"
+     "FPR,0.5,0.666667,0.5,0.571429,86.9048\r\n"
+     "FNR,0.5,0,0.666667,0.5,58.3333\r\n"
+     "TPR,0.5,1,0.333333,0.5,72.2222\r\n"
+     "TNR,0.5,0.333333,0.5,0.428571,83.0688\r\n"
+     "ACC,0.5,0.5,0.4,0.461538,90.4274\r\n"
+     "STP,0.5,0.75,0.4,0.538462,79.6459\r\n"),
+    # group 1 has no positive label: its FNR and TPR are undefined, and so is their BPS
+    ("0,0.9,0 0,0.2,0 1,0.8,0 1,0.3,0 0,0.1,1 0,0.7,1 0,0.6,1",
+     "measure      group0    group1      bps\n"
+     "FPR             0.5  0.666667       75\n"
+     "FNR             0.5     undef    undef\n"
+     "TPR             0.5     undef    undef\n"
+     "TNR             0.5  0.333333  66.6667\n"
+     "ACC             0.5  0.333333  66.6667\n"
+     "STP             0.5  0.666667       75\n",
+     "measure,group0,group1,population,bps\r\n"
+     "FPR,0.5,0.666667,0.6,75\r\n"
+     "FNR,0.5,,0.5,\r\n"
+     "TPR,0.5,,0.5,\r\n"
+     "TNR,0.5,0.333333,0.4,66.6667\r\n"
+     "ACC,0.5,0.333333,0.428571,66.6667\r\n"
+     "STP,0.5,0.666667,0.571429,75\r\n"),
+    ("0,0.9,4 1,0.8,4 1,0.3,4",
+     "measure      group0    group1      bps\n"
+     "FPR               1         -    undef\n"
+     "FNR             0.5         -    undef\n"
+     "TPR             0.5         -    undef\n"
+     "TNR               0         -    undef\n"
+     "ACC        0.333333         -    undef\n"
+     "STP        0.666667         -    undef\n",
+     "measure,group4,population,bps\r\n"
+     "FPR,1,1,\r\n"
+     "FNR,0.5,0.5,\r\n"
+     "TPR,0.5,0.5,\r\n"
+     "TNR,0,0,\r\n"
+     "ACC,0.333333,0.333333,\r\n"
+     "STP,0.666667,0.666667,\r\n"),
+]
+
+
 class TestEvaluate:
     def test_prediction_dump_equal_fpr_scores_100(self, workspace, capsys):
         rows = ["y_true,y_prob,group"]
@@ -509,6 +625,16 @@ class TestEvaluate:
         with open(workspace / "ev" / "evaluation.csv") as fh:
             table = {r["measure"]: r for r in csv.DictReader(fh)}
         assert float(table["FPR"]["bps"]) == 100.0
+
+    @pytest.mark.parametrize("rows, stdout, table", EVALUATE_PINS, ids=["3-group", "undefined",
+                                                                        "1-group"])
+    def test_prediction_dump_output_pinned(self, workspace, capsys, rows, stdout, table):
+        dump = workspace / "dump.csv"
+        dump.write_text("y_true,y_prob,group\n" + "".join(f"{r}\n" for r in rows.split()))
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(dump), "--out", str(workspace / "ev")]) == 0
+        assert capsys.readouterr().out == stdout
+        assert (workspace / "ev" / "evaluation.csv").read_bytes() == table.encode()
 
     def test_model_artifact_round_trip(self, workspace, capsys):
         out = workspace / "train"
@@ -795,7 +921,8 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_synth_block_typed(self, tmp_path):
-        cfg_path = write_config(tmp_path / "cfg.yaml", synth={"n": 600.0, "noise": 1})
+        cfg_path = write_config(tmp_path / "cfg.yaml", synth={"n": 600.0, "noise": 1},
+                                dataset={"preset": "synthetic", "path": "synth.csv"})
         synth = load_config(cfg_path).synth
         assert synth == {"n": 600, "noise": 1.0}
         assert type(synth["n"]) is int and type(synth["noise"]) is float

@@ -388,6 +388,12 @@ def documents(draw):
                            ("grid", GRID), ("loss", {"terms": st.lists(TERMS, max_size=2)})):
         if draw(st.booleans()):
             doc[name] = optional_keys(draw, {}, optional)
+    dataset, synth = doc.get("dataset", {}), doc.get("synth")
+    if dataset.get("preset") == "synthetic" and synth is not None:
+        # `synth` writes the columns the synthetic preset reads: both widths are one
+        width = dataset.get("feature_dim", 6)
+        if synth.get("feature_dim", 6) != width:
+            synth["feature_dim"] = width
     if draw(st.booleans()):
         rows = st.builds(lambda label, row: {"label": label, **row},
                          st.text("ABC 12", min_size=1, max_size=6) | st.integers(0, 2030),
@@ -534,6 +540,9 @@ class TestPythonCallersMeetTheSameRanges:
         (lambda: GridSpec(powers=(0, 1)), "power must be a positive integer, got 0"),
         (lambda: GridSpec(alphas=(0.0, 0.5, 0.5)), "grid.alphas must list one or more values"),
         (lambda: GridSpec(iterations=0), "iterations must be a positive integer, got 0"),
+        # a cell with no fairness term trains BCE only at every alpha
+        (lambda: GridSpec(templates=[[("FPR", 1.0)], []]),
+         "grid.measures must not hold an empty measure set"),
         (lambda: GridSpec(templates=[[("FPR", 1e200)]], alphas=(0.0, 1e200)),
          "grid.alphas times a grid.measures scale must be finite, got 1e+200 * 1e+200"),
         (lambda: NetworkConfig(input_dim=3, hidden=((4, "tanh"),)),

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpsfair.data import SplitPlan, mc_splits, synthesize_biased
+from bpsfair.data import (SplitPlan, apply_encoder, fit_encoder, mc_splits,
+                          synthesize_biased)
 from bpsfair.engine import (
     CELL_FIELDS,
     RUN_FIELDS,
@@ -32,7 +33,8 @@ from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair import engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.engine import RunResult, _train_stack
-from bpsfair.report import emit_results, fmt, read_runs_csv
+from bpsfair.report import (comparison_cells, emit_comparison_tables, emit_results, fmt,
+                            read_runs_csv)
 
 
 def separable_setup(n=600, seed=5):
@@ -409,6 +411,15 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="jobs must be a positive integer"):
             run_grid(table, base, grid, plan, jobs=jobs)
 
+    def test_pre_encoded_source_refused(self):
+        # an encoder fitted on every row would have seen the test rows of each split
+        table, base, grid, plan = tiny_grid_inputs()
+        encoded = apply_encoder(table, fit_encoder(table))
+        with pytest.raises(ConfigError, match="^unsupported dataset source EncodedDataset$"):
+            dataset_for_split(encoded, mc_splits(table.n_rows, plan)[0])
+        with pytest.raises(ConfigError, match="^unsupported dataset source EncodedDataset$"):
+            run_grid(encoded, base, grid, plan)
+
     def test_serial_grid_encodes_once_per_iteration(self, monkeypatch):
         table, base, _, plan = tiny_grid_inputs()
         grid = GridSpec(templates=[[("FPR", 1.0)], [("STP", 1.0)]],
@@ -495,6 +506,21 @@ MIXED_RUNS_SHA256 = {
 MIXED_CELLS_SHA256 = {
     DenominatorMode.AS_WRITTEN: "01939cc39c8a993f55ba621ab4089ef5cc61439c80ea4923faf9cb2c3382090a",
     DenominatorMode.RATE: "172f6914fa02d31264a17568358602a88ce667af50ff4b92484ae96c814ac865",
+}
+# the comparison tables' rows for mixed_grid_inputs, and the sha256 of prule_table.csv and
+# error_rate_table.csv they give, as written by two writerow loops
+MIXED_TABLE_ROWS = {
+    "FPR+FNR k3": {"measures": "FPR+FNR*1.25", "variant": "continuous", "power": 3, "alpha": 1.0},
+    "STP sigmoided": {"measures": "STP", "variant": "sigmoided", "beta": 10.0, "power": 1,
+                      "alpha": 0.3},
+}
+MIXED_TABLES_SHA256 = {
+    DenominatorMode.AS_WRITTEN: (
+        "4c2b86dd5a10fbe33e7ea1262ca654736806fec858f3cc93adc5c5a4f8682a12",
+        "5822ff109382e1b595f089e2de7e185fef7c907ec06c7d44ab82726ac3180647"),
+    DenominatorMode.RATE: (
+        "eb27a553976bf5b8f37d7b12c19c02204ddb9a3e76730966a117955a59dd3839",
+        "1aa3551b77e467006328b26a4bd6b80365db01aaa178e83dd4d87220c260da4e"),
 }
 
 
@@ -620,9 +646,12 @@ class TestCellSchema:
     @pytest.mark.parametrize("mode", list(DenominatorMode), ids=lambda m: m.value)
     def test_mixed_grid_csvs_pinned(self, mode, tmp_path):
         table, base, grid, plan = mixed_grid_inputs(mode)
-        emit_results(run_grid(table, base, grid, plan), tmp_path)
+        cells = emit_results(run_grid(table, base, grid, plan), tmp_path)
         assert sha256_of(tmp_path / "runs.csv") == MIXED_RUNS_SHA256[mode]
         assert sha256_of(tmp_path / "cells.csv") == MIXED_CELLS_SHA256[mode]
+        emit_comparison_tables(comparison_cells(cells, MIXED_TABLE_ROWS), tmp_path)
+        assert (sha256_of(tmp_path / "prule_table.csv"),
+                sha256_of(tmp_path / "error_rate_table.csv")) == MIXED_TABLES_SHA256[mode]
 
     def test_multi_beta_grid_lists_cells_in_one_order(self, tmp_path):
         table, base, _, plan = tiny_grid_inputs()
