@@ -73,22 +73,24 @@ def _report_to_dict(report: BpsReport) -> dict:
 
 
 def _show_report(report: BpsReport, accuracy, out) -> None:
-    """Print each measure's first two group values and BPS; ``out`` also gets evaluation.csv."""
+    """Print the evaluation.csv table, space-aligned with undefined values as undef.
+
+    ``out`` also gets the table as evaluation.csv, undefined values blank.
+    """
     gids, rows = report.rows()
-    print(f"{'measure':<9}{'group0':>10}{'group1':>10}{'bps':>9}")
-    for kind, values, _, bps in rows:
-        g0, g1, *_ = ["undef" if v is None else fmt(v) for v in values[:2]] + ["-", "-"]
-        print(f"{kind.value:<9}{g0:>10}{g1:>10}{'undef' if bps is None else fmt(bps):>9}")
     table = [["measure", *(f"group{g}" for g in gids), "population", "bps"]]
-    table += [[kind.value, *map(fmt, values), fmt(population), fmt(bps)]
-              for kind, values, population, bps in rows]
+    table += [[kind.value, *values, population, bps] for kind, values, population, bps in rows]
     if accuracy is not None:
-        print(f"accuracy {fmt(accuracy)}")
-        table.append(["accuracy", *[""] * len(gids), "", fmt(accuracy)])
+        table.append(["accuracy", *[""] * len(gids), "", accuracy])
+    shown = [["undef" if v is None else fmt(v) for v in row] for row in table]
+    widths = [max(map(len, column)) for column in zip(*shown)]
+    for row in shown:
+        print("  ".join([row[0].ljust(widths[0])]
+                        + [v.rjust(w) for v, w in zip(row[1:], widths[1:])]))
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
         with open(Path(out) / "evaluation.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(table)
+            csv.writer(fh).writerows([list(map(fmt, row)) for row in table])
 
 
 def cmd_train(args) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -371,16 +371,20 @@ class CellKey:
 
 @dataclass
 class CellResult:
+    """One cell's runs, one per Monte Carlo iteration; ``cells_from_runs`` aggregates them."""
+
     key: CellKey
     runs: tuple
-    means: dict = field(default_factory=dict)
-    variances: dict = field(default_factory=dict)
-    n_success: int = 0
-    n_diverged: int = 0
 
     @property
-    def all_diverged(self) -> bool:
-        return self.n_success == 0
+    def n_diverged(self) -> int:  # read by perfbench and cmd_grid's summary line
+        return sum(run.diverged for run in self.runs)
+
+    @property
+    def means(self) -> dict:  # read by perfbench until it reads cells.csv
+        rows = [run_scalars(run) for run in self.runs if not run.diverged]
+        columns = dict.fromkeys(k for row in rows for k in row)
+        return {c: mean_and_variance([row.get(c) for row in rows])[0] for c in columns}
 
 
 @dataclass
@@ -388,13 +392,9 @@ class GridResult:
     cells: tuple
     plan: SplitPlan
 
-    def cell(self, **selector) -> CellResult:
-        """The unique cell matching CELL_FIELDS selectors (measures, alpha, ...)."""
-        return select_cell(self.cells, selector, lambda c: c.key.fields())
 
-
-def select_cell(cells, selector: dict, fields=lambda cell: cell):
-    """The unique cell whose ``fields(cell)`` match every selector entry.
+def select_cell(cells, selector: dict):
+    """The unique cell dict whose CELL_FIELDS values match every selector entry.
 
     Selector keys are CELL_FIELDS names; an unknown key, no match or
     several matches raise ConfigError.
@@ -402,7 +402,7 @@ def select_cell(cells, selector: dict, fields=lambda cell: cell):
     unknown = sorted(set(selector) - set(CELL_FIELDS))
     if unknown:
         raise ConfigError(f"unknown cell selector fields {unknown}; expected {CELL_FIELDS}")
-    matches = [c for c in cells if all(fields(c)[k] == v for k, v in selector.items())]
+    matches = [c for c in cells if all(c[k] == v for k, v in selector.items())]
     if len(matches) != 1:
         raise ConfigError(f"cell selector {selector} matched {len(matches)} cells")
     return matches[0]
@@ -557,13 +557,14 @@ def _worker_task(task):
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
              jobs: int = 1) -> GridResult:
-    """Train every grid cell for every Monte Carlo iteration and aggregate.
+    """Train every grid cell for every Monte Carlo iteration; cells in CELL_FIELDS order.
 
     ``source`` is a RawTable, re-encoded per split.  One task is one
     iteration of one (template, variant) group, trained in lockstep by
     ``_worker_task``; with jobs > 1 a process pool runs the tasks, with
-    jobs == 1 this process does.  Aggregation is
-    deterministic in the task identity rather than completion order.
+    jobs == 1 this process does.  Each cell's runs are in iteration
+    order, whatever order the tasks complete in; ``report.cells_from_runs``
+    aggregates them from the runs.csv rows.
     """
     typed(POSITIVE_INT, jobs, "jobs")
     iterations = grid.iterations_for(plan)
@@ -586,18 +587,6 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
         finally:
             _WORKER_CTX.clear()
     results = {(key, it): run for it, group_runs in done for key, run in group_runs.items()}
-
-    cells = []
-    for key in sorted(keys, key=lambda k: tuple(k.fields().values())):
-        runs = tuple(results[(key, it)] for it in range(iterations))
-        rows = [run_scalars(run) for run in runs]
-        columns = tuple(dict.fromkeys(k for row in rows for k in row))
-        block = [[row.get(c) for c in columns] for row in rows]  # None reads as NaN
-        means, variances, n_ok, n_div = cell_statistics(
-            block, np.zeros(len(runs), np.int64), [run.diverged for run in runs])
-        cells.append(
-            CellResult(key=key, runs=runs, means=dict(zip(columns, means[0].tolist())),
-                       variances=dict(zip(columns, variances[0].tolist())),
-                       n_success=int(n_ok[0]), n_diverged=int(n_div[0]))
-        )
-    return GridResult(cells=tuple(cells), plan=plan)
+    cells = tuple(CellResult(key, tuple(results[(key, it)] for it in range(iterations)))
+                  for key in sorted(keys, key=lambda k: tuple(k.fields().values())))
+    return GridResult(cells=cells, plan=plan)

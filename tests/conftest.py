@@ -3,6 +3,12 @@
 import numpy as np
 
 from bpsfair.data import adult_preset
+from bpsfair.report import cells_from_runs, read_runs_csv
+
+
+def stored_cells(out):
+    """The cells that cells.csv is written from: out/runs.csv read back and aggregated."""
+    return cells_from_runs(read_runs_csv(out / "runs.csv"))
 
 
 def write_adult_shaped_csv(path, n, seed=0):

@@ -4,9 +4,11 @@ Criteria 1-4 need the combined UCI Adult Income CSV.  Its location is
 taken from $BPSFAIR_ADULT_CSV or data/adult.csv under the repository
 root; without the file those tests skip (scripts/fetch_adult.py
 assembles it on a machine with network access).  Everything else runs
-self-contained.  $BPSFAIR_JOBS controls training parallelism, read with
-the CLI's rule when a grid runs: a malformed value fails only the grid
-criteria, with the CLI's ConfigError.
+self-contained.  Criteria 1-6 judge the cells that cells.csv is written
+from: runs.csv read back and aggregated (``conftest.stored_cells``).
+$BPSFAIR_JOBS controls training parallelism, read with the CLI's rule
+when a grid runs: a malformed value fails only the grid criteria, with
+the CLI's error.
 """
 
 import math
@@ -17,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpsfair.cli import _jobs
+from bpsfair.cli import _jobs, main
 from bpsfair.config import load_config
 from bpsfair.data import SplitPlan, adult_preset, load_csv, mc_splits, synthesize_biased
-from bpsfair.engine import TrainConfig, dataset_for_split, run_grid, train_model
+from bpsfair.engine import TrainConfig, dataset_for_split, run_grid, select_cell, train_model
 from bpsfair.errors import UndefinedMeasureError
 from bpsfair.losses import (
     DenominatorMode,
@@ -32,6 +34,8 @@ from bpsfair.losses import (
 )
 from bpsfair.metrics import MeasureKind, bps_binary, bps_report, confusion, hard_measure
 from bpsfair.network import NetworkConfig, serialize
+from bpsfair.report import runs_table_from_grid, write_runs_csv
+from conftest import stored_cells
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"  # criteria 1-6 run these files' settings
@@ -62,30 +66,32 @@ def ok(criterion, detail):
 # Adult experiments (criteria 1-4), cached so criteria share grid runs
 # ---------------------------------------------------------------------------
 
-_adult_cache = {}
 
+@pytest.fixture(scope="module")
+def adult_cells(tmp_path_factory):
+    """adult_cells(name): the stored cells of ``bpsfair grid`` on configs/adult_<name>.yaml.
 
-def adult_table():
-    if "table" not in _adult_cache:
-        _adult_cache["table"] = load_csv(ADULT_PATH, adult_preset())
-    return _adult_cache["table"]
+    Each config's grid runs on the Adult file once per test run.
+    """
+    cache = {}
 
+    def cells(name):
+        if name not in cache:
+            out = tmp_path_factory.mktemp(f"adult_{name}")
+            assert main(["grid", "--config", str(CONFIGS / f"adult_{name}.yaml"),
+                         "--dataset", str(ADULT_PATH), "--out", str(out)]) == 0
+            cache[name] = stored_cells(out)
+        return cache[name]
 
-def adult_grid(name):
-    """The grid of ``configs/adult_<name>.yaml``, run on the Adult file once per test run."""
-    if name not in _adult_cache:
-        cfg = load_config(CONFIGS / f"adult_{name}.yaml")
-        _adult_cache[name] = run_grid(adult_table(), cfg.train_config(1), cfg.grid, cfg.plan,
-                                      jobs=_jobs(None))
-    return _adult_cache[name]
+    return cells
 
 
 @needs_adult
-def test_criterion_1_adult_baseline():
+def test_criterion_1_adult_baseline(adult_cells):
     """Architecture 1 without regularization: accuracy 84.5 +/- 1.5, pRule 34 +/- 6."""
-    cell = adult_grid("arch1_stp").cell(alpha=0.0)
-    acc = 100.0 * cell.means["accuracy"]
-    prule = cell.means["bps_stp"]
+    cell = select_cell(adult_cells("arch1_stp"), {"alpha": 0.0})
+    acc = 100.0 * cell["mean_accuracy"]
+    prule = cell["mean_bps_stp"]
     line = f"baseline accuracy {acc:.2f}% (target 84.5+/-1.5), pRule {prule:.1f} (target 34+/-6)"
     assert abs(acc - 84.5) <= 1.5, line
     assert abs(prule - 34.0) <= 6.0, line
@@ -93,11 +99,11 @@ def test_criterion_1_adult_baseline():
 
 
 @needs_adult
-def test_criterion_2_adult_stp_debiasing_arch1():
+def test_criterion_2_adult_stp_debiasing_arch1(adult_cells):
     """STP continuous loss, k=4, alpha=0.8: mean pRule >= 97 at accuracy >= 80.5%."""
-    cell = adult_grid("arch1_stp").cell(alpha=0.8)
-    acc = 100.0 * cell.means["accuracy"]
-    prule = cell.means["bps_stp"]
+    cell = select_cell(adult_cells("arch1_stp"), {"alpha": 0.8})
+    acc = 100.0 * cell["mean_accuracy"]
+    prule = cell["mean_bps_stp"]
     line = f"arch 1 debiased pRule {prule:.2f} (>=97), accuracy {acc:.2f}% (>=80.5)"
     assert prule >= 97.0, line
     assert acc >= 80.5, line
@@ -105,11 +111,11 @@ def test_criterion_2_adult_stp_debiasing_arch1():
 
 
 @needs_adult
-def test_criterion_3_adult_stp_debiasing_arch2():
+def test_criterion_3_adult_stp_debiasing_arch2(adult_cells):
     """Leaky-ReLU 108/324 net, k=4, alpha=0.84: mean pRule >= 98 at accuracy >= 81%."""
-    cell = adult_grid("arch2_stp").cell(alpha=0.84)
-    acc = 100.0 * cell.means["accuracy"]
-    prule = cell.means["bps_stp"]
+    cell = select_cell(adult_cells("arch2_stp"), {"alpha": 0.84})
+    acc = 100.0 * cell["mean_accuracy"]
+    prule = cell["mean_bps_stp"]
     line = f"arch 2 debiased pRule {prule:.2f} (>=98), accuracy {acc:.2f}% (>=81)"
     assert prule >= 98.0, line
     assert acc >= 81.0, line
@@ -117,7 +123,7 @@ def test_criterion_3_adult_stp_debiasing_arch2():
 
 
 @needs_adult
-def test_criterion_4_adult_fpr_fnr_equalization():
+def test_criterion_4_adult_fpr_fnr_equalization(adult_cells):
     """Sigmoided FPR+FNR losses equalize error rates at low absolute FPR.
 
     The sigmoid needs a sharpness well above 1 to separate the two sides
@@ -125,17 +131,17 @@ def test_criterion_4_adult_fpr_fnr_equalization():
     measure to the hard rate it regularizes; beta=10 with RATE mode is
     the committed configuration for both architectures.
     """
-    arch1 = adult_grid("arch1_fprfnr").cell(alpha=0.05)
-    arch2 = adult_grid("arch2_fprfnr").cell(alpha=0.1)
+    arch1 = select_cell(adult_cells("arch1_fprfnr"), {"alpha": 0.05})
+    arch2 = select_cell(adult_cells("arch2_fprfnr"), {"alpha": 0.1})
 
-    line1 = (f"arch 1 BPS_FPR {arch1.means['bps_fpr']:.1f} (>=88), "
-             f"BPS_FNR {arch1.means['bps_fnr']:.1f} (>=80)")
-    assert arch1.means["bps_fpr"] >= 88.0, line1
-    assert arch1.means["bps_fnr"] >= 80.0, line1
-    line2 = f"arch 2 BPS_FNR {arch2.means['bps_fnr']:.1f} (>=93)"
-    assert arch2.means["bps_fnr"] >= 93.0, line2
+    line1 = (f"arch 1 BPS_FPR {arch1['mean_bps_fpr']:.1f} (>=88), "
+             f"BPS_FNR {arch1['mean_bps_fnr']:.1f} (>=80)")
+    assert arch1["mean_bps_fpr"] >= 88.0, line1
+    assert arch1["mean_bps_fnr"] >= 80.0, line1
+    line2 = f"arch 2 BPS_FNR {arch2['mean_bps_fnr']:.1f} (>=93)"
+    assert arch2["mean_bps_fnr"] >= 93.0, line2
     for cell, tag in ((arch1, "arch 1"), (arch2, "arch 2")):
-        fprs = (cell.means["fpr_g0"], cell.means["fpr_g1"])
+        fprs = (cell["mean_fpr_g0"], cell["mean_fpr_g1"])
         assert max(fprs) <= 0.10, f"{tag} absolute FPR {fprs} exceeds 0.10"
     ok(4, f"{line1}; {line2}; absolute FPR within 0.10 for both groups")
 
@@ -153,7 +159,7 @@ def test_adult_file_integrity():
             1 for row in reader
             if row and not any(cell.strip() == "?" for cell in row)
         )
-    table = adult_table()
+    table = load_csv(ADULT_PATH, adult_preset())
     assert table.n_rows == kept
     assert table.n_rows == 45_222
     ok("1 (data)", f"Adult retains {table.n_rows} rows after missing-value filtering")
@@ -177,16 +183,23 @@ def template(grid, *kinds):
     return found
 
 
-def test_criterion_5_synthetic_fnr_curve(synth_setup):
+def synthetic_cells(out, table, base, grid, plan):
+    """The stored cells of ``grid`` trained on the synthetic table, runs.csv written to out."""
+    result = run_grid(table, base, grid, plan, jobs=_jobs(None))
+    write_runs_csv(runs_table_from_grid(result), out / "runs.csv")
+    return stored_cells(out)
+
+
+def test_criterion_5_synthetic_fnr_curve(synth_setup, tmp_path):
     """At alpha=0.3 the FNR parity score jumps while accuracy barely moves."""
     table, base, plan, grid = synth_setup
     grid = replace(grid, templates=[template(grid, "FNR")], powers=[1], alphas=[0.0, 0.3])
-    result = run_grid(table, base, grid, plan, jobs=_jobs(None))
-    baseline = result.cell(alpha=0.0)
-    regularized = result.cell(alpha=0.3)
-    gain = regularized.means["bps_fnr"] - baseline.means["bps_fnr"]
-    acc_drop = 100.0 * (baseline.means["accuracy"] - regularized.means["accuracy"])
-    line = f"BPS_FNR {baseline.means['bps_fnr']:.1f} -> {regularized.means['bps_fnr']:.1f} " \
+    cells = synthetic_cells(tmp_path, table, base, grid, plan)
+    baseline = select_cell(cells, {"alpha": 0.0})
+    regularized = select_cell(cells, {"alpha": 0.3})
+    gain = regularized["mean_bps_fnr"] - baseline["mean_bps_fnr"]
+    acc_drop = 100.0 * (baseline["mean_accuracy"] - regularized["mean_accuracy"])
+    line = f"BPS_FNR {baseline['mean_bps_fnr']:.1f} -> {regularized['mean_bps_fnr']:.1f} " \
            f"(gain {gain:+.1f} >= 5), accuracy drop {acc_drop:.2f} points (<= 2)"
     assert gain >= 5.0, line
     assert acc_drop <= 2.0, line
@@ -195,22 +208,20 @@ def test_criterion_5_synthetic_fnr_curve(synth_setup):
 
 def first_decoupling_alpha(cells):
     """Smallest alpha where the loss improves but the hard score does not."""
-    cells = sorted(cells, key=lambda c: c.key.alpha)
+    cells = sorted(cells, key=lambda c: c["alpha"])
     for prev, cur in zip(cells, cells[1:]):
-        if (cur.means["term0_loss"] < prev.means["term0_loss"]
-                and cur.means["bps_fpr"] <= prev.means["bps_fpr"]):
-            return cur.key.alpha
+        if (cur["mean_term0_loss"] < prev["mean_term0_loss"]
+                and cur["mean_bps_fpr"] <= prev["mean_bps_fpr"]):
+            return cur["alpha"]
     return None
 
 
-def test_criterion_6_decoupling_later_at_higher_power(synth_setup):
+def test_criterion_6_decoupling_later_at_higher_power(synth_setup, tmp_path):
     """FPR loss decouples from the hard score; power 3 delays the onset."""
     table, base, plan, grid = synth_setup
     grid = replace(grid, templates=[template(grid, "FPR")], powers=[1, 3])
-    result = run_grid(table, base, grid, plan, jobs=_jobs(None))
-    by_power = {
-        k: [c for c in result.cells if c.key.power == k] for k in (1, 3)
-    }
+    cells = synthetic_cells(tmp_path, table, base, grid, plan)
+    by_power = {k: [c for c in cells if c["power"] == k] for k in (1, 3)}
     alpha_k1 = first_decoupling_alpha(by_power[1])
     alpha_k3 = first_decoupling_alpha(by_power[3])
     line = f"first decoupling alpha: k=1 at {alpha_k1}, k=3 at {alpha_k3}"

@@ -13,11 +13,12 @@ from bpsfair import cli
 from bpsfair.cli import main
 from bpsfair.config import load_config
 from bpsfair.data import load_csv
+from bpsfair.engine import select_cell
 from bpsfair.errors import ConfigError, DataError
 from bpsfair.losses import DenominatorMode
 from bpsfair.network import NetworkConfig, init, load_model, save_model
 from bpsfair.report import file_digest, read_runs_csv
-from conftest import write_adult_shaped_csv
+from conftest import stored_cells, write_adult_shaped_csv
 
 
 def write_config(path, **overrides):
@@ -431,6 +432,14 @@ def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
                  "manifest.json"):
         assert (out / name).exists()
     assert list(out.glob("series_*.csv"))
+    # criteria 1-4's selection, without their thresholds: the baseline and the table's cell
+    cells = stored_cells(out)
+    (row,) = doc["report"]["tables"]
+    for alpha in (0.0, row["alpha"]):
+        cell = select_cell(cells, {"alpha": alpha})
+        assert cell["n_runs"] == 1
+        for name in ("accuracy", "bps_stp", "bps_fpr", "bps_fnr", "fpr_g0", "fpr_g1"):
+            assert np.isfinite(cell[f"mean_{name}"]), (alpha, name)
     # `report --config` rebuilds every derived file, the tables included, from runs.csv alone
     rebuilt = tmp_path / "rebuilt"
     rebuilt.mkdir()
@@ -558,18 +567,18 @@ class TestReportCommand:
         assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.json'}: {problem}")
 
 
-# (dump rows, stdout, evaluation.csv) of `evaluate --predictions`: stdout shows the first two
-# groups; the CSV has every group and the population value, blank where a value is undefined
+# (dump rows, stdout, evaluation.csv) of `evaluate --predictions`: both show every group under
+# its id and the population value; undefined values print as undef and are blank in the CSV
 EVALUATE_PINS = [
     ("0,0.9,0 0,0.2,0 1,0.8,0 1,0.3,0 0,0.1,1 0,0.7,1 0,0.6,1 1,0.9,1 "
      "1,0.4,2 0,0.2,2 1,0.55,2 0,0.51,2 1,0.05,2",
-     "measure      group0    group1      bps\n"
-     "FPR             0.5  0.666667  86.9048\n"
-     "FNR             0.5         0  58.3333\n"
-     "TPR             0.5         1  72.2222\n"
-     "TNR             0.5  0.333333  83.0688\n"
-     "ACC             0.5       0.5  90.4274\n"
-     "STP             0.5      0.75  79.6459\n",
+     "measure  group0    group1    group2  population      bps\n"
+     "FPR         0.5  0.666667       0.5    0.571429  86.9048\n"
+     "FNR         0.5         0  0.666667         0.5  58.3333\n"
+     "TPR         0.5         1  0.333333         0.5  72.2222\n"
+     "TNR         0.5  0.333333       0.5    0.428571  83.0688\n"
+     "ACC         0.5       0.5       0.4    0.461538  90.4274\n"
+     "STP         0.5      0.75       0.4    0.538462  79.6459\n",
      "measure,group0,group1,group2,population,bps\r\n"
      "FPR,0.5,0.666667,0.5,0.571429,86.9048\r\n"
      "FNR,0.5,0,0.666667,0.5,58.3333\r\n"
@@ -579,13 +588,13 @@ EVALUATE_PINS = [
      "STP,0.5,0.75,0.4,0.538462,79.6459\r\n"),
     # group 1 has no positive label: its FNR and TPR are undefined, and so is their BPS
     ("0,0.9,0 0,0.2,0 1,0.8,0 1,0.3,0 0,0.1,1 0,0.7,1 0,0.6,1",
-     "measure      group0    group1      bps\n"
-     "FPR             0.5  0.666667       75\n"
-     "FNR             0.5     undef    undef\n"
-     "TPR             0.5     undef    undef\n"
-     "TNR             0.5  0.333333  66.6667\n"
-     "ACC             0.5  0.333333  66.6667\n"
-     "STP             0.5  0.666667       75\n",
+     "measure  group0    group1  population      bps\n"
+     "FPR         0.5  0.666667         0.6       75\n"
+     "FNR         0.5     undef         0.5    undef\n"
+     "TPR         0.5     undef         0.5    undef\n"
+     "TNR         0.5  0.333333         0.4  66.6667\n"
+     "ACC         0.5  0.333333    0.428571  66.6667\n"
+     "STP         0.5  0.666667    0.571429       75\n",
      "measure,group0,group1,population,bps\r\n"
      "FPR,0.5,0.666667,0.6,75\r\n"
      "FNR,0.5,,0.5,\r\n"
@@ -594,13 +603,13 @@ EVALUATE_PINS = [
      "ACC,0.5,0.333333,0.428571,66.6667\r\n"
      "STP,0.5,0.666667,0.571429,75\r\n"),
     ("0,0.9,4 1,0.8,4 1,0.3,4",
-     "measure      group0    group1      bps\n"
-     "FPR               1         -    undef\n"
-     "FNR             0.5         -    undef\n"
-     "TPR             0.5         -    undef\n"
-     "TNR               0         -    undef\n"
-     "ACC        0.333333         -    undef\n"
-     "STP        0.666667         -    undef\n",
+     "measure    group4  population    bps\n"
+     "FPR             1           1  undef\n"
+     "FNR           0.5         0.5  undef\n"
+     "TPR           0.5         0.5  undef\n"
+     "TNR             0           0  undef\n"
+     "ACC      0.333333    0.333333  undef\n"
+     "STP      0.666667    0.666667  undef\n",
      "measure,group4,population,bps\r\n"
      "FPR,1,1,\r\n"
      "FNR,0.5,0.5,\r\n"

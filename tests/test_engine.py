@@ -25,6 +25,7 @@ from bpsfair.engine import (
     run_grid,
     run_scalars,
     scalar_columns,
+    select_cell,
     train_model,
 )
 from bpsfair.errors import ConfigError, DivergenceError, NonFiniteOutputError
@@ -33,8 +34,9 @@ from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair import engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.engine import RunResult, _train_stack
-from bpsfair.report import (comparison_cells, emit_comparison_tables, emit_results, fmt,
-                            read_runs_csv)
+from bpsfair.report import (cells_from_runs, comparison_cells, emit_comparison_tables,
+                            emit_results, fmt, read_runs_csv)
+from conftest import stored_cells
 
 
 def separable_setup(n=600, seed=5):
@@ -219,14 +221,21 @@ class TestEvaluate:
 
 
 def aggregate(runs):
-    """cell_statistics over one cell's runs, as run_grid calls it; stats keyed by column."""
+    """cells_from_runs over one cell's runs as columns; (means, variances, n_runs, n_diverged).
+
+    The columns are what read_runs_csv returns for the runs, at full
+    precision; the statistics are keyed by scalar column.
+    """
     rows = [run_scalars(run) for run in runs]
-    columns = tuple(dict.fromkeys(k for row in rows for k in row))
-    means, variances, n_ok, n_div = cell_statistics(
-        [[row.get(c) for c in columns] for row in rows], [0] * len(runs),
-        [run.diverged for run in runs])
-    return (dict(zip(columns, means[0].tolist())), dict(zip(columns, variances[0].tolist())),
-            int(n_ok[0]), int(n_div[0]))
+    fields = ("FPR", "continuous", 1.0, 1, 0.0)
+    columns = {name: [value] * len(runs) for name, value in zip(CELL_FIELDS, fields)}
+    columns["diverged"] = [run.diverged for run in runs]
+    for c in dict.fromkeys(k for row in rows for k in row):
+        columns[c] = [row.get(c, np.nan) for row in rows]
+    (cell,) = cells_from_runs(columns)
+    means, variances = ({name[len(prefix):]: v for name, v in cell.items()
+                         if name.startswith(prefix)} for prefix in ("mean_", "var_"))
+    return means, variances, cell["n_runs"], cell["n_diverged"]
 
 
 class TestAggregate:
@@ -295,7 +304,7 @@ class TestAggregate:
 
     def test_all_diverged_flagged(self):
         means, variances, n_ok, n_div = aggregate([self.run_with(0.1, diverged=True)])
-        assert means == {} and variances == {}
+        assert means and all(np.isnan(v) for v in (*means.values(), *variances.values()))
         assert (n_ok, n_div) == (0, 1)
 
 
@@ -319,6 +328,17 @@ def tiny_grid_inputs(seed=23):
     return table, base, grid, plan
 
 
+def assert_every_cell_diverged(result, out):
+    """cells.csv holds both of each cell's runs as diverged, and blank means."""
+    emit_results(result, out)
+    with open(out / "cells.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == len(result.cells)
+    for cell in cells:
+        assert (cell["n_runs"], cell["n_diverged"]) == ("0", "2")
+        assert all(v == "" for name, v in cell.items() if name.startswith("mean_"))
+
+
 class TestRunGrid:
     def test_cell_and_run_counting(self):
         table, base, grid, plan = tiny_grid_inputs()
@@ -326,17 +346,20 @@ class TestRunGrid:
         assert len(result.cells) == 2
         assert all(len(c.runs) == 2 for c in result.cells)
 
-    def test_baseline_cell_mean_is_exact_run_mean(self):
+    def test_baseline_cell_mean_is_exact_run_mean(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
         result = run_grid(table, base, grid, plan)
-        cell = result.cell(alpha=0.0)
-        accs = [r.accuracy for r in cell.runs]
-        assert cell.means["accuracy"] == pytest.approx(sum(accs) / 2, rel=1e-15)
+        emit_results(result, tmp_path)
+        runs = read_runs_csv(tmp_path / "runs.csv")
+        accs = [acc for acc, alpha in zip(runs["accuracy"], runs["alpha"]) if alpha == 0.0]
+        assert accs == [float(fmt(r.accuracy)) for r in result.cells[0].runs]
+        cell = select_cell(stored_cells(tmp_path), {"alpha": 0.0})
+        assert cell["mean_accuracy"] == pytest.approx(sum(accs) / 2, rel=1e-15)
 
     def test_baseline_cell_matches_manual_training(self):
         table, base, grid, plan = tiny_grid_inputs()
         result = run_grid(table, base, grid, plan)
-        cell = result.cell(alpha=0.0)
+        (cell,) = [c for c in result.cells if c.key.alpha == 0.0]
         splits = mc_splits(table.n_rows, plan)
         for it in (0, 1):
             dataset = dataset_for_split(table, splits[it])
@@ -346,13 +369,13 @@ class TestRunGrid:
             assert cell.runs[it].accuracy == manual.accuracy
             assert cell.runs[it].bce == manual.bce
 
-    def test_grid_reproducible(self):
+    def test_grid_reproducible(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
-        r1 = run_grid(table, base, grid, plan)
-        r2 = run_grid(table, base, grid, plan)
-        for c1, c2 in zip(r1.cells, r2.cells):
-            assert c1.means == c2.means
-            assert c1.variances == c2.variances
+        emit_results(run_grid(table, base, grid, plan), tmp_path / "first")
+        emit_results(run_grid(table, base, grid, plan), tmp_path / "second")
+        for name in ("runs.csv", "cells.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (
+                tmp_path / "second" / name).read_bytes()
 
     def test_parallel_equals_serial(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
@@ -360,18 +383,21 @@ class TestRunGrid:
         parallel = run_grid(table, base, grid, plan, jobs=2)
         for c1, c2 in zip(serial.cells, parallel.cells):
             assert c1.key == c2.key
-            assert c1.means == c2.means
         emit_results(serial, tmp_path / "serial")
         emit_results(parallel, tmp_path / "parallel")
-        runs = (tmp_path / "serial" / "runs.csv").read_bytes()
-        assert runs == (tmp_path / "parallel" / "runs.csv").read_bytes()
+        for name in ("runs.csv", "cells.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name).read_bytes()
 
-    def test_means_bounded_by_run_extremes(self):
+    def test_means_bounded_by_run_extremes(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
-        result = run_grid(table, base, grid, plan)
-        for cell in result.cells:
-            accs = [r.accuracy for r in cell.runs if not r.diverged]
-            assert min(accs) <= cell.means["accuracy"] <= max(accs)
+        emit_results(run_grid(table, base, grid, plan), tmp_path)
+        runs = read_runs_csv(tmp_path / "runs.csv")
+        for cell in stored_cells(tmp_path):
+            accs = [acc for acc, alpha, diverged in zip(runs["accuracy"], runs["alpha"],
+                                                        runs["diverged"])
+                    if alpha == cell["alpha"] and not diverged]
+            assert min(accs) <= cell["mean_accuracy"] <= max(accs)
 
     def test_iteration_bounds_validated(self):
         table, base, grid, plan = tiny_grid_inputs()
@@ -381,29 +407,27 @@ class TestRunGrid:
             run_grid(table, base, bad, plan)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergent_cell_flagged_not_fatal(self):
+    def test_divergent_cell_flagged_not_fatal(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
         from dataclasses import replace
 
         exploding = replace(base, lr=1e200)
         result = run_grid(table, exploding, grid, plan)
         for cell in result.cells:
-            assert cell.all_diverged
-            assert cell.n_diverged == 2
-            assert cell.means == {}
             for run in cell.runs:
                 assert run.diverged and run.divergence_epoch is not None
+        assert_every_cell_diverged(result, tmp_path)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("val_fraction", [0.1, 0.0])
-    def test_overflow_in_the_last_step_flags_every_cell(self, val_fraction):
+    def test_overflow_in_the_last_step_flags_every_cell(self, val_fraction, tmp_path):
         table, base, grid, _ = tiny_grid_inputs()
         plan = SplitPlan(iterations=2, train_fraction=0.7, val_fraction=val_fraction,
                          base_seed=23)
         result = run_grid(table, replace(base, batch_size=512, epochs=1, lr=1e308), grid, plan)
         for cell in result.cells:
-            assert cell.all_diverged and cell.means == {}
             assert [run.divergence_epoch for run in cell.runs] == [1, 1]
+        assert_every_cell_diverged(result, tmp_path)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
@@ -539,7 +563,7 @@ class TestLockstepGrid:
         assert digest == MIXED_RUNS_SHA256[mode]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_cell_flagged_while_neighbours_finish(self):
+    def test_diverged_cell_flagged_while_neighbours_finish(self, tmp_path):
         # an overflowing weight makes that cell's gradient infinite, then its loss NaN
         table, base, grid, plan = mixed_grid_inputs(DenominatorMode.RATE,
                                                     alphas=(0.0, 0.3, 1e308))
@@ -555,10 +579,8 @@ class TestLockstepGrid:
                     assert not run.diverged
                     assert_same_run(run, solo)
         assert 0 < n_diverged < sum(len(c.runs) for c in result.cells)
-        assert all(c.n_success == 2 for c in result.cells if c.key.alpha < 1.0)
-        # the statistics come from arrays, but a CellResult holds Python floats
-        assert all(type(v) is float for c in result.cells
-                   for stats in (c.means, c.variances) for v in stats.values())
+        emit_results(result, tmp_path)
+        assert all(c["n_runs"] == 2 for c in stored_cells(tmp_path) if c["alpha"] < 1.0)
 
 
 class TestAdultFormatPipeline:
@@ -669,16 +691,17 @@ class TestCellSchema:
             cells = [tuple(row[f] for f in CELL_FIELDS) for row in csv.DictReader(fh)]
         assert cells == [tuple(fmt(v) for v in fields) for fields in order]
 
-    def test_cell_selector(self):
+    def test_cell_selector(self, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
-        result = run_grid(table, base, grid, plan)
-        cell = result.cell(measures="FPR", variant="continuous", beta=1.0, power=1, alpha=0.1)
-        assert cell.key.alpha == 0.1
+        cells = emit_results(run_grid(table, base, grid, plan), tmp_path)
+        cell = select_cell(cells, {"measures": "FPR", "variant": "continuous", "beta": 1.0,
+                                   "power": 1, "alpha": 0.1})
+        assert cell["alpha"] == 0.1
         for selector in ({"measures_label": "FPR", "alpha": 0.1},  # not a cell field
                          {"alpha": 0.7},  # no cell
                          {"measures": "FPR"}):  # two cells
             with pytest.raises(ConfigError):
-                result.cell(**selector)
+                select_cell(cells, selector)
 
     def test_every_run_scalar_is_a_runs_csv_column(self, tmp_path):
         table, base, _, plan = tiny_grid_inputs()
