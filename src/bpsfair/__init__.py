@@ -16,7 +16,6 @@ from .data import (
 )
 from .engine import (
     CellKey,
-    EvalResult,
     GridResult,
     GridSpec,
     RunResult,

@@ -36,7 +36,6 @@ from .network import NetworkConfig, adam_step, backward, forward, init, init_ada
 __all__ = [
     "TrainConfig",
     "RunResult",
-    "EvalResult",
     "GridSpec",
     "CellKey",
     "CellResult",
@@ -99,29 +98,16 @@ class TrainConfig(Record):
 
 
 @dataclass
-class EvalResult:
-    """Metrics of one state on one index set."""
+class RunResult:
+    """Metrics of one state on one index set, with a trained run's best epoch, seed and trace."""
 
     accuracy: float
     report: BpsReport
     bce: float
     per_term: tuple
-
-
-@dataclass
-class RunResult:
-    """Outcome of one (config, split, seed) training run."""
-
-    accuracy: float
-    report: BpsReport | None
-    bce: float
-    per_term: tuple
-    best_epoch: int
-    seed: int
-    iteration: int = 0
+    best_epoch: int | None = None
+    seed: int | None = None
     trace: tuple = ()
-    diverged: bool = False
-    divergence_epoch: int | None = None
 
 
 def _epoch_rngs(seed: int, epoch: int):
@@ -206,27 +192,21 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
             for i in range(len(term_sets))]
 
 
-def _test_result(outcome, dataset, split, terms, config: TrainConfig, iteration=0) -> RunResult:
+def _test_result(outcome, dataset, split, terms, config: TrainConfig) -> RunResult:
     """RunResult of a trained model's best state on the test split.
 
-    A best state whose test probabilities are not finite diverged at its
-    best epoch: that raises DivergenceError.
+    An outcome that is a DivergenceError is raised, and so is one for a
+    best state whose test probabilities are not finite: it diverged at
+    its best epoch.
     """
+    if isinstance(outcome, DivergenceError):
+        raise outcome
     best_state, best_epoch, trace = outcome
     try:
-        frag = evaluate(best_state, dataset, split[2], terms, config.denominator_mode)
+        result = evaluate(best_state, dataset, split[2], terms, config.denominator_mode)
     except NonFiniteOutputError:
         raise DivergenceError(best_epoch) from None
-    return RunResult(
-        accuracy=frag.accuracy,
-        report=frag.report,
-        bce=frag.bce,
-        per_term=frag.per_term,
-        best_epoch=best_epoch,
-        seed=config.seed,
-        iteration=iteration,
-        trace=trace,
-    )
+    return replace(result, best_epoch=best_epoch, seed=config.seed, trace=trace)
 
 
 def train_model(dataset: EncodedDataset, split, config: TrainConfig):
@@ -238,13 +218,12 @@ def train_model(dataset: EncodedDataset, split, config: TrainConfig):
     test probabilities, raise DivergenceError.
     """
     (outcome,) = _train_stack(dataset, split, config, [config.terms])
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome[0], _test_result(outcome, dataset, split, config.terms, config)
+    result = _test_result(outcome, dataset, split, config.terms, config)
+    return outcome[0], result
 
 
 def evaluate(state, dataset: EncodedDataset, indices=None, terms=(),
-             mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> EvalResult:
+             mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> RunResult:
     """Eval-mode forward on the given rows (all rows, in order, for None), thresholded at 0.5.
 
     Returns accuracy, the full BPS report, and a full-pass recomputation
@@ -263,7 +242,7 @@ def evaluate(state, dataset: EncodedDataset, indices=None, terms=(),
     preds = (probs >= 0.5).astype(np.int64)
     y, a = (dataset.Y, dataset.A) if rows is None else (dataset.Y[rows], dataset.A[rows])
     value = combined_loss(terms, probs, y, a, mode)
-    return EvalResult(
+    return RunResult(
         accuracy=float(np.mean(preds == y)),
         report=bps_report(preds, y, a),
         bce=value.bce,
@@ -371,26 +350,25 @@ class CellKey:
 
 @dataclass
 class CellResult:
-    """One cell's runs, one per Monte Carlo iteration; ``cells_from_runs`` aggregates them."""
+    """One cell's runs.csv rows, one per iteration; ``cells_from_runs`` aggregates them."""
 
     key: CellKey
     runs: tuple
 
     @property
     def n_diverged(self) -> int:  # read by perfbench and cmd_grid's summary line
-        return sum(run.diverged for run in self.runs)
+        return sum(row["diverged"] for row in self.runs)
 
     @property
     def means(self) -> dict:  # read by perfbench until it reads cells.csv
-        rows = [run_scalars(run) for run in self.runs if not run.diverged]
-        columns = dict.fromkeys(k for row in rows for k in row)
+        rows = [row for row in self.runs if not row["diverged"]]
+        columns = dict.fromkeys(k for row in rows for k in row if k not in RUN_FIELDS)
         return {c: mean_and_variance([row.get(c) for row in rows])[0] for c in columns}
 
 
 @dataclass
 class GridResult:
     cells: tuple
-    plan: SplitPlan
 
 
 def select_cell(cells, selector: dict):
@@ -410,8 +388,6 @@ def select_cell(cells, selector: dict):
 
 def run_scalars(run: RunResult) -> dict:
     """Flatten one run into named scalars for aggregation and CSV emission."""
-    if run.diverged:
-        return {}
     out = {"accuracy": run.accuracy, "bce": run.bce, "best_epoch": float(run.best_epoch)}
     for kind, values, _, bps in run.report.rows()[1]:
         name = kind.value.lower()
@@ -490,7 +466,8 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int)
 
     Cells whose terms all have zero weight train bit-identically to
     BCE-only, so they share one model; its best state is evaluated once
-    per such cell, with that cell's terms.  Returns {key: RunResult}.
+    per such cell, with that cell's terms.  Returns {key: runs.csv row};
+    a diverged run's row has its epoch and no scalars.
     """
     network = base_config.network
     if network.input_dim != dataset.X.shape[1]:
@@ -510,28 +487,16 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int)
             term_sets.append(terms)
     outcomes = _train_stack(dataset, split, config, term_sets)
 
-    results = {}
+    rows = {}
     for key in keys:
-        outcome = outcomes[model_of[key]]
-        if not isinstance(outcome, DivergenceError):
-            try:
-                results[key] = _test_result(outcome, dataset, split, key.terms(), config,
-                                            iteration)
-                continue
-            except DivergenceError as exc:
-                outcome = exc
-        results[key] = RunResult(
-            accuracy=float("nan"),
-            report=None,
-            bce=float("nan"),
-            per_term=(),
-            best_epoch=-1,
-            seed=config.seed,
-            iteration=iteration,
-            diverged=True,
-            divergence_epoch=outcome.epoch,
-        )
-    return results
+        row = rows[key] = {**key.fields(), "iteration": iteration, "seed": config.seed,
+                           "diverged": False, "divergence_epoch": None}
+        try:
+            row.update(run_scalars(_test_result(outcomes[model_of[key]], dataset, split,
+                                                key.terms(), config)))
+        except DivergenceError as exc:
+            row.update(diverged=True, divergence_epoch=exc.epoch)
+    return rows
 
 
 _WORKER_CTX: dict = {}
@@ -551,8 +516,8 @@ def _worker_task(task):
     # tasks arrive iteration-major, so one encoding slot serves a whole iteration
     if _WORKER_CTX["encoded"][0] != iteration:
         _WORKER_CTX["encoded"] = iteration, dataset_for_split(_WORKER_CTX["source"], split)
-    return iteration, _train_group(_WORKER_CTX["encoded"][1], split, _WORKER_CTX["base_config"],
-                                   keys, iteration)
+    return _train_group(_WORKER_CTX["encoded"][1], split, _WORKER_CTX["base_config"], keys,
+                        iteration)
 
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
@@ -562,9 +527,9 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     ``source`` is a RawTable, re-encoded per split.  One task is one
     iteration of one (template, variant) group, trained in lockstep by
     ``_worker_task``; with jobs > 1 a process pool runs the tasks, with
-    jobs == 1 this process does.  Each cell's runs are in iteration
-    order, whatever order the tasks complete in; ``report.cells_from_runs``
-    aggregates them from the runs.csv rows.
+    jobs == 1 this process does.  Each cell's runs.csv rows are in
+    iteration order, whatever order the tasks complete in;
+    ``report.cells_from_runs`` aggregates them once they are stored.
     """
     typed(POSITIVE_INT, jobs, "jobs")
     iterations = grid.iterations_for(plan)
@@ -586,7 +551,7 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
             done = list(map(_worker_task, tasks))
         finally:
             _WORKER_CTX.clear()
-    results = {(key, it): run for it, group_runs in done for key, run in group_runs.items()}
-    cells = tuple(CellResult(key, tuple(results[(key, it)] for it in range(iterations)))
+    rows = {(key, row["iteration"]): row for task_rows in done for key, row in task_rows.items()}
+    cells = tuple(CellResult(key, tuple(rows[(key, it)] for it in range(iterations)))
                   for key in sorted(keys, key=lambda k: tuple(k.fields().values())))
-    return GridResult(cells=cells, plan=plan)
+    return GridResult(cells=cells)

@@ -277,7 +277,7 @@ def _bce(probs, labels, want_grad):
     n = probs.shape[-1]
     labels = labels.astype(np.float64)  # exact for 0/1; spares mixed-type loops
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1.0 - p), axis=-1)
+    bce = -np.mean(np.log(np.where(labels, p, 1.0 - p)), axis=-1)
     if not want_grad:
         return bce, None
     inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)

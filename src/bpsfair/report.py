@@ -26,7 +26,6 @@ from .engine import (
     RUN_FIELDS,
     GridResult,
     cell_statistics,
-    run_scalars,
     scalar_columns,
     select_cell,
 )
@@ -93,15 +92,8 @@ def _write_columns(path, header, columns):
 
 
 def runs_table_from_grid(result: GridResult):
-    """Flatten a GridResult into per-run row dicts."""
-    rows = []
-    for cell in result.cells:
-        fields = cell.key.fields()
-        for run in cell.runs:
-            rows.append({**fields, "iteration": run.iteration, "seed": run.seed,
-                         "diverged": run.diverged, "divergence_epoch": run.divergence_epoch,
-                         **run_scalars(run)})
-    return rows
+    """A GridResult's runs.csv rows, cell by cell."""
+    return [row for cell in result.cells for row in cell.runs]
 
 
 def _n_terms(names) -> int:
@@ -130,12 +122,16 @@ def _parse_column(name, cells):
     """(typed values, None), or (None, (row, message)) naming the first bad cell.
 
     Blank cells read as None in the integer columns and as NaN in the
-    other numeric ones; a blank beta, power or alpha is an error, and so is
-    an integer that float64 cannot hold.
+    other numeric ones; a blank beta, power or alpha is an error, and so are
+    an integer that float64 cannot hold and a ``diverged`` cell other than
+    0 or 1.
     """
     if name in ("measures", "variant"):
         return list(cells), None
     if name == "diverged":
+        bad = next((r for r, cell in enumerate(cells) if cell not in ("0", "1")), None)
+        if bad is not None:
+            return None, (bad, f"column 'diverged' holds {cells[bad]!r}, not 0 or 1")
         return [cell == "1" for cell in cells], None
     kind = int if name in _INT_FIELDS else float
     blank = None if kind is int else math.nan
@@ -176,13 +172,14 @@ def read_runs_csv(path):
     """Inverse of write_runs_csv: {column name: per-run values}, in header order.
 
     Each column is parsed in one typed pass: measures and variant stay
-    strings, ``diverged`` is True for "1", and the other columns are
-    integers (blank reads as None) or floats (blank reads as NaN).  A
-    header without a CELL_FIELDS or ``diverged`` column raises DataError.
-    So does a row with more or fewer fields than the header, a blank
-    beta, power or alpha (cells are sorted by them) or a numeric cell
-    that does not parse, naming the first such row (counted from 0 after
-    the header, blank lines skipped) and, within it, the first column.
+    strings, ``diverged`` is True for "1" and False for "0", and the
+    other columns are integers (blank reads as None) or floats (blank
+    reads as NaN).  A header without a CELL_FIELDS or ``diverged`` column
+    raises DataError.  So does a row with more or fewer fields than the
+    header, a blank beta, power or alpha (cells are sorted by them), a
+    ``diverged`` cell other than 0 or 1 or a numeric cell that does not
+    parse, naming the first such row (counted from 0 after the header,
+    blank lines skipped) and, within it, the first column.
     A name the header repeats takes its last column's values.
     """
     try:

@@ -105,6 +105,19 @@ TRAIN_BPS = {
 }
 
 
+# the whole run_result.json of the workspace config with training.keep_trace, as written
+# while a trained run and an evaluation were two records
+TRAIN_RESULT = {
+    "accuracy": 0.775, "bce": 0.47237472171447586, "best_epoch": 3, "seed": 3,
+    "terms": ["FNR:continuous:0.3:1"], "denominator_mode": "as_written", "bps": TRAIN_BPS,
+    "per_term": [{"term": "FNR:continuous:0.3:1", "soft_bps": 0.48793478530975487,
+                  "loss": 0.5120652146902451, "skipped": False}],
+    "trace": [{"epoch": 1, "train_loss": 0.8024851747221697, "val_accuracy": 0.4},
+              {"epoch": 2, "train_loss": 0.6655455930990372, "val_accuracy": 0.6666666666666666},
+              {"epoch": 3, "train_loss": 0.5776015184168155, "val_accuracy": 0.7333333333333333}],
+}
+
+
 class TestTrain:
     def test_writes_result_and_artifact(self, workspace):
         out = workspace / "train"
@@ -123,6 +136,14 @@ class TestTrain:
         bps = json.loads((out / "run_result.json").read_text())["bps"]
         # compared as JSON text, so the key order is pinned too
         assert json.dumps(bps) == json.dumps(TRAIN_BPS)
+
+    def test_run_result_pinned(self, workspace):
+        training = {"batch_size": 64, "epochs": 3, "lr": 0.01, "seed": 3, "keep_trace": True}
+        cfg = write_config(workspace / "trace.yaml", training=training)
+        out = workspace / "train"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        # compared as the file's text, so the key order and the layout are pinned too
+        assert (out / "run_result.json").read_text() == json.dumps(TRAIN_RESULT, indent=2) + "\n"
 
     def test_seed_flag_overrides_config_seed(self, workspace):
         for flag, seed in (([], 3), (["--seed", "11"], 11)):

@@ -523,6 +523,18 @@ def loop_ratio_grad(m0, m1):
     return -m1 / (m0 * m0), 1.0 / m0
 
 
+def loop_bce(probs, labels, want_grad):
+    """Per-row mean BCE and its gradient, as written with a log per label class."""
+    n = probs.shape[-1]
+    labels = labels.astype(np.float64)
+    p = np.clip(probs, losses.BCE_EPS, 1.0 - losses.BCE_EPS)
+    bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1.0 - p), axis=-1)
+    if not want_grad:
+        return bce, None
+    inside = (probs > losses.BCE_EPS) & (probs < 1.0 - losses.BCE_EPS)
+    return bce, np.where(inside, (p - labels) / (n * p * (1.0 - p)), 0.0)
+
+
 def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
     """The combined loss one model at a time, with one LossValue per model: the oracle
     for the array-valued evaluation."""
@@ -533,7 +545,7 @@ def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
     probs = probs if stacked else probs[None]
     present, cell = losses._cells(groups, labels)
     counts = losses._counts(cell, 2) if present.size == 2 else None
-    bce, grad = losses._bce(probs, labels, want_grad)
+    bce, grad = loop_bce(probs, labels, want_grad)
     bce = bce.tolist()
     totals = list(bce)
     per_term = [[] for _ in term_sets]

@@ -316,6 +316,9 @@ def oracle_read_runs_csv(path):
             if key in ("measures", "variant"):
                 row[key] = val
             elif key == "diverged":
+                if val not in ("0", "1"):
+                    raise DataError(f"{path}: row {row_no}: column 'diverged' holds {val!r}, "
+                                    "not 0 or 1", rows=[row_no])
                 row[key] = val == "1"
             elif val == "" and key in CELL_FIELDS:
                 raise DataError(f"{path}: row {row_no}: column {key!r} is blank", rows=[row_no])
@@ -463,13 +466,15 @@ def run_rows(draw):
 @st.composite
 def malformed(draw, text):
     """``text`` with 1-3 edits of its data rows: an extra or a missing field, a blank
-    cell field, an unparsable number or a blank line, each at a random position."""
+    cell field, an unparsable number, a diverged flag other than 0 or 1 or a blank line,
+    each at a random position."""
     lines = text.split("\r\n")
     header = lines[0].split(",")
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.sampled_from([i for i, line in enumerate(lines) if i and line]))
         cells = lines[i].split(",")
-        action = draw(st.sampled_from(["extra", "missing", "blank", "number", "line"]))
+        action = draw(st.sampled_from(["extra", "missing", "blank", "number", "diverged",
+                                       "line"]))
         if action == "line":
             lines.insert(i, "")
         elif action == "extra":
@@ -479,6 +484,9 @@ def malformed(draw, text):
         elif action == "blank":
             j = header.index(draw(st.sampled_from(CELL_FIELDS)))
             cells[min(j, len(cells) - 1)] = ""
+        elif action == "diverged":
+            cells[min(header.index("diverged"), len(cells) - 1)] = draw(
+                st.sampled_from(["", "yes", "true", "2", "01", "1.0"]))
         else:
             cells[draw(st.integers(0, len(cells) - 1))] = draw(
                 st.sampled_from(["abc", "1.5", "1e", " ", "0x1", "--1", "1_0", "nan"]))
@@ -516,6 +524,19 @@ class TestColumnarMatchesRowByRow:
             text = (old / "runs.csv").read_bytes().decode("utf-8")
             bad.write_bytes(data.draw(malformed(text)).encode("utf-8"))
             assert outcome(read_runs_csv, bad) == outcome(oracle_read_runs_csv, bad)
+
+    @pytest.mark.parametrize("flag", ["", "yes", "true", "2", "-0", " 1"])
+    def test_diverged_flag_other_than_0_or_1_refused(self, flag, tmp_path):
+        # read as not diverged, such a run would count in its cell's means
+        path = tmp_path / "runs.csv"
+        header = ",".join(RUN_FIELDS + ("accuracy",))
+        path.write_text(f"{header}\nFPR,continuous,1,1,0,0,7,0,,0.5\n"
+                        f"FPR,continuous,1,1,0,1,8,{flag},,0.9\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read_runs_csv(path)
+        assert str(exc.value) == f"{path}: row 1: column 'diverged' holds {flag!r}, not 0 or 1"
+        assert exc.value.rows == (1,)
+        assert outcome(read_runs_csv, path) == outcome(oracle_read_runs_csv, path)
 
     def test_repeated_header_name_takes_its_last_column(self, tmp_path):
         path = tmp_path / "runs.csv"
