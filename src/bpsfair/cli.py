@@ -6,8 +6,11 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -23,7 +26,7 @@ from .data import (
     write_csv,
 )
 from .engine import evaluate as evaluate_state
-from .engine import run_grid, train_model
+from .engine import blas_thread_pin, run_grid, train_model, usable_cpus
 from .errors import BpsfairError, ConfigError, FormatError
 from .fields import POSITIVE_INT, typed
 from .metrics import BpsReport, evaluate_prediction_dump
@@ -161,12 +164,24 @@ def cmd_grid(args) -> int:
         "iterations": iterations,
     }
     write_manifest(out, config_path=args.config, dataset_path=data_path,
-                   grid_spec=grid_echo, version=__version__)
+                   grid_spec=grid_echo, version=__version__, speed=_speed(jobs, result.shards))
     n_runs = sum(len(c.runs) for c in result.cells)
     n_diverged = sum(c.n_diverged for c in result.cells)
     print(f"grid finished: {len(result.cells)} cells, {n_runs} runs "
           f"({n_diverged} diverged); results in {out}")
     return 0
+
+
+def _speed(jobs: int, shards) -> dict:
+    """What set a grid's speed, for manifest.json; no reader depends on it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # a numpy that reports no BLAS build
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "usable_cpus": usable_cpus(), "jobs": jobs, "shards_per_stack": list(shards),
+            "blas_thread_pin": blas_thread_pin() is not None}
 
 
 def cmd_evaluate(args) -> int:

@@ -8,15 +8,20 @@ Models that share a config and differ only in their term weights train
 in lockstep as one stack (see ``network``): each minibatch runs one
 stacked forward, loss, backward and Adam step.  A grid trains each
 (iteration, template, variant) group of cells this way; a single model
-is a stack of one.
+is a stack of one.  A stack whose step is heavy trains in shards, one
+thread per idle CPU (``stack_shards``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +56,9 @@ __all__ = [
     "mean_and_variance",
     "run_scalars",
     "dataset_for_split",
+    "stack_shards",
+    "blas_thread_pin",
+    "usable_cpus",
 ]
 
 DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0 baseline + 0.1 .. 1.0
@@ -58,6 +66,18 @@ DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0 baseline + 0
 # The run/cell schema of runs.csv and cells.csv; scalar_columns lists what run_scalars emits.
 CELL_FIELDS = ("measures", "variant", "beta", "power", "alpha")
 RUN_FIELDS = CELL_FIELDS + ("iteration", "seed", "diverged", "divergence_epoch")
+
+# Per-model elements of a training step's hidden activations (batch_size x the sum of
+# the hidden widths) from which a stack trains in shards, one thread each.  Below it a
+# step is a string of small numpy calls that hold the GIL, and the threads take turns.
+# Measured on a 2-core x86 host with OpenBLAS 0.3.31, a stack of 2 models on 45,222
+# Adult-shaped rows for 2 epochs, two shards against one (medians of 3/5/10 runs):
+# 4,096 (16/16, the synthetic grid's shape) +193%/+144%; 16,384 (64/64, batch 128)
+# +20%/+49%; 32,768 (64/64) +15%/-1%/+14%; 55,296 (108/108, arch1) +3%/-22%/-16%;
+# 65,536 (128/128) -27%/-17%, without batch norm and dropout -6%/-15%/-20%; 110,592
+# (108/324, arch2) -28%/-29%, without -29%/-31%; 165,888 (324/324) -37%/-40%.  Batch
+# norm and dropout are on, and the batch is 256, unless named.
+SHARD_MIN_STEP_ELEMENTS = 50_000
 
 
 def scalar_columns(n_terms: int) -> tuple:
@@ -116,7 +136,14 @@ def _epoch_rngs(seed: int, epoch: int):
     return shuffle_rng, dropout_rng
 
 
-def _train_stack(dataset, split, config: TrainConfig, term_sets):
+def _init_stack(config: TrainConfig, models: int):
+    """The fresh (state, adam) pair of a stack of ``models``."""
+    state = init(config.network, models=models)
+    return state, init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                            eps=config.adam_eps)
+
+
+def _train_stack(dataset, split, config: TrainConfig, term_sets, stop=None, start=None):
     """Train one model per term tuple in lockstep; returns one outcome each.
 
     All models share ``config`` apart from their terms, hence the init,
@@ -127,12 +154,12 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
     kept.  An outcome is (best state, best epoch, trace), or the
     DivergenceError of a model whose batch loss or validation
     probabilities went non-finite: that model leaves the stack and the
-    others train on.
+    others train on.  Once the ``stop`` event is set, the next epoch does
+    not start and None is returned.  ``start`` is the (state, adam) pair
+    to train from, ``_init_stack``'s by default.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
-    state = init(config.network, models=len(term_sets))
-    adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                     eps=config.adam_eps)
+    state, adam = start or _init_stack(config, len(term_sets))
     X, Y, A = dataset.X, dataset.Y, dataset.A
     Y_val = Y[val_idx]
 
@@ -142,6 +169,8 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
     best = [(-1.0, 0, None)] * len(term_sets)  # (val accuracy, epoch, state)
     traces = [[] for _ in term_sets]
     for epoch in range(1, config.epochs + 1):
+        if stop is not None and stop.is_set():
+            return None
         shuffle_rng, dropout_rng = _epoch_rngs(config.seed, epoch)
         order = shuffle_rng.permutation(train_idx)
         epoch_losses = [[] for _ in term_sets]
@@ -162,6 +191,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
                 for i, total in zip(live, totals.tolist()):
                     epoch_losses[i].append(total)
             grads = backward(state, cache, dprobs)
+            probs = cache = None  # freed before the next forward builds its own
             adam_step(state, adam, grads)
             if keep is not None:  # drop diverged models; slices never mix
                 state, adam = state[keep], adam[keep]
@@ -368,7 +398,10 @@ class CellResult:
 
 @dataclass
 class GridResult:
+    """Cells in CELL_FIELDS order, and the threads that trained each group's stack."""
+
     cells: tuple
+    shards: tuple
 
 
 def select_cell(cells, selector: dict):
@@ -461,19 +494,106 @@ def dataset_for_split(source, split) -> EncodedDataset:
     raise ConfigError(f"unsupported dataset source {type(source).__name__}")
 
 
-def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int) -> dict:
-    """Train one iteration of a (template, variant) group's cells in lockstep.
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@cache
+def blas_thread_pin():
+    """``openblas_set_num_threads_local`` of numpy's bundled OpenBLAS, or None without one.
+
+    It sets the BLAS threads of the calling thread only and returns the
+    value it replaced.  Opening the library by its path reuses the copy
+    numpy has loaded.
+    """
+    import ctypes
+
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            pin = ctypes.CDLL(str(lib)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
+        return pin
+    return None
+
+
+def stack_shards(config: TrainConfig, models: int, jobs: int) -> int:
+    """Threads that train a stack of ``models`` while ``jobs`` processes share the CPUs.
+
+    A stack splits only when its per-model step is heavy, a CPU per shard
+    is free and each thread's BLAS can be held to one thread; else 1.
+    """
+    shards = min(models, usable_cpus() // jobs)
+    elements = config.batch_size * sum(width for width, _ in config.network.hidden)
+    if shards < 2 or elements < SHARD_MIN_STEP_ELEMENTS or blas_thread_pin() is None:
+        return 1
+    return shards
+
+
+def _train_shards(dataset, split, config: TrainConfig, term_sets, shards: int):
+    """``_train_stack``'s outcomes, from ``shards`` contiguous sub-stacks on as many threads.
+
+    Shard 0 trains on the calling thread.  Every shard holds its thread's
+    BLAS to one thread, so the shards do not oversubscribe the CPUs.  The
+    bits are a single stack's: stacked models never mix, and BLAS splits
+    no sum over its threads.  This thread allocates the whole stack's state
+    and moments, and each shard trains a slice of their rows in place, so
+    a shard thread's own heap holds little more than one step's arrays.
+    An exception in any shard, an interrupt included, stops the others
+    before their next epoch and is raised once every thread has ended.
+    """
+    if shards == 1:
+        return _train_stack(dataset, split, config, term_sets)
+    pin = blas_thread_pin() or (lambda threads: threads)  # a forced split without the pin
+    rows = [slice(len(term_sets) * s // shards, len(term_sets) * (s + 1) // shards)
+            for s in range(shards)]
+    state, adam = _init_stack(config, len(term_sets))
+    starts = [(state[r], adam[r]) for r in rows]  # Adam's scratch too, from this heap
+    outcomes, errors, stop = [None] * shards, [], threading.Event()
+
+    def train(s):
+        previous = pin(1)
+        try:
+            outcomes[s] = _train_stack(dataset, split, config, term_sets[rows[s]], stop,
+                                       starts[s])
+        except BaseException as exc:  # raised below, on the calling thread
+            errors.append(exc)
+            stop.set()
+        finally:
+            pin(previous)
+
+    threads = []
+    try:
+        for s in range(1, shards):
+            thread = threading.Thread(target=train, args=(s,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        train(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # an interrupt outside train(0), say while joining
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return [outcome for shard in outcomes for outcome in shard]
+
+
+def _term_sets(keys) -> tuple:
+    """({key: model index}, one term tuple per model) of a group's cells.
 
     Cells whose terms all have zero weight train bit-identically to
-    BCE-only, so they share one model; its best state is evaluated once
-    per such cell, with that cell's terms.  Returns {key: runs.csv row};
-    a diverged run's row has its epoch and no scalars.
+    BCE-only, so they share one model.
     """
-    network = base_config.network
-    if network.input_dim != dataset.X.shape[1]:
-        # per-split encoding can shift the one-hot width with the vocabulary
-        network = replace(network, input_dim=dataset.X.shape[1])
-    config = replace(base_config, network=network, seed=base_config.seed + iteration)
     model_of, term_sets, inert_model = {}, [], None
     for key in keys:
         terms = key.terms()
@@ -485,7 +605,28 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int)
         else:
             model_of[key] = len(term_sets)
             term_sets.append(terms)
-    outcomes = _train_stack(dataset, split, config, term_sets)
+    return model_of, term_sets
+
+
+def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int, jobs: int = 1,
+                 shards: int | None = None) -> dict:
+    """Train one iteration of a (template, variant) group's cells in lockstep.
+
+    The zero-weight cells share one model (``_term_sets``); its best state
+    is evaluated once per such cell, with that cell's terms.  The stack
+    trains in ``shards`` threads, by default ``stack_shards`` of it under
+    ``jobs`` processes.  Returns {key: runs.csv row}; a diverged run's row
+    has its epoch and no scalars.
+    """
+    network = base_config.network
+    if network.input_dim != dataset.X.shape[1]:
+        # per-split encoding can shift the one-hot width with the vocabulary
+        network = replace(network, input_dim=dataset.X.shape[1])
+    config = replace(base_config, network=network, seed=base_config.seed + iteration)
+    model_of, term_sets = _term_sets(keys)
+    if shards is None:
+        shards = stack_shards(config, len(term_sets), jobs)
+    outcomes = _train_shards(dataset, split, config, term_sets, shards)
 
     rows = {}
     for key in keys:
@@ -502,10 +643,11 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int)
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(source, base_config, plan):
+def _init_worker(source, base_config, plan, jobs):
     _WORKER_CTX.clear()
     _WORKER_CTX["source"] = source
     _WORKER_CTX["base_config"] = base_config
+    _WORKER_CTX["jobs"] = jobs
     _WORKER_CTX["splits"] = mc_splits(source.n_rows, plan)
     _WORKER_CTX["encoded"] = (None, None)
 
@@ -517,7 +659,7 @@ def _worker_task(task):
     if _WORKER_CTX["encoded"][0] != iteration:
         _WORKER_CTX["encoded"] = iteration, dataset_for_split(_WORKER_CTX["source"], split)
     return _train_group(_WORKER_CTX["encoded"][1], split, _WORKER_CTX["base_config"], keys,
-                        iteration)
+                        iteration, _WORKER_CTX["jobs"])
 
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
@@ -527,7 +669,8 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     ``source`` is a RawTable, re-encoded per split.  One task is one
     iteration of one (template, variant) group, trained in lockstep by
     ``_worker_task``; with jobs > 1 a process pool runs the tasks, with
-    jobs == 1 this process does.  Each cell's runs.csv rows are in
+    jobs == 1 this process does, and a heavy stack may train in threads
+    (``stack_shards``).  Each cell's runs.csv rows are in
     iteration order, whatever order the tasks complete in;
     ``report.cells_from_runs`` aggregates them once they are stored.
     """
@@ -539,14 +682,15 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
         groups.setdefault((key.measures, key.variant), []).append(key)
     # iteration-major order so one encoding serves consecutive tasks
     tasks = [(it, group) for it in range(iterations) for group in groups.values()]
+    # each iteration seeds its own split, so the unused ones need not be drawn
+    initargs = (source, base_config, replace(plan, iterations=iterations), jobs)
 
     if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(source, base_config, plan)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=initargs) as pool:
             done = list(pool.map(_worker_task, tasks, chunksize=1))
     else:
-        _init_worker(source, base_config, plan)
+        _init_worker(*initargs)
         try:
             done = list(map(_worker_task, tasks))
         finally:
@@ -554,4 +698,6 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     rows = {(key, row["iteration"]): row for task_rows in done for key, row in task_rows.items()}
     cells = tuple(CellResult(key, tuple(rows[(key, it)] for it in range(iterations)))
                   for key in sorted(keys, key=lambda k: tuple(k.fields().values())))
-    return GridResult(cells=cells)
+    shards = tuple(stack_shards(base_config, len(_term_sets(group)[1]), jobs)
+                   for group in groups.values())
+    return GridResult(cells=cells, shards=shards)

@@ -262,22 +262,24 @@ def init(config: NetworkConfig, models: int | None = None) -> NetworkState:
     return state
 
 
-def _activate(z, act):
-    """The activation of z, written into z."""
+def _activate(z, act, scratch=None):
+    """The activation of z, written into z; a leaky ReLU may use ``scratch``, shaped as z."""
     if act == "relu":
         return np.maximum(z, 0.0, out=z)
     # equals where(z > 0, z, slope * z) bit for bit, including -0.0, inf and NaN
-    return np.maximum(z, LEAKY_SLOPE * z, out=z)
+    return np.maximum(z, np.multiply(z, LEAKY_SLOPE, out=scratch), out=z)
 
 
-def _activate_grad(dh, positive, act):
-    """dh times the activation's derivative, in place, from the positive pre-activation mask."""
+def _activate_grad(dh, positive, act, scratch=None):
+    """dh times the activation's derivative, in place, from the positive pre-activation mask.
+
+    A leaky ReLU builds its slopes in ``scratch``, shaped as dh, if given.
+    """
     if act == "relu":
         dh *= positive  # the bool mask multiplies as exactly 0.0 / 1.0
         return dh
     # exactly {1.0, LEAKY_SLOPE}, without where()'s select on a random mask
-    slope = positive.astype(np.float64)
-    slope *= 1.0 - LEAKY_SLOPE
+    slope = np.multiply(positive, 1.0 - LEAKY_SLOPE, out=scratch)
     slope += LEAKY_SLOPE
     dh *= slope
     return dh
@@ -369,17 +371,21 @@ def _forward_rows(state: NetworkState, X, train: bool, rng, dropout_masks):
     cache = ForwardCache(x=X) if train else None
     h = X
     for l, (width, act) in enumerate(cfg.hidden):
-        # a is one fresh array that every elementwise step below updates in place
+        # a is one fresh array that every elementwise step below updates in place;
+        # in a train step the temporaries go to one scratch array shaped as a
         a = h @ state.weights[l]
         a += _rows(state.biases[l])
         positive = a > 0.0 if train else None
-        _activate(a, act)
+        scratch = None
+        if train and (act != "relu" or p_drop > 0.0 or cfg.use_batch_norm):
+            scratch = np.empty_like(a)
+        _activate(a, act, scratch)
         mask = None
         if train and p_drop > 0.0:
             if dropout_masks is not None:
                 mask = dropout_masks[l]
-            else:
-                mask = rng.random(a.shape[-2:]) >= p_drop
+            else:  # the (n, width) draw, into the first rows of scratch
+                mask = rng.random(out=scratch.reshape(-1, width)[:a.shape[-2]]) >= p_drop
             a *= mask
             a /= 1.0 - p_drop
         xhat, inv_std = None, None
@@ -388,11 +394,11 @@ def _forward_rows(state: NetworkState, X, train: bool, rng, dropout_masks):
                 mu = a.mean(axis=-2, keepdims=True)
                 a -= mu
                 # np.var's own steps, sharing a - mu with xhat
-                var = (a * a).sum(axis=-2, keepdims=True) / a.shape[-2]
+                var = np.multiply(a, a, out=scratch).sum(axis=-2, keepdims=True) / a.shape[-2]
                 inv_std = 1.0 / np.sqrt(var + BN_EPS)
                 a *= inv_std
                 xhat = a
-                a = xhat * _rows(state.bn_scale[l])
+                a = np.multiply(xhat, _rows(state.bn_scale[l]), out=scratch)
                 # in place, so views of a stack (state[i]) see the update
                 state.bn_mean[l][...] = (BN_MOMENTUM * state.bn_mean[l]
                                          + (1 - BN_MOMENTUM) * mu[..., 0, :])
@@ -451,6 +457,7 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
         # place, in the operation order of the allocating chain, so the bits hold
         layer = cache.layers[l]
         _, act = cfg.hidden[l]
+        scratch = None
         if cfg.use_batch_norm:
             xhat, inv_std = layer["xhat"], layer["inv_std"]
             scratch = dh * xhat
@@ -468,7 +475,7 @@ def backward(state: NetworkState, cache: ForwardCache, dloss_dprobs):
         if layer["mask"] is not None:
             dh *= layer["mask"]
             dh /= 1.0 - cfg.dropout_rate
-        _activate_grad(dh, layer["positive"], act)
+        _activate_grad(dh, layer["positive"], act, scratch)
         np.matmul(_t(layer["h_in"]), dh, out=grads_w[l])
         _row_sum(dh, grads_b[l])
         if l:

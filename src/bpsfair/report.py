@@ -388,8 +388,13 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, config_path=None, dataset_path=None, grid_spec=None, version="0"):
-    """Record digests of the exact inputs that produced a result directory."""
+def write_manifest(out_dir, config_path=None, dataset_path=None, grid_spec=None, version="0",
+                   speed=None):
+    """Record digests of the exact inputs that produced a result directory.
+
+    ``speed``, if given, records what set a grid's speed (versions, CPUs,
+    processes and threads); nothing reads it back.
+    """
     manifest = {
         "tool_version": version,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -399,6 +404,8 @@ def write_manifest(out_dir, config_path=None, dataset_path=None, grid_spec=None,
         "dataset_path": str(dataset_path) if dataset_path else None,
         "grid_spec": grid_spec,
     }
+    if speed is not None:
+        manifest["speed"] = speed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "manifest.json"

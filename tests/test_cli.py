@@ -453,6 +453,12 @@ def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
                  "manifest.json"):
         assert (out / name).exists()
     assert list(out.glob("series_*.csv"))
+    # the manifest records what set the speed: a stack of two models splits over idle CPUs
+    speed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["speed"]
+    assert set(speed) == {"python", "numpy", "blas", "usable_cpus", "jobs", "shards_per_stack",
+                          "blas_thread_pin"}
+    shards = min(2, speed["usable_cpus"] // speed["jobs"]) if speed["blas_thread_pin"] else 1
+    assert speed["shards_per_stack"] == [max(shards, 1)]
     # criteria 1-4's selection, without their thresholds: the baseline and the table's cell
     cells = stored_cells(out)
     (row,) = doc["report"]["tables"]

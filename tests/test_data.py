@@ -207,6 +207,17 @@ class TestMcSplits:
             np.testing.assert_array_equal(b1, b2)
             np.testing.assert_array_equal(c1, c2)
 
+    def test_fewer_iterations_draw_a_prefix(self):
+        # run_grid draws only the iterations it runs: each one seeds itself
+        plan = SplitPlan(iterations=5, train_fraction=0.7, val_fraction=0.1, base_seed=3)
+        full = mc_splits(100, plan)
+        for k in (1, 3):
+            prefix = mc_splits(100, dataclasses.replace(plan, iterations=k))
+            assert len(prefix) == k
+            for got, want in zip(prefix, full):
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
     def test_partition_property(self):
         plan = SplitPlan(iterations=5, train_fraction=0.7, val_fraction=0.1, base_seed=9)
         for train, val, test in mc_splits(237, plan):

@@ -1,10 +1,14 @@
 """Training loop, evaluation, grid search, and aggregation behavior."""
 
 import csv
+import ctypes
 import gc
 import hashlib
+import threading
+import types
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair import engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
+from bpsfair.config import load_config
 from bpsfair.engine import RunResult, _train_stack
 from bpsfair.report import (cells_from_runs, comparison_cells, emit_comparison_tables,
                             emit_results, fmt, read_runs_csv)
@@ -605,6 +610,168 @@ class TestLockstepGrid:
         assert 0 < n_diverged < sum(len(c.runs) for c in result.cells)
         emit_results(result, tmp_path)
         assert all(c["n_runs"] == 2 for c in stored_cells(tmp_path) if c["alpha"] < 1.0)
+
+
+def sharded_group_inputs():
+    """One (template, variant) group with batch norm, dropout and two terms, keeping traces.
+
+    Its models are alpha 0, 0.3, 1e308 and 1.0; in two shards the 1e308
+    model diverges in the second shard while its neighbour trains on.
+    """
+    table, base, _, plan = mixed_grid_inputs(DenominatorMode.RATE)
+    grid = GridSpec(templates=[[("FPR", 1.0), ("FNR", 1.25)]],
+                    variants=[SoftVariant.continuous()], powers=[3],
+                    alphas=[0.0, 0.3, 1e308, 1.0])
+    split = mc_splits(table.n_rows, plan)[0]
+    return (dataset_for_split(table, split), split, replace(base, keep_trace=True),
+            list(grid.cells()))
+
+
+@pytest.fixture
+def forced_shards(monkeypatch):
+    """Every stack of two or more models splits over two CPUs; returns the pin's calls.
+
+    The pin is a stand-in that records (thread, threads) and returns 5 as
+    the value it replaced.
+    """
+    calls = []
+
+    def pin(threads):
+        calls.append((threading.get_ident(), threads))
+        return 5
+
+    monkeypatch.setattr(engine, "SHARD_MIN_STEP_ELEMENTS", 0)
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "blas_thread_pin", lambda: pin)
+    return calls
+
+
+def unopenable_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestShardedStack:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_two_shards_equal_one_stack(self):
+        dataset, split, config, keys = sharded_group_inputs()
+        one = engine._train_group(dataset, split, config, keys, 0, shards=1)
+        two = engine._train_group(dataset, split, config, keys, 0, shards=2)
+        assert repr(two) == repr(one)
+        assert [row["diverged"] for row in one.values()] == [False, False, True, False]
+        # the outcomes behind the rows: best states, best epochs and traces
+        _, term_sets = engine._term_sets(keys)
+        for got, want in zip(engine._train_shards(dataset, split, config, term_sets, 2),
+                             _train_stack(dataset, split, config, term_sets)):
+            if isinstance(want, DivergenceError):
+                assert (got.epoch, got.batch) == (want.epoch, want.batch)
+            else:
+                assert serialize(got[0]) == serialize(want[0])
+                assert got[1:] == want[1:] and len(want[2]) == config.epochs
+
+    @pytest.mark.parametrize("mode", list(DenominatorMode), ids=lambda m: m.value)
+    def test_sharded_grid_keeps_the_pins(self, forced_shards, mode, tmp_path):
+        table, base, grid, plan = mixed_grid_inputs(mode)
+        result = run_grid(table, base, grid, plan)
+        assert result.shards == (2, 2, 2, 2)
+        emit_results(result, tmp_path)
+        assert sha256_of(tmp_path / "runs.csv") == MIXED_RUNS_SHA256[mode]
+        assert sha256_of(tmp_path / "cells.csv") == MIXED_CELLS_SHA256[mode]
+
+    def test_each_shard_pins_blas_to_one_thread_then_restores(self, forced_shards):
+        table, base, grid, plan = tiny_grid_inputs()
+        assert run_grid(table, base, replace(grid, iterations=1), plan).shards == (2,)
+        calls = {}
+        for thread, threads in forced_shards:
+            calls.setdefault(thread, []).append(threads)
+        assert threading.get_ident() in calls  # shard 0 trains on the calling thread
+        assert list(calls.values()) == [[1, 5], [1, 5]]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "shard-thread"])
+    def test_error_in_a_shard_stops_the_others(self, forced_shards, monkeypatch, failing):
+        table, base, grid, plan = tiny_grid_inputs()
+        started, at_error = {}, {}  # thread -> epochs it started; the others' at the error
+        epoch_rngs, loss = engine._epoch_rngs, engine.combined_loss_and_gradient
+        caller = threading.get_ident()
+
+        def recording_rngs(seed, epoch):
+            started.setdefault(threading.get_ident(), []).append(epoch)
+            return epoch_rngs(seed, epoch)
+
+        def failing_loss(*args):
+            thread = threading.get_ident()
+            if (thread == caller) == (failing == 0) and started[thread][-1] == 3:
+                at_error.update({t: e[-1] for t, e in started.items() if t != thread})
+                raise RuntimeError("shard failed")
+            return loss(*args)
+
+        monkeypatch.setattr(engine, "_epoch_rngs", recording_rngs)
+        monkeypatch.setattr(engine, "combined_loss_and_gradient", failing_loss)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="shard failed"):
+            run_grid(table, replace(base, epochs=1000), grid, plan)
+        assert threading.active_count() == before
+        (worker,) = {thread for thread, _ in forced_shards} - {caller}
+        other = worker if failing == 0 else caller
+        # the other shard ends the epoch it is in, and starts no other
+        assert started.get(other, [0])[-1] <= at_error.get(other, 0) + 1 < 1000
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_interrupt_while_joining_stops_the_shard(self, forced_shards, monkeypatch):
+        # shard 0's models diverge at once, so the caller waits for shard 1 when Ctrl-C comes
+        table, base, grid, plan = tiny_grid_inputs()
+        caller, loss = threading.get_ident(), engine.combined_loss_and_gradient
+        join = threading.Thread.join
+        started = []  # one entry per batch that shard 1 trained
+
+        def diverging_loss(*args):
+            totals, dprobs = loss(*args)
+            if threading.get_ident() == caller:
+                return totals * np.inf, dprobs
+            started.append(None)
+            return totals, dprobs
+
+        def interrupted_join(thread, timeout=None):
+            monkeypatch.setattr(threading.Thread, "join", join)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "combined_loss_and_gradient", diverging_loss)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(table, replace(base, epochs=100_000), grid, plan)
+        assert threading.active_count() == before
+        assert len(started) < 5 * 1_000  # 5 batches an epoch: far short of 100,000 epochs
+
+    @pytest.mark.parametrize("library", [
+        unopenable_library,
+        lambda path: types.SimpleNamespace(),  # a library without the per-thread pin
+    ], ids=["no-library", "no-symbol"])
+    def test_no_pin_trains_one_stack_on_the_calling_thread(self, monkeypatch, library):
+        monkeypatch.setattr(engine, "SHARD_MIN_STEP_ELEMENTS", 0)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(ctypes, "CDLL", library)
+        monkeypatch.setattr(threading, "Thread", lambda *a, **k: pytest.fail("a thread started"))
+        table, base, grid, plan = tiny_grid_inputs()
+        engine.blas_thread_pin.cache_clear()
+        try:
+            assert engine.blas_thread_pin() is None
+            assert run_grid(table, base, grid, plan).shards == (1,)
+        finally:
+            engine.blas_thread_pin.cache_clear()
+
+    def test_committed_configs_fall_on_their_side_of_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "blas_thread_pin", lambda: lambda threads: threads)
+        for name, shards in (("synthetic_curves", 1), ("adult_arch1_stp", 2),
+                             ("adult_arch1_fprfnr", 2), ("adult_arch2_stp", 2),
+                             ("adult_arch2_fprfnr", 2)):
+            config = load_config(CONFIGS / f"{name}.yaml").train_config(1)
+            assert engine.stack_shards(config, 21, 1) == shards, name
+            assert engine.stack_shards(config, 21, 2) == 1  # two processes hold the CPUs
+            assert engine.stack_shards(config, 1, 1) == 1
 
 
 class TestAdultFormatPipeline:
