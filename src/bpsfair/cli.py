@@ -71,7 +71,7 @@ def _report_to_dict(report: BpsReport) -> dict:
     gids, rows = report.rows()
     return {kind.value: {"group_values": dict(zip(map(str, gids), values)),
                          "population_value": population, "bps": bps,
-                         "undefined_groups": [g for g, v in zip(gids, values) if v is None]}
+                         "undefined_groups": list(report[kind].undefined_groups)}
             for kind, values, population, bps in rows}
 
 
@@ -187,6 +187,8 @@ def _speed(jobs: int, shards) -> dict:
 def cmd_evaluate(args) -> int:
     if bool(args.predictions) == bool(args.model):
         raise ConfigError("evaluate needs exactly one of --predictions or --model")
+    if args.predictions and args.dataset is not None:
+        raise ConfigError("--dataset goes with --model only: a prediction dump holds its own rows")
     if args.predictions:
         report = evaluate_prediction_dump(args.predictions)
         accuracy = None

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, InputShapeError, UndefinedMeasureError
 from .fields import NON_NEGATIVE, POSITIVE, POSITIVE_INT, typed
 from .metrics import MeasureKind, _as_binary_vector, measure_coefficients, measure_parts
+from .network import _logistic
 
 __all__ = [
     "SoftVariant",
@@ -150,21 +151,16 @@ class LossValue:
     per_term: tuple[TermValue, ...]
 
 
-def _sigmoid(x):
-    # tanh form stays finite for arbitrarily large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
-
-
-def _weights(variant: SoftVariant, probs: np.ndarray, want_grad: bool):
-    """Positive-side soft weights w(prob) and, when sigmoided and wanted, w'(prob).
+def _weights(variant: SoftVariant, probs: np.ndarray):
+    """Positive-side soft weights w(prob) and, when sigmoided, w'(prob).
 
     The continuous weight is the probability itself: its w' is 1, returned
     as None so no multiply by ones is spent.
     """
     if not variant.is_sigmoided:
         return probs, None
-    s = _sigmoid(variant.beta * (probs - 0.5))
-    return s, (variant.beta * s * (1.0 - s) if want_grad else None)
+    s = _logistic(variant.beta * (probs - 0.5))
+    return s, variant.beta * s * (1.0 - s)
 
 
 def _tables(w, cell, counts):
@@ -186,8 +182,8 @@ def _counts(cell, n_groups):
     return np.bincount(cell, minlength=2 * n_groups).reshape(n_groups, 2)
 
 
-def _measure(kind, mode, tables, want_grad):
-    """Soft measures of (..., 2, 2) tables and, optionally, d measure / d P[y].
+def _measure(kind, mode, tables):
+    """Soft measures of (..., 2, 2) tables and d measure / d P[y].
 
     Denominators are clamped to DENOM_EPS so an empty (group, class) cell
     yields measure 0 rather than a division blowup; a clamped denominator
@@ -198,8 +194,6 @@ def _measure(kind, mode, tables, want_grad):
     num, den = parts[..., 0], parts[..., 1]
     den_c = np.maximum(den, DENOM_EPS)
     m = num / den_c
-    if not want_grad:
-        return m, None
     # quotient rule; select, never scale by 0, where the denominator is clamped
     moving = np.where(den > DENOM_EPS, m, 0.0)
     return m, (coef[0, 0] - coef[1, 0] * moving[..., None]) / den_c[..., None]
@@ -215,9 +209,9 @@ def soft_measure(kind, variant, mode, probs, labels, group_mask) -> float:
         raise InputShapeError(f"group_mask shape {mask.shape} != probs shape {probs.shape}")
     if not mask.any():
         raise UndefinedMeasureError(kind.value, None, f"soft {kind.value}: empty group selection")
-    w, _ = _weights(variant, probs[None, mask], want_grad=False)
+    w, _ = _weights(variant, probs[None, mask])
     cell = labels[mask]
-    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 1)), want_grad=False)
+    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 1)))
     return float(m[0, 0])
 
 
@@ -245,15 +239,13 @@ def _cells(groups, labels):
     return present, labels + 2 * (groups == present[1])
 
 
-def _ratio(m, want_grad=False):
-    """min/max ratios of (..., 2) measure pairs (1 where both are 0) and, optionally, d ratio /
-    d (m0, m1) as (..., 2); ties route the subgradient through group 0."""
+def _ratio(m):
+    """min/max ratios of (..., 2) measure pairs (1 where both are 0) and d ratio / d (m0, m1)
+    as (..., 2); ties route the subgradient through group 0."""
     low = m[..., 0] <= m[..., 1]  # group 0 holds the min
     lo, hi = np.where(low, m[..., 0], m[..., 1]), np.where(low, m[..., 1], m[..., 0])
     moving = hi != 0.0  # the ratio is the constant 1 elsewhere
     r = np.divide(lo, hi, out=np.ones_like(hi), where=moving)
-    if not want_grad:
-        return r, None
     d_lo = np.divide(1.0, hi, out=np.zeros_like(hi), where=moving)
     d_hi = np.divide(-lo, hi * hi, out=np.zeros_like(hi), where=moving)
     return r, np.stack([np.where(low, d_lo, d_hi), np.where(low, d_hi, d_lo)], axis=-1)
@@ -267,32 +259,30 @@ def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
     present, cell = _cells(groups, labels)
     if present.size != 2:
         raise InputShapeError(f"expected exactly two group values, found {present.tolist()}")
-    w, _ = _weights(variant, probs[None], want_grad=False)
-    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)), want_grad=False)
+    w, _ = _weights(variant, probs[None])
+    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)))
     return float(_ratio(m)[0][0])
 
 
-def _bce(probs, labels, want_grad):
-    """Per-row mean BCE of (M, n) probabilities and, optionally, its gradient."""
+def _bce(probs, labels):
+    """Per-row mean BCE of (M, n) probabilities and its gradient."""
     n = probs.shape[-1]
     labels = labels.astype(np.float64)  # exact for 0/1; spares mixed-type loops
     p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
     bce = -np.mean(np.log(np.where(labels, p, 1.0 - p)), axis=-1)
-    if not want_grad:
-        return bce, None
     inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)
     grad = np.where(inside, (p - labels) / (n * p * (1.0 - p)), 0.0)
     return bce, grad
 
 
-def binary_cross_entropy(probs, labels, want_grad=False):
-    """Mean BCE with probabilities clamped to [BCE_EPS, 1 - BCE_EPS].
+def binary_cross_entropy(probs, labels):
+    """(mean BCE, gradient) with probabilities clamped to [BCE_EPS, 1 - BCE_EPS].
 
     The gradient is zero where the clamp is active.
     """
     probs, labels = _check_vectors(probs, labels)
-    bce, grad = _bce(probs[None], labels, want_grad)
-    return float(bce[0]), (grad[0] if want_grad else None)
+    bce, grad = _bce(probs[None], labels)
+    return float(bce[0]), grad[0]
 
 
 def _term_columns(term_sets):
@@ -309,9 +299,12 @@ def _term_columns(term_sets):
     return columns
 
 
-def _evaluate(terms, probs, labels, groups, mode, want_grad):
+def _evaluate(terms, probs, labels, groups, mode):
     """A stack's combined loss as arrays: (stacked, term sets, bce (M,), soft BPS and penalties
-    (T, M), skipped (T,), totals (M,), gradient (M, n) or None); 1-D probs are a stack of one."""
+    (T, M), skipped (T,), totals (M,), gradient (M, n)); 1-D probs are a stack of one.
+
+    Every value is computed before, and independently of, its gradient.
+    """
     probs, labels = _check_vectors(probs, labels, probs_ndims=(1, 2))
     mode = DenominatorMode(mode)
     stacked = probs.ndim == 2
@@ -330,7 +323,7 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
 
     columns = _term_columns(term_sets)
     models = len(term_sets)
-    bce, grad = _bce(probs, labels, want_grad)
+    bce, grad = _bce(probs, labels)
     totals = bce.copy()
     bps, penalties = np.ones((len(columns), models)), np.zeros((len(columns), models))
     skipped = [True] * len(columns)
@@ -344,22 +337,21 @@ def _evaluate(terms, probs, labels, groups, mode, want_grad):
             continue
         skipped[t] = False
         if variant not in by_variant:
-            w, dw = _weights(variant, probs, want_grad)
+            w, dw = _weights(variant, probs)
             by_variant[variant] = (_tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
         tables, _, d_total = by_variant[variant]
-        m, dm = _measure(kind, mode, tables, want_grad)
-        bps[t], dr = _ratio(m, want_grad)
+        m, dm = _measure(kind, mode, tables)
+        bps[t], dr = _ratio(m)
         alphas, powers = np.array([term.alpha for term in column]), [term.power for term in column]
         base = (1.0 - bps[t]).tolist()  # Python scalar pows: np.power can differ in the last bit
         penalties[t] = [b ** k for b, k in zip(base, powers)]
         weighted = alphas != 0.0  # zero-weight terms must leave BCE bit-identical
         np.add(totals, alphas * penalties[t], out=totals, where=weighted)
         trains |= weighted
-        if want_grad:
-            slope = (-alphas * powers) * [b ** (k - 1) for b, k in zip(base, powers)]
-            np.add(d_total, (slope[:, None] * dr)[..., None] * dm, out=d_total,
-                   where=weighted[:, None, None])
-    if want_grad and trains.any():
+        slope = (-alphas * powers) * [b ** (k - 1) for b, k in zip(base, powers)]
+        np.add(d_total, (slope[:, None] * dr)[..., None] * dm, out=d_total,
+               where=weighted[:, None, None])
+    if trains.any():
         for _, dw, d_total in by_variant.values():
             # the per-sample gradient is a gather: d total / d P[g_i, y_i] * w'(prob_i)
             step = d_total.reshape(models, 4)[:, cell]
@@ -384,7 +376,7 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
     alpha and power may differ.
     """
     stacked, term_sets, bce, bps, penalties, skipped, totals, _ = _evaluate(
-        terms, probs, labels, groups, mode, want_grad=False)
+        terms, probs, labels, groups, mode)
     rows = zip(totals.tolist(), bce.tolist(), term_sets, bps.T.tolist(), penalties.T.tolist())
     values = tuple(LossValue(total, b, tuple(map(TermValue, model_terms, soft, loss, skipped)))
                    for total, b, model_terms, soft, loss in rows)
@@ -393,10 +385,10 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
 
 def combined_loss_and_gradient(terms, probs, labels, groups,
                                mode: DenominatorMode = DenominatorMode.AS_WRITTEN):
-    """Single-pass (total, gradient) evaluation used by the training loop.
+    """(total, gradient) of the same pass as ``combined_loss``, for the training loop.
 
     Stacked (M, n) probabilities give ((M,) totals, (M, n) gradient); no
     LossValue is built.
     """
-    stacked, *_, totals, grad = _evaluate(terms, probs, labels, groups, mode, want_grad=True)
+    stacked, *_, totals, grad = _evaluate(terms, probs, labels, groups, mode)
     return (totals, grad) if stacked else (float(totals[0]), grad[0])

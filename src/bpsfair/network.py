@@ -286,6 +286,7 @@ def _activate_grad(dh, positive, act, scratch=None):
 
 
 def _logistic(z):
+    # tanh form stays finite for arbitrarily large |z|
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 

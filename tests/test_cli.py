@@ -750,6 +750,18 @@ class TestEvaluate:
         assert main(["evaluate"]) == 2
         assert main(["evaluate", "--predictions", "a", "--model", "b"]) == 2
 
+    def test_dataset_refused_with_a_prediction_dump(self, workspace, capsys):
+        dump = workspace / "dump.csv"
+        dump.write_text("y_true,y_prob,group\n1,0.9,0\n0,0.2,1\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--predictions", str(dump), "--dataset",
+                     str(workspace / "missing.csv"), "--out", str(workspace / "ev")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dataset goes with --model only")
+        assert not (workspace / "ev").exists()
+
 
 class TestConfigParsing:
     def test_example_config_parses(self):

@@ -339,7 +339,7 @@ class TestCombinedLoss:
         assert value.per_term[0].term_loss == 0.0
         assert value.total == value.bce
         grad = combined_loss_and_gradient([term], probs, labels, groups)[1]
-        bce_grad = binary_cross_entropy(np.asarray(probs, dtype=float), labels, want_grad=True)[1]
+        bce_grad = binary_cross_entropy(np.asarray(probs, dtype=float), labels)[1]
         np.testing.assert_array_equal(grad, bce_grad)
 
     def test_single_group_batch_skips_all_terms(self):
@@ -374,6 +374,17 @@ class TestLossGradient:
         n = probs.size
         expected = (probs - labels) / (n * probs * (1.0 - probs))
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+    def test_public_bce_reads_the_stack_pass(self):
+        eps = losses.BCE_EPS
+        probs = np.array([0.0, 1.0, eps, 1.0 - eps, eps / 2, 1.0 - eps / 2,
+                          np.nextafter(eps, 1.0), 0.3, 0.8, 0.55])
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0, 1])
+        groups = np.array([0, 1] * 5)
+        bce, grad = binary_cross_entropy(probs, labels)
+        assert isinstance(grad, np.ndarray)
+        assert grad.tobytes() == combined_loss_and_gradient((), probs, labels, groups)[1].tobytes()
+        assert bce.hex() == combined_loss((), probs, labels, groups).bce.hex()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("variant", [CONT, SIG])
@@ -523,19 +534,17 @@ def loop_ratio_grad(m0, m1):
     return -m1 / (m0 * m0), 1.0 / m0
 
 
-def loop_bce(probs, labels, want_grad):
+def loop_bce(probs, labels):
     """Per-row mean BCE and its gradient, as written with a log per label class."""
     n = probs.shape[-1]
     labels = labels.astype(np.float64)
     p = np.clip(probs, losses.BCE_EPS, 1.0 - losses.BCE_EPS)
     bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1.0 - p), axis=-1)
-    if not want_grad:
-        return bce, None
     inside = (probs > losses.BCE_EPS) & (probs < 1.0 - losses.BCE_EPS)
     return bce, np.where(inside, (p - labels) / (n * p * (1.0 - p)), 0.0)
 
 
-def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
+def loop_evaluate(terms, probs, labels, groups, mode):
     """The combined loss one model at a time, with one LossValue per model: the oracle
     for the array-valued evaluation."""
     probs, labels = losses._check_vectors(probs, labels, probs_ndims=(1, 2))
@@ -545,7 +554,7 @@ def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
     probs = probs if stacked else probs[None]
     present, cell = losses._cells(groups, labels)
     counts = losses._counts(cell, 2) if present.size == 2 else None
-    bce, grad = loop_bce(probs, labels, want_grad)
+    bce, grad = loop_bce(probs, labels)
     bce = bce.tolist()
     totals = list(bce)
     per_term = [[] for _ in term_sets]
@@ -560,10 +569,10 @@ def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
                                              skipped=True))
             continue
         if variant not in by_variant:
-            w, dw = losses._weights(variant, probs, want_grad)
+            w, dw = losses._weights(variant, probs)
             by_variant[variant] = (losses._tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
         tables, _, d_total = by_variant[variant]
-        m, dm = losses._measure(kind, mode, tables, want_grad)
+        m, dm = losses._measure(kind, mode, tables)
         slopes = []
         for i, (term, (m0, m1)) in enumerate(zip(column, m.tolist())):
             r = loop_ratio(m0, m1)
@@ -577,9 +586,8 @@ def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
             else:
                 slopes.append((0.0, 0.0))
             per_term[i].append(TermValue(term=term, soft_bps=r, term_loss=loss))
-        if want_grad:
-            d_total += np.array(slopes)[..., None] * dm
-    if want_grad and trains.any():
+        d_total += np.array(slopes)[..., None] * dm
+    if trains.any():
         for _, dw, d_total in by_variant.values():
             step = d_total.reshape(models, 4)[:, cell]
             if dw is not None:
@@ -588,7 +596,7 @@ def loop_evaluate(terms, probs, labels, groups, mode, want_grad):
     values = tuple(LossValue(total=total, bce=b, per_term=tuple(term_values))
                    for total, b, term_values in zip(totals, bce, per_term))
     if not stacked:
-        return values[0], (grad[0] if want_grad else None)
+        return values[0], grad[0]
     return values, grad
 
 
@@ -623,7 +631,7 @@ class TestArrayLossMatchesLoop:
                            for (kind, variant), alpha, power in zip(columns, a_i, k_i))
                      for a_i, k_i in zip(alphas.tolist(), powers)]
         for terms, probs in ((term_sets, stack), (term_sets[0], stack[0])):
-            expected, expected_grad = loop_evaluate(terms, probs, labels, groups, mode, True)
+            expected, expected_grad = loop_evaluate(terms, probs, labels, groups, mode)
             totals, grad = combined_loss_and_gradient(terms, probs, labels, groups, mode)
             values = combined_loss(terms, probs, labels, groups, mode)
             # repr tells -0.0 from 0.0 and a numpy scalar from a float
