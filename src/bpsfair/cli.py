@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     cfg.train_config(1, seed_override=args.seed)  # its checks need no data, so they run first
     table, data_path = _load_table(cfg, args.dataset)
-    split = mc_splits(table.n_rows, cfg.plan)[0]
+    split = mc_splits(table.n_rows, replace(cfg.plan, iterations=1))[0]  # the one it uses
     encoder = fit_encoder(table, rows=split[0])
     dataset = apply_encoder(table, encoder)
     train_config = cfg.train_config(dataset.X.shape[1], seed_override=args.seed)

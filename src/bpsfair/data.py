@@ -149,9 +149,7 @@ class EncodedDataset:
     X: np.ndarray
     A: np.ndarray
     Y: np.ndarray
-    row_indices: np.ndarray
     feature_names: tuple
-    unseen_categorical_count: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -433,9 +431,7 @@ def apply_encoder(table: RawTable, encoder: EncoderState, rows=None) -> EncodedD
         X=X,
         A=table.groups[idx].copy(),
         Y=table.labels[idx].copy(),
-        row_indices=table.row_indices[idx].copy(),
         feature_names=tuple(names),
-        unseen_categorical_count=unseen,
     )
 
 

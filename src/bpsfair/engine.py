@@ -136,30 +136,21 @@ def _epoch_rngs(seed: int, epoch: int):
     return shuffle_rng, dropout_rng
 
 
-def _init_stack(config: TrainConfig, models: int):
-    """The fresh (state, adam) pair of a stack of ``models``."""
-    state = init(config.network, models=models)
-    return state, init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                            eps=config.adam_eps)
+def _train_stack(dataset, split, config: TrainConfig, term_sets, state, adam, stop=None):
+    """Train the stack ``state``/``adam`` of one model per term tuple; one outcome each.
 
-
-def _train_stack(dataset, split, config: TrainConfig, term_sets, stop=None, start=None):
-    """Train one model per term tuple in lockstep; returns one outcome each.
-
-    All models share ``config`` apart from their terms, hence the init,
-    the shuffle order and the dropout masks.  Per epoch the training
-    indices are reshuffled with a seed derived from (config.seed, epoch);
-    after each epoch every model is scored on the validation split in
-    eval mode and its highest-accuracy state (earliest epoch on ties) is
-    kept.  An outcome is (best state, best epoch, trace), or the
-    DivergenceError of a model whose batch loss or validation
+    ``_train_shards`` allocates the stack.  All models share ``config``
+    apart from their terms, hence the shuffle order and the dropout masks.
+    Per epoch the training indices are reshuffled with a seed derived from
+    (config.seed, epoch); after each epoch every model is scored on the
+    validation split in eval mode and its highest-accuracy state (earliest
+    epoch on ties) is kept.  An outcome is (best state, best epoch, trace),
+    or the DivergenceError of a model whose batch loss or validation
     probabilities went non-finite: that model leaves the stack and the
     others train on.  Once the ``stop`` event is set, the next epoch does
-    not start and None is returned.  ``start`` is the (state, adam) pair
-    to train from, ``_init_stack``'s by default.
+    not start and None is returned.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
-    state, adam = start or _init_stack(config, len(term_sets))
     X, Y, A = dataset.X, dataset.Y, dataset.A
     Y_val = Y[val_idx]
 
@@ -168,47 +159,52 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets, stop=None, star
     diverged = {}  # model index -> DivergenceError
     best = [(-1.0, 0, None)] * len(term_sets)  # (val accuracy, epoch, state)
     traces = [[] for _ in term_sets]
+
+    def kept(finite, epoch, batch=None):
+        """The stack positions kept, None if all are ``finite``; the others leave as diverged."""
+        if finite.all():
+            return None
+        for pos in np.flatnonzero(~finite).tolist():
+            diverged[live[pos]] = DivergenceError(epoch, batch=batch)
+        keep = np.flatnonzero(finite).tolist()
+        live[:], live_terms[:] = [live[pos] for pos in keep], [live_terms[pos] for pos in keep]
+        return keep
+
+    def outcomes():
+        return [diverged.get(i, (best_state, best_epoch, tuple(trace)))
+                for i, ((_, best_epoch, best_state), trace) in enumerate(zip(best, traces))]
+
     for epoch in range(1, config.epochs + 1):
         if stop is not None and stop.is_set():
             return None
         shuffle_rng, dropout_rng = _epoch_rngs(config.seed, epoch)
         order = shuffle_rng.permutation(train_idx)
         epoch_losses = [[] for _ in term_sets]
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for first in range(0, order.size, config.batch_size):
+            batch = order[first : first + config.batch_size]
             probs, cache = forward(state, X, mode="train", rng=dropout_rng, rows=batch)
             totals, dprobs = combined_loss_and_gradient(
                 live_terms, probs, Y[batch], A[batch], config.denominator_mode
             )
-            finite = np.isfinite(totals)
-            keep = None if finite.all() else np.flatnonzero(finite).tolist()
-            if keep is not None:
-                for pos in np.flatnonzero(~finite).tolist():
-                    diverged[live[pos]] = DivergenceError(epoch, batch=start // config.batch_size)
-                if not keep:
-                    return [diverged[i] for i in range(len(term_sets))]
             if config.keep_trace:
                 for i, total in zip(live, totals.tolist()):
                     epoch_losses[i].append(total)
+            keep = kept(np.isfinite(totals), epoch, first // config.batch_size)
+            if not live:
+                return outcomes()
             grads = backward(state, cache, dprobs)
             probs = cache = None  # freed before the next forward builds its own
             adam_step(state, adam, grads)
             if keep is not None:  # drop diverged models; slices never mix
                 state, adam = state[keep], adam[keep]
-                live = [live[pos] for pos in keep]
-                live_terms = [live_terms[pos] for pos in keep]
         if val_idx.size:  # one stacked forward scores every live model
             val_probs, _ = forward(state, X, mode="eval", rows=val_idx)
-            finite = np.isfinite(val_probs).all(axis=-1)
-            if not finite.all():  # the epoch's last step overflowed a forward no loss has seen
-                keep = np.flatnonzero(finite).tolist()
-                for pos in np.flatnonzero(~finite).tolist():
-                    diverged[live[pos]] = DivergenceError(epoch)
-                if not keep:
-                    return [diverged[i] for i in range(len(term_sets))]
+            # a non-finite output: the epoch's last step overflowed a forward no loss has seen
+            keep = kept(np.isfinite(val_probs).all(axis=-1), epoch)
+            if not live:
+                return outcomes()
+            if keep is not None:
                 state, adam, val_probs = state[keep], adam[keep], val_probs[keep]
-                live = [live[pos] for pos in keep]
-                live_terms = [live_terms[pos] for pos in keep]
             val_accs = np.mean((val_probs >= 0.5) == Y_val, axis=-1).tolist()
         else:
             val_accs = [float("nan")] * len(live)
@@ -218,8 +214,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets, stop=None, star
             if config.keep_trace:
                 traces[i].append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses[i])),
                                   "val_accuracy": val_acc})
-    return [diverged[i] if i in diverged else (best[i][2], best[i][1], tuple(traces[i]))
-            for i in range(len(term_sets))]
+    return outcomes()
 
 
 def _test_result(outcome, dataset, split, terms, config: TrainConfig) -> RunResult:
@@ -242,12 +237,12 @@ def _test_result(outcome, dataset, split, terms, config: TrainConfig) -> RunResu
 def train_model(dataset: EncodedDataset, split, config: TrainConfig):
     """Train one model; returns (best state, RunResult).
 
-    This is the lockstep loop of ``_train_stack`` with a single model.
-    The RunResult is computed on the test split with hard 0.5
-    thresholding.  A non-finite batch loss, or non-finite validation or
-    test probabilities, raise DivergenceError.
+    This is a grid group's stack with a single model, in one shard.  The
+    RunResult is computed on the test split with hard 0.5 thresholding.
+    A non-finite batch loss, or non-finite validation or test
+    probabilities, raise DivergenceError.
     """
-    (outcome,) = _train_stack(dataset, split, config, [config.terms])
+    (outcome,) = _train_shards(dataset, split, config, [config.terms], 1)
     result = _test_result(outcome, dataset, split, config.terms, config)
     return outcome[0], result
 
@@ -538,31 +533,33 @@ def stack_shards(config: TrainConfig, models: int, jobs: int) -> int:
 
 
 def _train_shards(dataset, split, config: TrainConfig, term_sets, shards: int):
-    """``_train_stack``'s outcomes, from ``shards`` contiguous sub-stacks on as many threads.
+    """A fresh stack of one model per term tuple, trained in ``shards`` threads; its outcomes.
 
-    Shard 0 trains on the calling thread.  Every shard holds its thread's
-    BLAS to one thread, so the shards do not oversubscribe the CPUs.  The
-    bits are a single stack's: stacked models never mix, and BLAS splits
-    no sum over its threads.  This thread allocates the whole stack's state
-    and moments, and each shard trains a slice of their rows in place, so
-    a shard thread's own heap holds little more than one step's arrays.
-    An exception in any shard, an interrupt included, stops the others
-    before their next epoch and is raised once every thread has ended.
+    Every stack starts here, on the calling thread.  One shard trains it
+    whole there.  More train contiguous slices of its rows in place, shard
+    0 on the calling thread, so a shard thread's own heap holds little more
+    than one step's arrays; each holds its thread's BLAS to one thread, so
+    the shards do not oversubscribe the CPUs.  The bits are a single
+    stack's: stacked models never mix, and BLAS splits no sum over its
+    threads.  An exception in any shard, an interrupt included, stops the
+    others before their next epoch and is raised once every thread has ended.
     """
+    state = init(config.network, models=len(term_sets))
+    adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                     eps=config.adam_eps)
     if shards == 1:
-        return _train_stack(dataset, split, config, term_sets)
+        return _train_stack(dataset, split, config, term_sets, state, adam)
     pin = blas_thread_pin() or (lambda threads: threads)  # a forced split without the pin
     rows = [slice(len(term_sets) * s // shards, len(term_sets) * (s + 1) // shards)
             for s in range(shards)]
-    state, adam = _init_stack(config, len(term_sets))
     starts = [(state[r], adam[r]) for r in rows]  # Adam's scratch too, from this heap
     outcomes, errors, stop = [None] * shards, [], threading.Event()
 
     def train(s):
         previous = pin(1)
         try:
-            outcomes[s] = _train_stack(dataset, split, config, term_sets[rows[s]], stop,
-                                       starts[s])
+            outcomes[s] = _train_stack(dataset, split, config, term_sets[rows[s]], *starts[s],
+                                       stop)
         except BaseException as exc:  # raised below, on the calling thread
             errors.append(exc)
             stop.set()
@@ -609,14 +606,14 @@ def _term_sets(keys) -> tuple:
 
 
 def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int, jobs: int = 1,
-                 shards: int | None = None) -> dict:
+                 shards: int | None = None) -> tuple:
     """Train one iteration of a (template, variant) group's cells in lockstep.
 
     The zero-weight cells share one model (``_term_sets``); its best state
     is evaluated once per such cell, with that cell's terms.  The stack
     trains in ``shards`` threads, by default ``stack_shards`` of it under
-    ``jobs`` processes.  Returns {key: runs.csv row}; a diverged run's row
-    has its epoch and no scalars.
+    ``jobs`` processes.  Returns ({key: runs.csv row}, shards); a diverged
+    run's row has its epoch and no scalars.
     """
     network = base_config.network
     if network.input_dim != dataset.X.shape[1]:
@@ -637,7 +634,7 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int,
                                                 key.terms(), config)))
         except DivergenceError as exc:
             row.update(diverged=True, divergence_epoch=exc.epoch)
-    return rows
+    return rows, shards
 
 
 _WORKER_CTX: dict = {}
@@ -695,9 +692,8 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
             done = list(map(_worker_task, tasks))
         finally:
             _WORKER_CTX.clear()
-    rows = {(key, row["iteration"]): row for task_rows in done for key, row in task_rows.items()}
+    rows = {(key, row["iteration"]): row for task_rows, _ in done for key, row in task_rows.items()}
     cells = tuple(CellResult(key, tuple(rows[(key, it)] for it in range(iterations)))
                   for key in sorted(keys, key=lambda k: tuple(k.fields().values())))
-    shards = tuple(stack_shards(base_config, len(_term_sets(group)[1]), jobs)
-                   for group in groups.values())
-    return GridResult(cells=cells, shards=shards)
+    # the first tasks are iteration 0's, one per group in group order
+    return GridResult(cells=cells, shards=tuple(shards for _, shards in done[:len(groups)]))

@@ -3,11 +3,12 @@
 import csv
 import dataclasses
 import hashlib
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bpsfair.data
@@ -124,6 +125,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(table.row_indices, [0, 3])
 
 
+def unseen_logged(caplog) -> int:
+    """The count apply_encoder logged of unseen categorical values; 0 if it logged none."""
+    return sum(record.args[0] for record in caplog.records
+               if record.msg.startswith("encoder: %d unseen categorical value(s)"))
+
+
 class TestEncoder:
     def toy_table(self, tmp_path):
         p = tmp_path / "toy.csv"
@@ -149,12 +156,13 @@ class TestEncoder:
         assert abs(col.mean()) < 1e-9
         assert abs(col.std() - 1.0) < 1e-9
 
-    def test_unseen_value_zero_block_and_counter(self, tmp_path):
+    def test_unseen_value_zero_block_and_counter(self, tmp_path, caplog):
         table = self.toy_table(tmp_path)
         enc = fit_encoder(table, rows=[0, 1, 3, 5])  # never sees "green"
-        ds = apply_encoder(table, enc)
+        with caplog.at_level(logging.INFO, logger="bpsfair.data"):
+            ds = apply_encoder(table, enc)
         assert enc.vocabularies["color"] == ("blue", "red")
-        assert ds.unseen_categorical_count == 1
+        assert unseen_logged(caplog) == 1
         j = list(ds.feature_names).index("color=blue")
         np.testing.assert_array_equal(ds.X[2, j : j + 2], [0.0, 0.0])
 
@@ -416,11 +424,13 @@ class TestColumnReaderFuzz:
             mp.setattr(bpsfair.data, "INGEST_BLOCK_ROWS", block_rows)
             assert_load_csv_equals_row_oracle(p, FUZZ_SCHEMA)
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    # caplog is cleared before each example
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(st.sampled_from(["u", "v", "w", "x", "y"]),
                               st.floats(-1e6, 1e6)), min_size=1, max_size=30),
            st.data())
-    def test_encoder_equals_row_oracle(self, values, data):
+    def test_encoder_equals_row_oracle(self, caplog, values, data):
         n = len(values)
         # codes into a vocabulary in file order, holding values no row has
         vocabulary = tuple(data.draw(st.permutations(["u", "v", "w", "x", "y"])))
@@ -436,7 +446,9 @@ class TestColumnReaderFuzz:
         fit_rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
         rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n))
         enc = fit_encoder(table, rows=fit_rows)
-        ds = apply_encoder(table, enc, rows=rows)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="bpsfair.data"):
+            ds = apply_encoder(table, enc, rows=rows)
         idx = range(n) if rows is None else rows
         colors = table.categorical["color"].decode()
         vocab = sorted({colors[i] for i in fit_rows})
@@ -454,7 +466,7 @@ class TestColumnReaderFuzz:
                 unseen += 1
         assert ds.X.tobytes() == expected.tobytes()
         assert ds.feature_names == ("size", "weight", *(f"color={v}" for v in vocab))
-        assert ds.unseen_categorical_count == unseen
+        assert unseen_logged(caplog) == unseen
 
 
 BLOCK = 4  # INGEST_BLOCK_ROWS in the block-edge tests

@@ -38,7 +38,7 @@ from bpsfair.metrics import MeasureKind, bps_report
 from bpsfair import engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.config import load_config
-from bpsfair.engine import RunResult, _train_stack
+from bpsfair.engine import RunResult
 from bpsfair.report import (cells_from_runs, comparison_cells, emit_comparison_tables,
                             emit_results, fmt, read_runs_csv)
 from conftest import stored_cells
@@ -145,18 +145,21 @@ class TestStackedValidation:
             epochs=5, keep_trace=True)
         term_sets = [(FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha, 2),)
                      for alpha in (0.2, 0.5, 0.9)]
-        stacked = _train_stack(dataset, split, cfg, term_sets)
+        stacked = engine._train_shards(dataset, split, cfg, term_sets, 1)
         for terms, (state, best_epoch, trace) in zip(term_sets, stacked):
-            ((solo_state, solo_epoch, solo_trace),) = _train_stack(dataset, split, cfg, [terms])
+            ((solo_state, solo_epoch, solo_trace),) = engine._train_shards(dataset, split, cfg,
+                                                                           [terms], 1)
             assert trace == solo_trace
             assert best_epoch == solo_epoch
             assert serialize(state) == serialize(solo_state)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_output_leaves_stack(self, monkeypatch):
+        # the 1e308 model's batch loss goes non-finite in the first epoch, so both checks fire
         dataset, split, _, _ = separable_setup()
         cfg = small_config(epochs=4, keep_trace=True)
         term_sets = [(FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha, 2),)
-                     for alpha in (0.2, 0.5, 0.9)]
+                     for alpha in (0.2, 0.5, 0.9, 1e308)]
         eval_calls = []
 
         def forward_with_nan(state, X, mode="eval", **kw):
@@ -168,13 +171,15 @@ class TestStackedValidation:
             return probs, cache
 
         monkeypatch.setattr(engine, "forward", forward_with_nan)
-        stacked = _train_stack(dataset, split, cfg, term_sets)
+        stacked = engine._train_shards(dataset, split, cfg, term_sets, 1)
         assert eval_calls[:3] == [(3, split[1].size), (3, split[1].size), (2, split[1].size)]
         assert isinstance(stacked[1], DivergenceError)
         assert (stacked[1].epoch, stacked[1].batch) == (2, None)
+        assert isinstance(stacked[3], DivergenceError)
+        assert stacked[3].epoch == 1 and stacked[3].batch is not None
         for i in (0, 2):
-            ((solo_state, solo_epoch, solo_trace),) = _train_stack(dataset, split, cfg,
-                                                                   [term_sets[i]])
+            ((solo_state, solo_epoch, solo_trace),) = engine._train_shards(
+                dataset, split, cfg, [term_sets[i]], 1)
             state, best_epoch, trace = stacked[i]
             assert (trace, best_epoch) == (solo_trace, solo_epoch)
             assert serialize(state) == serialize(solo_state)
@@ -657,14 +662,14 @@ class TestShardedStack:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_two_shards_equal_one_stack(self):
         dataset, split, config, keys = sharded_group_inputs()
-        one = engine._train_group(dataset, split, config, keys, 0, shards=1)
-        two = engine._train_group(dataset, split, config, keys, 0, shards=2)
+        one, _ = engine._train_group(dataset, split, config, keys, 0, shards=1)
+        two, _ = engine._train_group(dataset, split, config, keys, 0, shards=2)
         assert repr(two) == repr(one)
         assert [row["diverged"] for row in one.values()] == [False, False, True, False]
         # the outcomes behind the rows: best states, best epochs and traces
         _, term_sets = engine._term_sets(keys)
         for got, want in zip(engine._train_shards(dataset, split, config, term_sets, 2),
-                             _train_stack(dataset, split, config, term_sets)):
+                             engine._train_shards(dataset, split, config, term_sets, 1)):
             if isinstance(want, DivergenceError):
                 assert (got.epoch, got.batch) == (want.epoch, want.batch)
             else:
@@ -679,6 +684,21 @@ class TestShardedStack:
         emit_results(result, tmp_path)
         assert sha256_of(tmp_path / "runs.csv") == MIXED_RUNS_SHA256[mode]
         assert sha256_of(tmp_path / "cells.csv") == MIXED_CELLS_SHA256[mode]
+
+    def test_shard_count_is_decided_once_per_task(self, forced_shards, monkeypatch):
+        table, base, grid, plan = tiny_grid_inputs()
+        grid = replace(grid, templates=[[("FPR", 1.0)], [("STP", 1.0)]])
+        decided = []  # (iteration, shards) of each call
+
+        def deciding(config, models, jobs):
+            shards = 2 if config.seed == base.seed else 1  # iteration 0 splits, 1 does not
+            decided.append((config.seed - base.seed, shards))
+            return shards
+
+        monkeypatch.setattr(engine, "stack_shards", deciding)
+        result = run_grid(table, base, grid, plan)
+        assert len(decided) == 4  # one per (iteration, group) task
+        assert result.shards == tuple(shards for it, shards in decided if it == 0) == (2, 2)
 
     def test_each_shard_pins_blas_to_one_thread_then_restores(self, forced_shards):
         table, base, grid, plan = tiny_grid_inputs()
