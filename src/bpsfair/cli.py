@@ -165,7 +165,7 @@ def cmd_grid(args) -> int:
         "iterations": iterations,
     }
     write_manifest(out, config_path=args.config, dataset_path=data_path,
-                   grid_spec=grid_echo, version=__version__, speed=_speed(jobs, result.shards))
+                   grid_spec=grid_echo, version=__version__, speed=_speed(jobs, result))
     n_runs = sum(len(c.runs) for c in result.cells)
     n_diverged = sum(c.n_diverged for c in result.cells)
     print(f"grid finished: {len(result.cells)} cells, {n_runs} runs "
@@ -173,16 +173,18 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _speed(jobs: int, shards) -> dict:
+def _speed(jobs: int, result) -> dict:
     """What set a grid's speed, for manifest.json; no reader depends on it."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):  # a numpy that reports no BLAS build
         blas = None
+    pinned = blas_thread_pin() is not None  # else BLAS keeps its own thread count
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "usable_cpus": usable_cpus(), "jobs": jobs, "shards_per_stack": list(shards),
-            "blas_thread_pin": blas_thread_pin() is not None}
+            "usable_cpus": usable_cpus(), "jobs": jobs, "workers": result.workers,
+            "blas_threads_per_worker": 1 if pinned else None,
+            "shards_per_stack": list(result.shards), "blas_thread_pin": pinned}
 
 
 def cmd_evaluate(args) -> int:

@@ -8,19 +8,21 @@ Models that share a config and differ only in their term weights train
 in lockstep as one stack (see ``network``): each minibatch runs one
 stacked forward, loss, backward and Adam step.  A grid trains each
 (iteration, template, variant) group of cells this way; a single model
-is a stack of one.  A stack whose step is heavy trains in shards, one
-thread per idle CPU (``stack_shards``).
+is a stack of one.  A stack whose training work is heavy trains in
+shards, one worker process per idle CPU (``parallel_plan``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +58,7 @@ __all__ = [
     "mean_and_variance",
     "run_scalars",
     "dataset_for_split",
-    "stack_shards",
+    "parallel_plan",
     "blas_thread_pin",
     "usable_cpus",
 ]
@@ -67,17 +69,15 @@ DEFAULT_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0 baseline + 0
 CELL_FIELDS = ("measures", "variant", "beta", "power", "alpha")
 RUN_FIELDS = CELL_FIELDS + ("iteration", "seed", "diverged", "divergence_epoch")
 
-# Per-model elements of a training step's hidden activations (batch_size x the sum of
-# the hidden widths) from which a stack trains in shards, one thread each.  Below it a
-# step is a string of small numpy calls that hold the GIL, and the threads take turns.
-# Measured on a 2-core x86 host with OpenBLAS 0.3.31, a stack of 2 models on 45,222
-# Adult-shaped rows for 2 epochs, two shards against one (medians of 3/5/10 runs):
-# 4,096 (16/16, the synthetic grid's shape) +193%/+144%; 16,384 (64/64, batch 128)
-# +20%/+49%; 32,768 (64/64) +15%/-1%/+14%; 55,296 (108/108, arch1) +3%/-22%/-16%;
-# 65,536 (128/128) -27%/-17%, without batch norm and dropout -6%/-15%/-20%; 110,592
-# (108/324, arch2) -28%/-29%, without -29%/-31%; 165,888 (324/324) -37%/-40%.  Batch
-# norm and dropout are on, and the batch is 256, unless named.
-SHARD_MIN_STEP_ELEMENTS = 50_000
+# A group's expected training work (epochs x train rows x models x the sum of the hidden
+# widths) above which its stack trains in shards, one worker process each.  Below it the
+# pool's start-up and each worker's own encoding of the split cost more than the idle CPU
+# gives back.  Measured on a 2-core x86 host with OpenBLAS 0.3.31, one group and one
+# iteration in two shards against one, median of 9/7 paired runs: the synthetic grid's
+# shape (21 models, 6-16-16-1, batch 128, 6,000 rows) 14.1M +22%, 22.6M -6%, 31.0M -19%,
+# 42.3M -26%; arch2 (2 models, 102-108-324-1, batch 256, Adult-shaped rows) 6.7M -20%,
+# 13.4M -35%, 54.7M -43%.
+SHARD_MIN_WORK = 20_000_000
 
 
 def scalar_columns(n_terms: int) -> tuple:
@@ -136,20 +136,22 @@ def _epoch_rngs(seed: int, epoch: int):
     return shuffle_rng, dropout_rng
 
 
-def _train_stack(dataset, split, config: TrainConfig, term_sets, state, adam, stop=None):
-    """Train the stack ``state``/``adam`` of one model per term tuple; one outcome each.
+def _train_stack(dataset, split, config: TrainConfig, term_sets):
+    """Train a fresh stack of one model per term tuple; one outcome each.
 
-    ``_train_shards`` allocates the stack.  All models share ``config``
-    apart from their terms, hence the shuffle order and the dropout masks.
-    Per epoch the training indices are reshuffled with a seed derived from
-    (config.seed, epoch); after each epoch every model is scored on the
-    validation split in eval mode and its highest-accuracy state (earliest
-    epoch on ties) is kept.  An outcome is (best state, best epoch, trace),
-    or the DivergenceError of a model whose batch loss or validation
+    All models share ``config`` apart from their terms, hence the init,
+    the shuffle order and the dropout masks.  Per epoch the training
+    indices are reshuffled with a seed derived from (config.seed, epoch);
+    after each epoch every model is scored on the validation split in
+    eval mode and its highest-accuracy state (earliest epoch on ties) is
+    kept.  An outcome is (best state, best epoch, trace), or the
+    DivergenceError of a model whose batch loss or validation
     probabilities went non-finite: that model leaves the stack and the
-    others train on.  Once the ``stop`` event is set, the next epoch does
-    not start and None is returned.
+    others train on.
     """
+    state = init(config.network, models=len(term_sets))
+    adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                     eps=config.adam_eps)
     train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
     X, Y, A = dataset.X, dataset.Y, dataset.A
     Y_val = Y[val_idx]
@@ -175,8 +177,6 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets, state, adam, st
                 for i, ((_, best_epoch, best_state), trace) in enumerate(zip(best, traces))]
 
     for epoch in range(1, config.epochs + 1):
-        if stop is not None and stop.is_set():
-            return None
         shuffle_rng, dropout_rng = _epoch_rngs(config.seed, epoch)
         order = shuffle_rng.permutation(train_idx)
         epoch_losses = [[] for _ in term_sets]
@@ -237,13 +237,15 @@ def _test_result(outcome, dataset, split, terms, config: TrainConfig) -> RunResu
 def train_model(dataset: EncodedDataset, split, config: TrainConfig):
     """Train one model; returns (best state, RunResult).
 
-    This is a grid group's stack with a single model, in one shard.  The
+    This is a grid group's stack with a single model, trained and
+    evaluated with BLAS held to one thread (``_one_blas_thread``).  The
     RunResult is computed on the test split with hard 0.5 thresholding.
     A non-finite batch loss, or non-finite validation or test
     probabilities, raise DivergenceError.
     """
-    (outcome,) = _train_shards(dataset, split, config, [config.terms], 1)
-    result = _test_result(outcome, dataset, split, config.terms, config)
+    with _one_blas_thread():
+        (outcome,) = _train_stack(dataset, split, config, [config.terms])
+        result = _test_result(outcome, dataset, split, config.terms, config)
     return outcome[0], result
 
 
@@ -393,10 +395,11 @@ class CellResult:
 
 @dataclass
 class GridResult:
-    """Cells in CELL_FIELDS order, and the threads that trained each group's stack."""
+    """Cells in CELL_FIELDS order, each group's shards and the worker processes."""
 
     cells: tuple
     shards: tuple
+    workers: int
 
 
 def select_cell(cells, selector: dict):
@@ -519,70 +522,43 @@ def blas_thread_pin():
     return None
 
 
-def stack_shards(config: TrainConfig, models: int, jobs: int) -> int:
-    """Threads that train a stack of ``models`` while ``jobs`` processes share the CPUs.
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread on the calling thread, then restore it.
 
-    A stack splits only when its per-model step is heavy, a CPU per shard
-    is free and each thread's BLAS can be held to one thread; else 1.
+    A product's bits depend on how many threads OpenBLAS splits it over,
+    so every stack trains and is evaluated under this, whatever the CPU
+    count; without the pin the threads are left as they are.
     """
-    shards = min(models, usable_cpus() // jobs)
-    elements = config.batch_size * sum(width for width, _ in config.network.hidden)
-    if shards < 2 or elements < SHARD_MIN_STEP_ELEMENTS or blas_thread_pin() is None:
-        return 1
-    return shards
-
-
-def _train_shards(dataset, split, config: TrainConfig, term_sets, shards: int):
-    """A fresh stack of one model per term tuple, trained in ``shards`` threads; its outcomes.
-
-    Every stack starts here, on the calling thread.  One shard trains it
-    whole there.  More train contiguous slices of its rows in place, shard
-    0 on the calling thread, so a shard thread's own heap holds little more
-    than one step's arrays; each holds its thread's BLAS to one thread, so
-    the shards do not oversubscribe the CPUs.  The bits are a single
-    stack's: stacked models never mix, and BLAS splits no sum over its
-    threads.  An exception in any shard, an interrupt included, stops the
-    others before their next epoch and is raised once every thread has ended.
-    """
-    state = init(config.network, models=len(term_sets))
-    adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                     eps=config.adam_eps)
-    if shards == 1:
-        return _train_stack(dataset, split, config, term_sets, state, adam)
-    pin = blas_thread_pin() or (lambda threads: threads)  # a forced split without the pin
-    rows = [slice(len(term_sets) * s // shards, len(term_sets) * (s + 1) // shards)
-            for s in range(shards)]
-    starts = [(state[r], adam[r]) for r in rows]  # Adam's scratch too, from this heap
-    outcomes, errors, stop = [None] * shards, [], threading.Event()
-
-    def train(s):
-        previous = pin(1)
-        try:
-            outcomes[s] = _train_stack(dataset, split, config, term_sets[rows[s]], *starts[s],
-                                       stop)
-        except BaseException as exc:  # raised below, on the calling thread
-            errors.append(exc)
-            stop.set()
-        finally:
+    pin = blas_thread_pin()
+    previous = None if pin is None else pin(1)
+    try:
+        yield
+    finally:
+        if pin is not None:
             pin(previous)
 
-    threads = []
-    try:
-        for s in range(1, shards):
-            thread = threading.Thread(target=train, args=(s,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        train(0)
-        for thread in threads:
-            thread.join()
-    except BaseException:  # an interrupt outside train(0), say while joining
-        stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return [outcome for shard in outcomes for outcome in shard]
+
+def parallel_plan(config: TrainConfig, train_rows: int, models, jobs: int) -> tuple:
+    """(shards per group, worker processes) for groups of ``models`` models under ``jobs``.
+
+    A group's stack splits into ``min(models, usable CPUs // jobs)``
+    shards only when BLAS can be held to one thread and its expected
+    training work, epochs x ``train_rows`` x models x the sum of the
+    hidden widths, is above SHARD_MIN_WORK; else it trains whole.  The
+    workers are ``jobs`` x the shards, at most the usable CPUs; one worker
+    is the calling process.
+    """
+    cpus = usable_cpus()
+    per_model = config.epochs * train_rows * sum(width for width, _ in config.network.hidden)
+
+    def group_shards(m):
+        if blas_thread_pin() is None or per_model * m <= SHARD_MIN_WORK:
+            return 1
+        return max(1, min(m, cpus // jobs))
+
+    shards = tuple(map(group_shards, models))
+    return shards, max(1, min(cpus, jobs * max(shards)))
 
 
 def _term_sets(keys) -> tuple:
@@ -605,15 +581,17 @@ def _term_sets(keys) -> tuple:
     return model_of, term_sets
 
 
-def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int, jobs: int = 1,
-                 shards: int | None = None) -> tuple:
-    """Train one iteration of a (template, variant) group's cells in lockstep.
+def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int,
+                 shard: int = 0, shards: int = 1) -> dict:
+    """Train one shard of one iteration of a (template, variant) group's cells in lockstep.
 
-    The zero-weight cells share one model (``_term_sets``); its best state
-    is evaluated once per such cell, with that cell's terms.  The stack
-    trains in ``shards`` threads, by default ``stack_shards`` of it under
-    ``jobs`` processes.  Returns ({key: runs.csv row}, shards); a diverged
-    run's row has its epoch and no scalars.
+    The group's models (``_term_sets``) are cut into ``shards`` contiguous
+    slices, and slice ``shard`` trains as one stack; the bits are the whole
+    stack's, since stacked models never mix.  Training and test evaluation
+    hold BLAS to one thread.  The zero-weight cells share one model; its
+    best state is evaluated once per such cell, with that cell's terms.
+    Returns {key: runs.csv row} of the cells whose model is in the slice;
+    a diverged run's row has its epoch and no scalars.
     """
     network = base_config.network
     if network.input_dim != dataset.X.shape[1]:
@@ -621,55 +599,55 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int,
         network = replace(network, input_dim=dataset.X.shape[1])
     config = replace(base_config, network=network, seed=base_config.seed + iteration)
     model_of, term_sets = _term_sets(keys)
-    if shards is None:
-        shards = stack_shards(config, len(term_sets), jobs)
-    outcomes = _train_shards(dataset, split, config, term_sets, shards)
+    first, end = (len(term_sets) * s // shards for s in (shard, shard + 1))
 
     rows = {}
-    for key in keys:
-        row = rows[key] = {**key.fields(), "iteration": iteration, "seed": config.seed,
-                           "diverged": False, "divergence_epoch": None}
-        try:
-            row.update(run_scalars(_test_result(outcomes[model_of[key]], dataset, split,
-                                                key.terms(), config)))
-        except DivergenceError as exc:
-            row.update(diverged=True, divergence_epoch=exc.epoch)
-    return rows, shards
+    with _one_blas_thread():
+        outcomes = _train_stack(dataset, split, config, term_sets[first:end])
+        for key in keys:
+            if not first <= model_of[key] < end:
+                continue
+            row = rows[key] = {**key.fields(), "iteration": iteration, "seed": config.seed,
+                               "diverged": False, "divergence_epoch": None}
+            try:
+                row.update(run_scalars(_test_result(outcomes[model_of[key] - first], dataset,
+                                                    split, key.terms(), config)))
+            except DivergenceError as exc:
+                row.update(diverged=True, divergence_epoch=exc.epoch)
+    return rows
 
 
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(source, base_config, plan, jobs):
+def _init_worker(source, base_config, splits):
     _WORKER_CTX.clear()
-    _WORKER_CTX["source"] = source
-    _WORKER_CTX["base_config"] = base_config
-    _WORKER_CTX["jobs"] = jobs
-    _WORKER_CTX["splits"] = mc_splits(source.n_rows, plan)
-    _WORKER_CTX["encoded"] = (None, None)
+    _WORKER_CTX.update(source=source, base_config=base_config, splits=splits,
+                       encoded=(None, None))
 
 
-def _worker_task(task):
-    iteration, keys = task
+def _worker_task(unit):
+    iteration, keys, shard, shards = unit
     split = _WORKER_CTX["splits"][iteration]
-    # tasks arrive iteration-major, so one encoding slot serves a whole iteration
+    # units arrive iteration-major, so one encoding slot serves a whole iteration
     if _WORKER_CTX["encoded"][0] != iteration:
         _WORKER_CTX["encoded"] = iteration, dataset_for_split(_WORKER_CTX["source"], split)
     return _train_group(_WORKER_CTX["encoded"][1], split, _WORKER_CTX["base_config"], keys,
-                        iteration, _WORKER_CTX["jobs"])
+                        iteration, shard, shards)
 
 
 def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
              jobs: int = 1) -> GridResult:
     """Train every grid cell for every Monte Carlo iteration; cells in CELL_FIELDS order.
 
-    ``source`` is a RawTable, re-encoded per split.  One task is one
-    iteration of one (template, variant) group, trained in lockstep by
-    ``_worker_task``; with jobs > 1 a process pool runs the tasks, with
-    jobs == 1 this process does, and a heavy stack may train in threads
-    (``stack_shards``).  Each cell's runs.csv rows are in
-    iteration order, whatever order the tasks complete in;
-    ``report.cells_from_runs`` aggregates them once they are stored.
+    ``source`` is a RawTable, re-encoded per split.  ``parallel_plan``
+    decides each (template, variant) group's shards and the worker count
+    once, before any training.  One unit is one shard of one iteration of
+    one group, trained by ``_worker_task``; with more than one worker a
+    process pool runs the units, else this process does.  Each cell's
+    runs.csv rows are in iteration order, whatever order the units
+    complete in; ``report.cells_from_runs`` aggregates them once they are
+    stored.
     """
     typed(POSITIVE_INT, jobs, "jobs")
     iterations = grid.iterations_for(plan)
@@ -677,23 +655,37 @@ def run_grid(source, base_config: TrainConfig, grid: GridSpec, plan: SplitPlan,
     groups: dict = {}
     for key in keys:
         groups.setdefault((key.measures, key.variant), []).append(key)
-    # iteration-major order so one encoding serves consecutive tasks
-    tasks = [(it, group) for it in range(iterations) for group in groups.values()]
+    groups = list(groups.values())
     # each iteration seeds its own split, so the unused ones need not be drawn
-    initargs = (source, base_config, replace(plan, iterations=iterations), jobs)
+    splits = mc_splits(source.n_rows, replace(plan, iterations=iterations))
+    shards, workers = parallel_plan(base_config, splits[0][0].size,
+                                    [len(_term_sets(group)[1]) for group in groups], jobs)
+    # iteration-major order so one encoding serves consecutive units
+    units = [(it, group, shard, n) for it in range(iterations)
+             for group, n in zip(groups, shards) for shard in range(n)]
+    initargs = (source, base_config, splits)
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=initargs) as pool:
-            done = list(pool.map(_worker_task, tasks, chunksize=1))
+    if workers > 1:
+        # the first error is raised as it arrives, and leaving the block, on an error or an
+        # interrupt too, terminates and joins every worker
+        before = set(multiprocessing.active_children())
+        with Pool(workers, _init_worker, initargs) as pool:
+            started = set(multiprocessing.active_children()) - before
+            results, done = pool.imap_unordered(_worker_task, units), []
+            while len(done) < len(units):
+                try:  # a timed wait wakes to see a Ctrl-C that one of the pool's threads took
+                    done.append(results.next(timeout=0.1))
+                except multiprocessing.TimeoutError:
+                    if any(worker.exitcode is not None for worker in started):
+                        # the pool replaces a killed worker, but the unit it held never returns
+                        raise BrokenProcessPool("a grid worker process ended abruptly") from None
     else:
         _init_worker(*initargs)
         try:
-            done = list(map(_worker_task, tasks))
+            done = list(map(_worker_task, units))
         finally:
             _WORKER_CTX.clear()
-    rows = {(key, row["iteration"]): row for task_rows, _ in done for key, row in task_rows.items()}
+    rows = {(key, row["iteration"]): row for unit_rows in done for key, row in unit_rows.items()}
     cells = tuple(CellResult(key, tuple(rows[(key, it)] for it in range(iterations)))
                   for key in sorted(keys, key=lambda k: tuple(k.fields().values())))
-    # the first tasks are iteration 0's, one per group in group order
-    return GridResult(cells=cells, shards=tuple(shards for _, shards in done[:len(groups)]))
+    return GridResult(cells=cells, shards=shards, workers=workers)

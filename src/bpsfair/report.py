@@ -393,7 +393,7 @@ def write_manifest(out_dir, config_path=None, dataset_path=None, grid_spec=None,
     """Record digests of the exact inputs that produced a result directory.
 
     ``speed``, if given, records what set a grid's speed (versions, CPUs,
-    processes and threads); nothing reads it back.
+    worker processes, BLAS threads and shards); nothing reads it back.
     """
     manifest = {
         "tool_version": version,

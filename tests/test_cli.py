@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bpsfair import cli
+from bpsfair import cli, engine
 from bpsfair.cli import main
 from bpsfair.config import load_config
 from bpsfair.data import load_csv
@@ -438,9 +438,11 @@ def adult_shaped_csv(tmp_path_factory):
 
 
 @pytest.mark.parametrize("config", ADULT_CONFIGS, ids=lambda p: p.stem)
-def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
-    # the file Adult criteria 1-4 run, cut to one epoch and one iteration
+def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config, monkeypatch):
+    # the file Adult criteria 1-4 run, cut to one epoch and one iteration; so cut, a stack
+    # shards only once its work counts as heavy at any size
     assert len(ADULT_CONFIGS) == 4
+    monkeypatch.setattr(engine, "SHARD_MIN_WORK", 0)
     doc = yaml.safe_load(config.read_text(encoding="utf-8"))
     doc["training"]["epochs"] = 1
     doc["split"]["iterations"] = 1
@@ -453,12 +455,15 @@ def test_committed_adult_config_runs(tmp_path, adult_shaped_csv, config):
                  "manifest.json"):
         assert (out / name).exists()
     assert list(out.glob("series_*.csv"))
-    # the manifest records what set the speed: a stack of two models splits over idle CPUs
+    # the manifest records what set the speed: a stack of two models splits over idle CPUs,
+    # one worker process per shard and job, each with BLAS held to one thread
     speed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["speed"]
-    assert set(speed) == {"python", "numpy", "blas", "usable_cpus", "jobs", "shards_per_stack",
-                          "blas_thread_pin"}
+    assert set(speed) == {"python", "numpy", "blas", "usable_cpus", "jobs", "workers",
+                          "blas_threads_per_worker", "shards_per_stack", "blas_thread_pin"}
     shards = min(2, speed["usable_cpus"] // speed["jobs"]) if speed["blas_thread_pin"] else 1
     assert speed["shards_per_stack"] == [max(shards, 1)]
+    assert speed["workers"] == max(1, min(speed["usable_cpus"], speed["jobs"] * max(shards, 1)))
+    assert speed["blas_threads_per_worker"] == (1 if speed["blas_thread_pin"] else None)
     # criteria 1-4's selection, without their thresholds: the baseline and the table's cell
     cells = stored_cells(out)
     (row,) = doc["report"]["tables"]

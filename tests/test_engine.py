@@ -4,9 +4,15 @@ import csv
 import ctypes
 import gc
 import hashlib
+import itertools
+import multiprocessing
+import os
+import signal
 import threading
+import time
 import types
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -145,10 +151,10 @@ class TestStackedValidation:
             epochs=5, keep_trace=True)
         term_sets = [(FairnessTerm(MeasureKind.FPR, SoftVariant.continuous(), alpha, 2),)
                      for alpha in (0.2, 0.5, 0.9)]
-        stacked = engine._train_shards(dataset, split, cfg, term_sets, 1)
+        stacked = engine._train_stack(dataset, split, cfg, term_sets)
         for terms, (state, best_epoch, trace) in zip(term_sets, stacked):
-            ((solo_state, solo_epoch, solo_trace),) = engine._train_shards(dataset, split, cfg,
-                                                                           [terms], 1)
+            ((solo_state, solo_epoch, solo_trace),) = engine._train_stack(dataset, split, cfg,
+                                                                          [terms])
             assert trace == solo_trace
             assert best_epoch == solo_epoch
             assert serialize(state) == serialize(solo_state)
@@ -171,15 +177,15 @@ class TestStackedValidation:
             return probs, cache
 
         monkeypatch.setattr(engine, "forward", forward_with_nan)
-        stacked = engine._train_shards(dataset, split, cfg, term_sets, 1)
+        stacked = engine._train_stack(dataset, split, cfg, term_sets)
         assert eval_calls[:3] == [(3, split[1].size), (3, split[1].size), (2, split[1].size)]
         assert isinstance(stacked[1], DivergenceError)
         assert (stacked[1].epoch, stacked[1].batch) == (2, None)
         assert isinstance(stacked[3], DivergenceError)
         assert stacked[3].epoch == 1 and stacked[3].batch is not None
         for i in (0, 2):
-            ((solo_state, solo_epoch, solo_trace),) = engine._train_shards(
-                dataset, split, cfg, [term_sets[i]], 1)
+            ((solo_state, solo_epoch, solo_trace),) = engine._train_stack(
+                dataset, split, cfg, [term_sets[i]])
             state, best_epoch, trace = stacked[i]
             assert (trace, best_epoch) == (solo_trace, solo_epoch)
             assert serialize(state) == serialize(solo_state)
@@ -634,21 +640,41 @@ def sharded_group_inputs():
 
 @pytest.fixture
 def forced_shards(monkeypatch):
-    """Every stack of two or more models splits over two CPUs; returns the pin's calls.
+    """Every stack of two or more models splits over two CPUs, one worker process a shard.
 
-    The pin is a stand-in that records (thread, threads) and returns 5 as
-    the value it replaced.
+    The pin is a stand-in that returns 5 as the value it replaced; the
+    workers are forked, so they inherit every stand-in a test sets.
     """
-    calls = []
-
-    def pin(threads):
-        calls.append((threading.get_ident(), threads))
-        return 5
-
-    monkeypatch.setattr(engine, "SHARD_MIN_STEP_ELEMENTS", 0)
+    monkeypatch.setattr(engine, "SHARD_MIN_WORK", 0)
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "blas_thread_pin", lambda: pin)
+    monkeypatch.setattr(engine, "blas_thread_pin", lambda: lambda threads: 5)
+
+
+def recording_pin(path):
+    """A stand-in pin that appends "pid threads" to ``path`` and returns 5 as the value replaced."""
+    def pin(threads):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {threads}\n")
+        return 5
+    return pin
+
+
+def pin_calls(path) -> dict:
+    """{pid: [threads, ...]} of a ``recording_pin`` file, in call order."""
+    calls = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        pid, threads = map(int, line.split())
+        calls.setdefault(pid, []).append(threads)
     return calls
+
+
+# the test patches code that pool workers run, so they must inherit it: forked, not spawned
+forked_workers = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                    reason="the pool's workers are not forked")
+
+
+def no_pool(*args, **kwargs):
+    pytest.fail("a worker pool started")
 
 
 def unopenable_library(path):
@@ -662,14 +688,16 @@ class TestShardedStack:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_two_shards_equal_one_stack(self):
         dataset, split, config, keys = sharded_group_inputs()
-        one, _ = engine._train_group(dataset, split, config, keys, 0, shards=1)
-        two, _ = engine._train_group(dataset, split, config, keys, 0, shards=2)
-        assert repr(two) == repr(one)
+        one = engine._train_group(dataset, split, config, keys, 0)
+        two = {**engine._train_group(dataset, split, config, keys, 0, 0, 2),
+               **engine._train_group(dataset, split, config, keys, 0, 1, 2)}
+        assert repr({key: two[key] for key in keys}) == repr(one)
         assert [row["diverged"] for row in one.values()] == [False, False, True, False]
         # the outcomes behind the rows: best states, best epochs and traces
         _, term_sets = engine._term_sets(keys)
-        for got, want in zip(engine._train_shards(dataset, split, config, term_sets, 2),
-                             engine._train_shards(dataset, split, config, term_sets, 1)):
+        sharded = (engine._train_stack(dataset, split, config, term_sets[:2])
+                   + engine._train_stack(dataset, split, config, term_sets[2:]))
+        for got, want in zip(sharded, engine._train_stack(dataset, split, config, term_sets)):
             if isinstance(want, DivergenceError):
                 assert (got.epoch, got.batch) == (want.epoch, want.batch)
             else:
@@ -680,118 +708,245 @@ class TestShardedStack:
     def test_sharded_grid_keeps_the_pins(self, forced_shards, mode, tmp_path):
         table, base, grid, plan = mixed_grid_inputs(mode)
         result = run_grid(table, base, grid, plan)
-        assert result.shards == (2, 2, 2, 2)
+        assert (result.shards, result.workers) == ((2, 2, 2, 2), 2)
         emit_results(result, tmp_path)
         assert sha256_of(tmp_path / "runs.csv") == MIXED_RUNS_SHA256[mode]
         assert sha256_of(tmp_path / "cells.csv") == MIXED_CELLS_SHA256[mode]
+        assert multiprocessing.active_children() == []
 
-    def test_shard_count_is_decided_once_per_task(self, forced_shards, monkeypatch):
+    def test_shards_are_decided_once_per_group_before_training(self, monkeypatch, tmp_path):
         table, base, grid, plan = tiny_grid_inputs()
         grid = replace(grid, templates=[[("FPR", 1.0)], [("STP", 1.0)]])
-        decided = []  # (iteration, shards) of each call
+        events, train_group = [], engine._train_group
 
-        def deciding(config, models, jobs):
-            shards = 2 if config.seed == base.seed else 1  # iteration 0 splits, 1 does not
-            decided.append((config.seed - base.seed, shards))
-            return shards
+        def deciding(config, train_rows, models, jobs):
+            events.append(("plan", train_rows, list(models), jobs))
+            return (2, 1), 1  # the FPR group in two shards, in this process
 
-        monkeypatch.setattr(engine, "stack_shards", deciding)
+        def training(dataset, split, config, keys, iteration, shard, shards):
+            events.append(("unit", keys[0].measures_label, iteration, shard, shards))
+            return train_group(dataset, split, config, keys, iteration, shard, shards)
+
+        monkeypatch.setattr(engine, "parallel_plan", deciding)
+        monkeypatch.setattr(engine, "_train_group", training)
         result = run_grid(table, base, grid, plan)
-        assert len(decided) == 4  # one per (iteration, group) task
-        assert result.shards == tuple(shards for it, shards in decided if it == 0) == (2, 2)
+        assert events == [("plan", 280, [2, 2], 1)] + [
+            ("unit", label, it, shard, shards) for it in (0, 1)
+            for label, shard, shards in (("FPR", 0, 2), ("FPR", 1, 2), ("STP", 0, 1))]
+        assert (result.shards, result.workers) == ((2, 1), 1)
+        monkeypatch.undo()
+        emit_results(result, tmp_path / "sharded")
+        emit_results(run_grid(table, base, grid, plan), tmp_path / "whole")
+        for name in ("runs.csv", "cells.csv"):
+            assert (tmp_path / "sharded" / name).read_bytes() == (
+                tmp_path / "whole" / name).read_bytes()
 
-    def test_each_shard_pins_blas_to_one_thread_then_restores(self, forced_shards):
+    def test_every_unit_and_train_model_pin_blas_to_one_thread_then_restore(
+            self, monkeypatch, tmp_path):
+        # one CPU, one worker: every unit trains in this process, on the calling thread
+        monkeypatch.setattr(engine, "blas_thread_pin", lambda: recording_pin(tmp_path / "pins"))
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(engine, "Pool", no_pool)
         table, base, grid, plan = tiny_grid_inputs()
-        assert run_grid(table, base, replace(grid, iterations=1), plan).shards == (2,)
-        calls = {}
-        for thread, threads in forced_shards:
-            calls.setdefault(thread, []).append(threads)
-        assert threading.get_ident() in calls  # shard 0 trains on the calling thread
-        assert list(calls.values()) == [[1, 5], [1, 5]]
+        assert [run_grid(table, base, grid, plan, jobs=jobs).workers for jobs in (1, 2)] == [1, 1]
+        dataset, split, _, _ = separable_setup()
+        train_model(dataset, split, small_config(epochs=1))
+        # two grids of two units, then train_model: each pins one thread, then restores
+        assert pin_calls(tmp_path / "pins") == {os.getpid(): [1, 5] * 5}
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "shard-thread"])
-    def test_error_in_a_shard_stops_the_others(self, forced_shards, monkeypatch, failing):
+    @forked_workers
+    def test_each_worker_pins_blas_to_one_thread(self, forced_shards, monkeypatch, tmp_path):
+        monkeypatch.setattr(engine, "blas_thread_pin", lambda: recording_pin(tmp_path / "pins"))
         table, base, grid, plan = tiny_grid_inputs()
-        started, at_error = {}, {}  # thread -> epochs it started; the others' at the error
-        epoch_rngs, loss = engine._epoch_rngs, engine.combined_loss_and_gradient
-        caller = threading.get_ident()
+        result = run_grid(table, base, grid, plan)
+        assert (result.shards, result.workers) == ((2,), 2)
+        calls = pin_calls(tmp_path / "pins")
+        assert os.getpid() not in calls and 1 <= len(calls) <= 2
+        # four units (two iterations, two shards), each under its own pin
+        assert sorted(threads for pins in calls.values() for threads in pins) == [1] * 4 + [5] * 4
+        assert all(pins == [1, 5] * (len(pins) // 2) for pins in calls.values())
+
+    @forked_workers
+    @pytest.mark.parametrize("failing", [0, 1], ids=["shard-0", "shard-1"])
+    def test_error_in_a_shard_stops_every_worker(self, forced_shards, monkeypatch, failing,
+                                                  tmp_path):
+        table, base, grid, plan = tiny_grid_inputs()
+        unit = {}  # in each worker: the shard it trains and the epoch it is in
+        train_group, epoch_rngs = engine._train_group, engine._epoch_rngs
+        loss = engine.combined_loss_and_gradient
+
+        def training(*args):
+            unit["shard"] = args[5]
+            return train_group(*args)
 
         def recording_rngs(seed, epoch):
-            started.setdefault(threading.get_ident(), []).append(epoch)
+            unit["epoch"] = epoch
+            with open(tmp_path / f"shard{unit['shard']}", "a", encoding="utf-8") as fh:
+                fh.write(f"{epoch}\n")
             return epoch_rngs(seed, epoch)
 
         def failing_loss(*args):
-            thread = threading.get_ident()
-            if (thread == caller) == (failing == 0) and started[thread][-1] == 3:
-                at_error.update({t: e[-1] for t, e in started.items() if t != thread})
+            if unit["shard"] == failing and unit["epoch"] == 3:
                 raise RuntimeError("shard failed")
             return loss(*args)
 
+        monkeypatch.setattr(engine, "_train_group", training)
         monkeypatch.setattr(engine, "_epoch_rngs", recording_rngs)
         monkeypatch.setattr(engine, "combined_loss_and_gradient", failing_loss)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="shard failed"):
-            run_grid(table, replace(base, epochs=1000), grid, plan)
-        assert threading.active_count() == before
-        (worker,) = {thread for thread, _ in forced_shards} - {caller}
-        other = worker if failing == 0 else caller
-        # the other shard ends the epoch it is in, and starts no other
-        assert started.get(other, [0])[-1] <= at_error.get(other, 0) + 1 < 1000
+            run_grid(table, replace(base, epochs=1000), replace(grid, iterations=1), plan)
+        assert multiprocessing.active_children() == []
+        # the other shard is stopped where it is, long before its 1,000 epochs
+        other = tmp_path / f"shard{1 - failing}"
+        started = other.read_text(encoding="utf-8").split() if other.exists() else ["0"]
+        assert int(started[-1]) < 1000
+        assert (tmp_path / f"shard{failing}").read_text(encoding="utf-8").split() == [
+            "1", "2", "3"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_interrupt_while_joining_stops_the_shard(self, forced_shards, monkeypatch):
-        # shard 0's models diverge at once, so the caller waits for shard 1 when Ctrl-C comes
+    @forked_workers
+    def test_interrupt_stops_every_worker(self, forced_shards, monkeypatch, tmp_path):
+        # Ctrl-C while both shards train, taken by a thread other than the one that waits
         table, base, grid, plan = tiny_grid_inputs()
-        caller, loss = threading.get_ident(), engine.combined_loss_and_gradient
-        join = threading.Thread.join
-        started = []  # one entry per batch that shard 1 trained
+        loss, batches = engine.combined_loss_and_gradient, tmp_path / "batches"
 
-        def diverging_loss(*args):
-            totals, dprobs = loss(*args)
-            if threading.get_ident() == caller:
-                return totals * np.inf, dprobs
-            started.append(None)
-            return totals, dprobs
+        def recording_loss(*args):
+            with open(batches, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return loss(*args)
 
-        def interrupted_join(thread, timeout=None):
-            monkeypatch.setattr(threading.Thread, "join", join)
-            raise KeyboardInterrupt
+        def interrupt_once_training():
+            while not batches.exists():
+                time.sleep(0.01)
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
 
-        monkeypatch.setattr(engine, "combined_loss_and_gradient", diverging_loss)
-        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-        before = threading.active_count()
+        monkeypatch.setattr(engine, "combined_loss_and_gradient", recording_loss)
+        interrupter = threading.Thread(target=interrupt_once_training, daemon=True)
+        interrupter.start()
         with pytest.raises(KeyboardInterrupt):
-            run_grid(table, replace(base, epochs=100_000), grid, plan)
-        assert threading.active_count() == before
-        assert len(started) < 5 * 1_000  # 5 batches an epoch: far short of 100,000 epochs
+            run_grid(table, replace(base, epochs=100_000), replace(grid, iterations=1), plan)
+        interrupter.join()
+        assert multiprocessing.active_children() == []
+        count = len(batches.read_text(encoding="utf-8").splitlines())
+        assert count < 5 * 1_000  # 5 batches an epoch: far short of 100,000 epochs
+        time.sleep(0.2)
+        assert len(batches.read_text(encoding="utf-8").splitlines()) == count
+
+    @forked_workers
+    def test_killed_worker_raises_at_once(self, forced_shards, monkeypatch):
+        # say the OOM killer takes shard 1's worker: its unit never returns
+        table, base, grid, plan = tiny_grid_inputs()
+        unit, train_group = {}, engine._train_group
+        epoch_rngs = engine._epoch_rngs
+
+        def training(*args):
+            unit["shard"] = args[5]
+            return train_group(*args)
+
+        def killing_rngs(seed, epoch):
+            if unit["shard"] == 1 and epoch == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return epoch_rngs(seed, epoch)
+
+        monkeypatch.setattr(engine, "_train_group", training)
+        monkeypatch.setattr(engine, "_epoch_rngs", killing_rngs)
+        start = time.perf_counter()
+        with pytest.raises(BrokenProcessPool, match="ended abruptly"):
+            run_grid(table, replace(base, epochs=100_000), replace(grid, iterations=1), plan)
+        assert time.perf_counter() - start < 60  # shard 0 alone would train for minutes
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("library", [
         unopenable_library,
         lambda path: types.SimpleNamespace(),  # a library without the per-thread pin
     ], ids=["no-library", "no-symbol"])
-    def test_no_pin_trains_one_stack_on_the_calling_thread(self, monkeypatch, library):
-        monkeypatch.setattr(engine, "SHARD_MIN_STEP_ELEMENTS", 0)
+    def test_no_pin_trains_every_stack_in_this_process(self, monkeypatch, library):
+        monkeypatch.setattr(engine, "SHARD_MIN_WORK", 0)
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
         monkeypatch.setattr(ctypes, "CDLL", library)
-        monkeypatch.setattr(threading, "Thread", lambda *a, **k: pytest.fail("a thread started"))
+        monkeypatch.setattr(engine, "Pool", no_pool)
         table, base, grid, plan = tiny_grid_inputs()
         engine.blas_thread_pin.cache_clear()
         try:
             assert engine.blas_thread_pin() is None
-            assert run_grid(table, base, grid, plan).shards == (1,)
+            result = run_grid(table, base, grid, plan)
+            assert (result.shards, result.workers) == ((1,), 1)
         finally:
             engine.blas_thread_pin.cache_clear()
 
     def test_committed_configs_fall_on_their_side_of_the_threshold(self, monkeypatch):
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "blas_thread_pin", lambda: lambda threads: threads)
-        for name, shards in (("synthetic_curves", 1), ("adult_arch1_stp", 2),
-                             ("adult_arch1_fprfnr", 2), ("adult_arch2_stp", 2),
-                             ("adult_arch2_fprfnr", 2)):
-            config = load_config(CONFIGS / f"{name}.yaml").train_config(1)
-            assert engine.stack_shards(config, 21, 1) == shards, name
-            assert engine.stack_shards(config, 21, 2) == 1  # two processes hold the CPUs
-            assert engine.stack_shards(config, 1, 1) == 1
+        for name, rows in (("synthetic_curves", 6_000), ("adult_arch1_stp", 45_222),
+                           ("adult_arch1_fprfnr", 45_222), ("adult_arch2_stp", 45_222),
+                           ("adult_arch2_fprfnr", 45_222)):
+            cfg = load_config(CONFIGS / f"{name}.yaml")
+            config, train_rows = cfg.train_config(1), round(rows * cfg.plan.train_fraction)
+            models = [len(engine._term_sets(list(group))[1]) for _, group in itertools.groupby(
+                cfg.grid.cells(), key=lambda key: (key.measures, key.variant))]
+            shards = (2,) * len(models)
+            assert engine.parallel_plan(config, train_rows, models, 1) == (shards, 2), name
+            # two processes hold the CPUs
+            assert engine.parallel_plan(config, train_rows, models, 2) == ((1,) * len(models), 2)
+            assert engine.parallel_plan(config, train_rows, [1], 1) == ((1,), 1)
+            # the Adult-shaped runs of the CLI tests and CI, cut to one epoch and 4,000 rows
+            assert engine.parallel_plan(replace(config, epochs=1), 2_800, models, 1) == (
+                (1,) * len(models), 1), name
+
+    @pytest.mark.parametrize("cpus, jobs, models, plan", [
+        (2, 1, [21], ((2,), 2)),
+        (4, 1, [3, 21], ((3, 4), 4)),  # one pool for the grid: the widest group sets it
+        (4, 2, [21], ((2,), 4)),
+        (2, 2, [21], ((1,), 2)),
+        (2, 3, [21], ((1,), 2)),  # never more workers than CPUs
+        (1, 2, [21], ((1,), 1)),  # one worker is this process
+        (3, 1, [2], ((2,), 2)),  # never more shards than models
+    ])
+    def test_plan_fits_the_cpus(self, monkeypatch, cpus, jobs, models, plan):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engine, "blas_thread_pin", lambda: lambda threads: threads)
+        _, base, _, _ = tiny_grid_inputs()
+        heavy = engine.SHARD_MIN_WORK // (base.epochs * 6) + 1  # train rows of a heavy model
+        assert engine.parallel_plan(base, heavy, models, jobs) == plan
+
+
+@forked_workers
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_arch2_width_bytes_do_not_depend_on_shards_or_jobs(monkeypatch, tmp_path):
+    """An arch2-width stack trains to the same bytes in-process, in two shards and at jobs=2.
+
+    A product's bits depend on how many threads OpenBLAS computes it in, so
+    this holds only while every stack holds BLAS to one thread.
+    """
+    table = synthesize_biased(n=400, feature_dim=102, noise=0.5, seed=3)
+    plan = SplitPlan(iterations=1, train_fraction=0.7, val_fraction=0.1, base_seed=3)
+    base = TrainConfig(
+        network=NetworkConfig(input_dim=1, hidden=((108, "leaky_relu"), (324, "leaky_relu")),
+                              dropout_rate=0.1, use_batch_norm=True, seed=0),
+        batch_size=256, epochs=1, lr=0.001, seed=7)
+    grid = GridSpec(templates=[[("FPR", 1.0), ("FNR", 1.25)]], variants=[SoftVariant.continuous()],
+                    powers=[3], alphas=[0.0, 0.5, 1.0])
+    evaluate_ = engine.evaluate
+
+    def saving_evaluate(state, dataset, indices, terms, mode):
+        (tmp_path / way / f"{terms[0].alpha}.bpsf").write_bytes(serialize(state))
+        return evaluate_(state, dataset, indices, terms, mode)
+
+    monkeypatch.setattr(engine, "evaluate", saving_evaluate)
+    monkeypatch.setattr(engine, "SHARD_MIN_WORK", 0)
+    states = {}
+    for way, cpus, jobs, plan_ in (("in_process", 1, 1, ((1,), 1)), ("shards", 2, 1, ((2,), 2)),
+                                   ("jobs", 2, 2, ((1,), 2))):
+        (tmp_path / way).mkdir()
+        monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        result = run_grid(table, base, grid, plan, jobs=jobs)
+        if engine.blas_thread_pin() is not None:
+            assert (result.shards, result.workers) == plan_, way
+        assert not any(run["diverged"] for cell in result.cells for run in cell.runs)
+        states[way] = {path.name: path.read_bytes() for path in (tmp_path / way).iterdir()}
+    assert dataset_for_split(table, mc_splits(table.n_rows, plan)[0]).X.shape[1] == 102
+    assert len(states["in_process"]) == 3
+    assert states["shards"] == states["in_process"]
+    assert states["jobs"] == states["in_process"]
 
 
 class TestAdultFormatPipeline:
