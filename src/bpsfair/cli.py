@@ -99,12 +99,11 @@ def _show_report(report: BpsReport, accuracy, out) -> None:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    cfg.train_config(1, seed_override=args.seed)  # its checks need no data, so they run first
+    train_config = cfg.train_config(seed=args.seed)
     table, data_path = _load_table(cfg, args.dataset)
     split = mc_splits(table.n_rows, replace(cfg.plan, iterations=1))[0]  # the one it uses
     encoder = fit_encoder(table, rows=split[0])
     dataset = apply_encoder(table, encoder)
-    train_config = cfg.train_config(dataset.X.shape[1], seed_override=args.seed)
 
     state, result = train_model(dataset, split, train_config)
     out = Path(args.out)
@@ -146,7 +145,7 @@ def cmd_grid(args) -> int:
     iterations = cfg.grid.iterations_for(cfg.plan)
     _resolve_report([stored_fields(key.fields()) for key in cfg.grid.cells()], cfg.table_rows,
                     cfg.plot_measures)
-    base_config = cfg.train_config(1, seed_override=args.seed)  # input_dim resolved per split
+    base_config = cfg.train_config(seed=args.seed)
     table, data_path = _load_table(cfg, args.dataset)
     out = Path(args.out)
     try:

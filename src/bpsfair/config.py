@@ -11,7 +11,7 @@ at the repository root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -21,7 +21,7 @@ from .data import (SYNTH_KINDS, DatasetSchema, SplitPlan, adult_preset, not_utf8
 from .engine import GridSpec, TrainConfig
 from .errors import ConfigError
 from .fields import NON_NEGATIVE, POSITIVE, POSITIVE_INT, TEXT, read, typed
-from .losses import DenominatorMode, MeasureKind, SoftVariant, parse_term
+from .losses import MeasureKind, SoftVariant, parse_term
 from .network import ACTIVATION, NetworkConfig
 
 __all__ = ["RunConfig", "load_config"]
@@ -31,40 +31,28 @@ __all__ = ["RunConfig", "load_config"]
 class RunConfig:
     """Parsed experiment description.
 
-    ``network`` and ``training`` hold the NetworkConfig and TrainConfig
-    arguments the config gives; the dataclasses hold the defaults.
+    ``train`` is the run's TrainConfig, None without ``[network]``.  Its
+    network's ``input_dim`` of 1 is a placeholder: the engine sets the
+    encoded width when it trains.
     """
 
     dataset_path: Path | None
     schema: DatasetSchema | None
-    network: dict  # input_dim resolved after encoding
-    training: dict
-    terms: tuple
-    denominator_mode: DenominatorMode
+    train: TrainConfig | None
     plan: SplitPlan
     grid: GridSpec | None
     synth: dict | None
     table_rows: dict = field(default_factory=dict)
     plot_measures: tuple | None = None
 
-    def network_config(self, input_dim: int) -> NetworkConfig:
-        if not self.network:
+    def train_config(self, *, seed=None) -> TrainConfig:
+        """``train``, with ``seed`` (``--seed``) as its training seed when given."""
+        if self.train is None:
             raise ConfigError("config is missing the [network] section")
-        return NetworkConfig(input_dim=input_dim, **self.network)
-
-    def train_config(self, input_dim: int, seed_override=None) -> TrainConfig:
-        training = dict(self.training)
-        if seed_override is not None:
-            training["seed"] = seed_override
-        return TrainConfig(
-            network=self.network_config(input_dim),
-            terms=self.terms,
-            denominator_mode=self.denominator_mode,
-            **training,
-        )
+        return self.train if seed is None else replace(self.train, seed=seed)
 
 
-_DATASET_FIELDS = {"path": str, "preset": None, "feature_dim": int, "schema": None}
+_DATASET_FIELDS = {"path": str, "preset": None, "feature_dim": POSITIVE_INT, "schema": None}
 _FEATURE_DIM = 6  # the synthetic preset's width when none is given, as synthesize_biased's
 
 
@@ -99,8 +87,8 @@ _NETWORK_FIELDS = {"hidden": [POSITIVE_INT], "activation": None,
                    **{key: NetworkConfig.KINDS[arg] for key, arg in _NETWORK_ARGS.items()}}
 
 
-def _parse_network(block) -> dict:
-    """NetworkConfig arguments, without input_dim; NetworkConfig holds the defaults."""
+def _parse_network(block) -> NetworkConfig:
+    """The block's NetworkConfig, input_dim 1 until the engine sets it; it holds the defaults."""
     fields = read(block, "network", _NETWORK_FIELDS)
     hidden = fields.pop("hidden", None)
     if not hidden:
@@ -114,7 +102,8 @@ def _parse_network(block) -> dict:
             raise ConfigError(f"network.activation must name one activation per network.hidden "
                               f"width, got {len(activations)} for {len(hidden)}")
         hidden = tuple(zip(hidden, activations))
-    return {"hidden": hidden, **{_NETWORK_ARGS[k]: v for k, v in fields.items()}}
+    return NetworkConfig(input_dim=1, hidden=hidden,
+                         **{_NETWORK_ARGS[k]: v for k, v in fields.items()})
 
 
 def _parse_variant(spec) -> SoftVariant:
@@ -208,15 +197,13 @@ def load_config(path) -> RunConfig:
     synth = None if doc.get("synth") is None else read(doc["synth"], "synth", SYNTH_KINDS)
     dataset_path, schema = _parse_dataset(doc.get("dataset"), synth)
     training = section("training", TrainConfig.KINDS)
-    mode = training.pop("denominator_mode", TrainConfig.denominator_mode)
     report = section("report", {"tables": list, "plot_measures": list})
+    network = _parse_network(doc["network"]) if "network" in doc else None
+    terms = tuple(map(parse_term, section("loss", {"terms": [str]}).get("terms", ())))
     return RunConfig(
         dataset_path=dataset_path,
         schema=schema,
-        network=_parse_network(doc["network"]) if "network" in doc else {},
-        training=training,
-        terms=tuple(map(parse_term, section("loss", {"terms": [str]}).get("terms", ()))),
-        denominator_mode=mode,
+        train=None if network is None else TrainConfig(network=network, terms=terms, **training),
         plan=SplitPlan(**section("split", SplitPlan.KINDS)),
         grid=_parse_grid(doc.get("grid")),
         synth=synth,

@@ -130,12 +130,41 @@ class RunResult:
     trace: tuple = ()
 
 
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread on the calling thread, then restore it.
+
+    A product's bits depend on how many threads OpenBLAS splits it over,
+    so ``_train_stack`` and ``evaluate``, where every stack trains and
+    every state is scored, run under this, whatever the CPU count; without
+    the pin the threads are left as they are.
+    """
+    pin = blas_thread_pin()
+    previous = None if pin is None else pin(1)
+    try:
+        yield
+    finally:
+        if pin is not None:
+            pin(previous)
+
+
 def _epoch_rngs(seed: int, epoch: int):
     shuffle_rng = np.random.default_rng((seed, epoch, 0))
     dropout_rng = np.random.default_rng((seed, epoch, 1))
     return shuffle_rng, dropout_rng
 
 
+def _for_dataset(config: TrainConfig, dataset, iteration: int = 0) -> TrainConfig:
+    """``config`` with ``dataset``'s encoded width as its input width and seed + ``iteration``.
+
+    A config's own input width is a placeholder until here: per-split
+    encoding can shift the one-hot width with the vocabulary.
+    """
+    network = replace(config.network, input_dim=dataset.X.shape[1])
+    return replace(config, network=network, seed=config.seed + iteration)
+
+
+@_one_blas_thread()
 def _train_stack(dataset, split, config: TrainConfig, term_sets):
     """Train a fresh stack of one model per term tuple; one outcome each.
 
@@ -237,18 +266,18 @@ def _test_result(outcome, dataset, split, terms, config: TrainConfig) -> RunResu
 def train_model(dataset: EncodedDataset, split, config: TrainConfig):
     """Train one model; returns (best state, RunResult).
 
-    This is a grid group's stack with a single model, trained and
-    evaluated with BLAS held to one thread (``_one_blas_thread``).  The
-    RunResult is computed on the test split with hard 0.5 thresholding.
-    A non-finite batch loss, or non-finite validation or test
-    probabilities, raise DivergenceError.
+    This is a grid group's stack with a single model, on ``dataset``'s
+    encoded width.  The RunResult is computed on the test split with hard
+    0.5 thresholding.  A non-finite batch loss, or non-finite validation
+    or test probabilities, raise DivergenceError.
     """
-    with _one_blas_thread():
-        (outcome,) = _train_stack(dataset, split, config, [config.terms])
-        result = _test_result(outcome, dataset, split, config.terms, config)
+    config = _for_dataset(config, dataset)
+    (outcome,) = _train_stack(dataset, split, config, [config.terms])
+    result = _test_result(outcome, dataset, split, config.terms, config)
     return outcome[0], result
 
 
+@_one_blas_thread()
 def evaluate(state, dataset: EncodedDataset, indices=None, terms=(),
              mode: DenominatorMode = DenominatorMode.AS_WRITTEN) -> RunResult:
     """Eval-mode forward on the given rows (all rows, in order, for None), thresholded at 0.5.
@@ -298,8 +327,9 @@ class GridSpec:
     iterations: int | None = None
 
     def __post_init__(self):
-        templates = tuple(tuple((MeasureKind(k), typed(NON_NEGATIVE, s, "scale"))
-                                for k, s in template) for template in self.templates)
+        templates = tuple(tuple((typed(MeasureKind, k, "measure"),
+                                 typed(NON_NEGATIVE, s, "scale")) for k, s in template)
+                          for template in self.templates)
         if not all(templates):  # its cells would train BCE only at every alpha
             raise ConfigError(f"grid.measures must not hold an empty measure set, got "
                               f"{list(map(_measures_label, templates))}")
@@ -522,23 +552,6 @@ def blas_thread_pin():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread on the calling thread, then restore it.
-
-    A product's bits depend on how many threads OpenBLAS splits it over,
-    so every stack trains and is evaluated under this, whatever the CPU
-    count; without the pin the threads are left as they are.
-    """
-    pin = blas_thread_pin()
-    previous = None if pin is None else pin(1)
-    try:
-        yield
-    finally:
-        if pin is not None:
-            pin(previous)
-
-
 def parallel_plan(config: TrainConfig, train_rows: int, models, jobs: int) -> tuple:
     """(shards per group, worker processes) for groups of ``models`` models under ``jobs``.
 
@@ -587,33 +600,28 @@ def _train_group(dataset, split, base_config: TrainConfig, keys, iteration: int,
 
     The group's models (``_term_sets``) are cut into ``shards`` contiguous
     slices, and slice ``shard`` trains as one stack; the bits are the whole
-    stack's, since stacked models never mix.  Training and test evaluation
-    hold BLAS to one thread.  The zero-weight cells share one model; its
-    best state is evaluated once per such cell, with that cell's terms.
+    stack's, since stacked models never mix.  The zero-weight cells share
+    one model; its best state is evaluated once per such cell, with that
+    cell's terms.
     Returns {key: runs.csv row} of the cells whose model is in the slice;
     a diverged run's row has its epoch and no scalars.
     """
-    network = base_config.network
-    if network.input_dim != dataset.X.shape[1]:
-        # per-split encoding can shift the one-hot width with the vocabulary
-        network = replace(network, input_dim=dataset.X.shape[1])
-    config = replace(base_config, network=network, seed=base_config.seed + iteration)
+    config = _for_dataset(base_config, dataset, iteration)
     model_of, term_sets = _term_sets(keys)
     first, end = (len(term_sets) * s // shards for s in (shard, shard + 1))
+    outcomes = _train_stack(dataset, split, config, term_sets[first:end])
 
     rows = {}
-    with _one_blas_thread():
-        outcomes = _train_stack(dataset, split, config, term_sets[first:end])
-        for key in keys:
-            if not first <= model_of[key] < end:
-                continue
-            row = rows[key] = {**key.fields(), "iteration": iteration, "seed": config.seed,
-                               "diverged": False, "divergence_epoch": None}
-            try:
-                row.update(run_scalars(_test_result(outcomes[model_of[key] - first], dataset,
-                                                    split, key.terms(), config)))
-            except DivergenceError as exc:
-                row.update(diverged=True, divergence_epoch=exc.epoch)
+    for key in keys:
+        if not first <= model_of[key] < end:
+            continue
+        row = rows[key] = {**key.fields(), "iteration": iteration, "seed": config.seed,
+                           "diverged": False, "divergence_epoch": None}
+        try:
+            row.update(run_scalars(_test_result(outcomes[model_of[key] - first], dataset,
+                                                split, key.terms(), config)))
+        except DivergenceError as exc:
+            row.update(diverged=True, divergence_epoch=exc.epoch)
     return rows
 
 

@@ -102,6 +102,7 @@ class FairnessTerm:
     power: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", typed(MeasureKind, self.kind, "kind"))
         object.__setattr__(self, "alpha", typed(NON_NEGATIVE, self.alpha, "alpha"))
         object.__setattr__(self, "power", typed(POSITIVE_INT, self.power, "power"))
 

@@ -174,7 +174,7 @@ def test_adult_file_integrity():
 def synth_setup():
     """configs/synthetic_curves.yaml: its table, base config, split plan and grid."""
     cfg = load_config(CONFIGS / "synthetic_curves.yaml")
-    return synthesize_biased(**cfg.synth), cfg.train_config(6), cfg.plan, cfg.grid
+    return synthesize_biased(**cfg.synth), cfg.train_config(), cfg.plan, cfg.grid
 
 
 def template(grid, *kinds):

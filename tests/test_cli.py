@@ -265,7 +265,7 @@ def test_feature_dim_mismatch_exits_2_at_load(workspace, capsys, monkeypatch, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("command", ["synth", "report", "train", "grid"])
 @pytest.mark.parametrize("overrides, message", [
     ({"network": {"hidden": [4], "activation": "tanh"}},
      "network.activation must be one of ['relu', 'leaky_relu'], got 'tanh'"),
@@ -276,14 +276,22 @@ def test_feature_dim_mismatch_exits_2_at_load(workspace, capsys, monkeypatch, co
 ], ids=["activation", "batch-norm-batch", "activation-count"])
 def test_bad_network_exits_2_before_reading_the_dataset(workspace, capsys, monkeypatch, command,
                                                         overrides, message):
-    # these are checked when the TrainConfig is built, which once waited for the data
+    # load_config builds the run's TrainConfig, so every command meets these checks before
+    # the data is read; batch norm with one-row batches was once refused by train and grid only
     cfg = write_config(workspace / "bad.yaml", **overrides)
     monkeypatch.setattr(cli, "load_csv", no_dataset_read)
-    out = workspace / "bad_out"
+    out = workspace / ("bad.csv" if command == "synth" else "bad_out")
+    if command == "report":  # it rebuilds the derived files of a results directory
+        out.mkdir()
+        (out / "runs.csv").write_text("measures,variant,beta,power,alpha,iteration,seed,diverged,"
+                                      "accuracy\nFPR,continuous,1,1,0,0,7,0,0.5\n")
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    if command == "report":
+        assert [path.name for path in out.iterdir()] == ["runs.csv"]
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "grid"])
@@ -772,9 +780,9 @@ class TestConfigParsing:
     def test_example_config_parses(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "example.yaml")
         assert cfg.schema.sensitive == "sex"
-        assert cfg.network["hidden"] == ((108, "relu"), (108, "relu"))
-        assert cfg.training["batch_size"] == 256
-        assert [str(t) for t in cfg.terms] == ["STP:continuous:0.8:4"]
+        assert cfg.train.network.hidden == ((108, "relu"), (108, "relu"))
+        assert cfg.train.batch_size == 256
+        assert [str(t) for t in cfg.train.terms] == ["STP:continuous:0.8:4"]
         assert cfg.grid.powers == (4,)
         assert cfg.plan.iterations == 10
         assert cfg.table_rows == {
@@ -787,7 +795,7 @@ class TestConfigParsing:
                                 training={"batch_size": 32, "epochs": 1,
                                           "denominator_mode": "rate"})
         cfg = load_config(cfg_path)
-        assert cfg.denominator_mode is DenominatorMode.RATE
+        assert cfg.train.denominator_mode is DenominatorMode.RATE
 
     def test_per_layer_activations(self, tmp_path):
         cfg_path = write_config(
@@ -796,7 +804,7 @@ class TestConfigParsing:
                      "dropout": 0.1, "batch_norm": True},
         )
         cfg = load_config(cfg_path)
-        assert cfg.network["hidden"] == ((108, "leaky_relu"), (324, "leaky_relu"))
+        assert cfg.train.network.hidden == ((108, "leaky_relu"), (324, "leaky_relu"))
 
     def test_scaled_measures(self, tmp_path):
         cfg_path = write_config(
@@ -908,8 +916,8 @@ class TestConfigParsing:
         cfg_path.write_text("network: {hidden: [4], batch_norm: yes}\n"
                             "training: {keep_trace: false}\n")
         cfg = load_config(cfg_path)
-        assert cfg.network["use_batch_norm"] is True
-        assert cfg.training["keep_trace"] is False
+        assert cfg.train.network.use_batch_norm is True
+        assert cfg.train.keep_trace is False
 
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -257,29 +257,15 @@ def oracle_from_doc(doc) -> RunConfig:
     return RunConfig(
         dataset_path=dataset_path,
         schema=schema,
-        network=network or {},
-        training=training,
-        terms=terms,
-        denominator_mode=mode,
+        train=None if network is None else TrainConfig(
+            network=NetworkConfig(input_dim=1, **network), terms=terms, denominator_mode=mode,
+            **training),
         plan=plan,
         grid=oracle_parse_grid(oracle_mapping(doc, "grid", optional=True)),
         synth=oracle_parse_synth(oracle_mapping(doc, "synth", optional=True)),
         table_rows=oracle_parse_table_rows(report_block.get("tables")),
         plot_measures=plot_measures,
     )
-
-
-def resolved(cfg: RunConfig) -> dict:
-    """Every field of ``cfg``, with ``network`` and ``training`` as the dataclasses they build.
-
-    The oracle's dicts spell out its defaults and the reader's hold only the
-    keys a config gives, so they are compared through the configs they build.
-    """
-    view = dict(vars(cfg))
-    network, training = view.pop("network"), view.pop("training")
-    view["network"] = NetworkConfig(input_dim=5, **network) if network else None
-    view["training"] = TrainConfig(network=NetworkConfig(input_dim=5, hidden=(4,)), **training)
-    return view
 
 
 # ---- valid documents: every section, with and without each optional key ----
@@ -409,14 +395,14 @@ class TestSameParseAsTheOracle:
     def test_valid_documents(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("cfg") / "c.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        assert resolved(load_config(path)) == resolved(oracle_from_doc(yaml.safe_load(
-            path.read_text(encoding="utf-8"))))
+        assert load_config(path) == oracle_from_doc(yaml.safe_load(
+            path.read_text(encoding="utf-8")))
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_repository_configs(self, path):
         assert len(CONFIGS) == 6
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-        assert resolved(load_config(path)) == resolved(oracle_from_doc(doc))
+        assert load_config(path) == oracle_from_doc(doc)
 
 
 # ---- refusal: a misspelled key in any section, table row or schema block ----
@@ -500,15 +486,25 @@ class TestUnknownKeysRefused:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("synth", ["", "synth: {feature_dim: 3}\n"], ids=["alone", "with-synth"])
+def test_dataset_feature_dim_is_a_positive_integer(tmp_path, synth):
+    # it was refused as "schema needs at least one feature column", or as a mismatch
+    path = tmp_path / "c.yaml"
+    path.write_text("dataset: {preset: synthetic, feature_dim: -2}\n" + synth, encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"^dataset\.feature_dim must be a positive integer, got -2$"):
+        load_config(path)
+
+
 class TestDefaultsHaveOneHome:
     def test_empty_sections_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("network: {hidden: [4]}\ntraining: {}\nsplit: {}\ngrid: {}\n",
                         encoding="utf-8")
         cfg = load_config(path)
-        network = NetworkConfig(input_dim=3, hidden=(4,))
-        assert cfg.network_config(3) == network
-        assert cfg.train_config(3) == TrainConfig(network=network)
+        network = NetworkConfig(input_dim=1, hidden=(4,))
+        assert cfg.train.network == network
+        assert cfg.train_config() == TrainConfig(network=network)
         assert cfg.plan == SplitPlan()
         assert cfg.grid == GridSpec()
 
@@ -534,6 +530,12 @@ class TestPythonCallersMeetTheSameRanges:
          "alpha must be a finite non-negative number, got inf"),
         (lambda: FairnessTerm(MeasureKind.FPR, CONT, alpha=0.5, power=1.5),
          "power must be a positive integer, got 1.5"),
+        # once built, str() raised AttributeError and the loss a bare ValueError
+        (lambda: FairnessTerm("XYZ", CONT, alpha=0.5),
+         "kind must be one of ['FPR', 'FNR', 'TPR', 'TNR', 'ACC', 'STP'], got 'XYZ'"),
+        # a bare ValueError
+        (lambda: GridSpec(templates=[[("XYZ", 1.0)]]),
+         "measure must be one of ['FPR', 'FNR', 'TPR', 'TNR', 'ACC', 'STP'], got 'XYZ'"),
         (lambda: SoftVariant.sigmoided(float("inf")), "beta must be a finite positive number"),
         (lambda: NetworkConfig(input_dim=3, hidden=(4,), dropout_rate=1.5),
          "dropout_rate must be a number in [0, 1), got 1.5"),
@@ -558,3 +560,6 @@ class TestPythonCallersMeetTheSameRanges:
         assert type(NetworkConfig(input_dim=3, hidden=(4,), dropout_rate=0).dropout_rate) is float
         term = FairnessTerm(MeasureKind.FPR, CONT, alpha=1, power=2.0)
         assert (type(term.alpha), type(term.power)) == (float, int)
+        term = FairnessTerm("FPR", CONT, alpha=0.5)  # once stored as a str: str(term) raised
+        assert term.kind is MeasureKind.FPR
+        assert str(term) == "FPR:continuous:0.5:1"

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpsfair.data import (SplitPlan, apply_encoder, fit_encoder, mc_splits,
-                          synthesize_biased)
+                          synthesize_biased, write_csv)
 from bpsfair.engine import (
     CELL_FIELDS,
     RUN_FIELDS,
@@ -41,7 +41,7 @@ from bpsfair.engine import (
 from bpsfair.errors import ConfigError, DivergenceError, NonFiniteOutputError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
-from bpsfair import engine, network
+from bpsfair import cli, engine, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.config import load_config
 from bpsfair.engine import RunResult
@@ -751,8 +751,51 @@ class TestShardedStack:
         assert [run_grid(table, base, grid, plan, jobs=jobs).workers for jobs in (1, 2)] == [1, 1]
         dataset, split, _, _ = separable_setup()
         train_model(dataset, split, small_config(epochs=1))
-        # two grids of two units, then train_model: each pins one thread, then restores
-        assert pin_calls(tmp_path / "pins") == {os.getpid(): [1, 5] * 5}
+        # two grids of two units, each one stack and two cells' test evaluations, then
+        # train_model's stack and test evaluation: each pins one thread, then restores
+        assert pin_calls(tmp_path / "pins") == {os.getpid(): [1, 5] * (2 * 2 * 3 + 2)}
+
+    def test_blas_is_held_to_one_thread_wherever_the_arithmetic_runs(self, monkeypatch,
+                                                                      tmp_path):
+        threads, calls = [5], []  # the stand-in pin's thread count; (pass, threads) per call
+
+        def pin(n):
+            previous, threads[0] = threads[0], n
+            return previous
+
+        def recording(function):
+            def stub(*args, **kwargs):
+                calls.append((function.__name__, threads[0]))
+                return function(*args, **kwargs)
+            return stub
+
+        def held(run, *args):
+            """``run(*args)`` and the (pass, threads) of its forward and backward calls."""
+            calls.clear()
+            result = run(*args)
+            assert threads == [5]  # the value the pin replaced is restored
+            return result, sorted(set(calls))
+
+        monkeypatch.setattr(engine, "blas_thread_pin", lambda: pin)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 1)  # every unit in this process
+        monkeypatch.setattr(engine, "Pool", no_pool)
+        monkeypatch.setattr(engine, "forward", recording(engine.forward))
+        monkeypatch.setattr(engine, "backward", recording(engine.backward))
+        trained = [("backward", 1), ("forward", 1)]
+        dataset, split, _, _ = separable_setup()
+        assert held(train_model, dataset, split, small_config(epochs=1))[1] == trained
+        table, base, grid, plan = tiny_grid_inputs()
+        assert held(run_grid, table, base, grid, plan)[1] == trained
+        data, config = tmp_path / "data.csv", tmp_path / "c.yaml"
+        write_csv(table, data)
+        config.write_text(f"dataset: {{preset: synthetic, feature_dim: 3, path: {data}}}\n"
+                          "network: {hidden: [4], batch_norm: true}\ntraining: {epochs: 1}\n",
+                          encoding="utf-8")
+        train = ["train", "--config", str(config), "--out", str(tmp_path / "t")]
+        assert held(cli.main, train) == (0, trained)
+        model = str(tmp_path / "t" / "model.bpsf")
+        assert held(cli.main, ["evaluate", "--model", model, "--dataset", str(data)]) == (
+            0, [("forward", 1)])
 
     @forked_workers
     def test_each_worker_pins_blas_to_one_thread(self, forced_shards, monkeypatch, tmp_path):
@@ -762,8 +805,9 @@ class TestShardedStack:
         assert (result.shards, result.workers) == ((2,), 2)
         calls = pin_calls(tmp_path / "pins")
         assert os.getpid() not in calls and 1 <= len(calls) <= 2
-        # four units (two iterations, two shards), each under its own pin
-        assert sorted(threads for pins in calls.values() for threads in pins) == [1] * 4 + [5] * 4
+        # four units (two iterations, two shards of one model), each pinning its stack and
+        # its model's test evaluation
+        assert sorted(threads for pins in calls.values() for threads in pins) == [1] * 8 + [5] * 8
         assert all(pins == [1, 5] * (len(pins) // 2) for pins in calls.values())
 
     @forked_workers
@@ -880,7 +924,7 @@ class TestShardedStack:
                            ("adult_arch1_fprfnr", 45_222), ("adult_arch2_stp", 45_222),
                            ("adult_arch2_fprfnr", 45_222)):
             cfg = load_config(CONFIGS / f"{name}.yaml")
-            config, train_rows = cfg.train_config(1), round(rows * cfg.plan.train_fraction)
+            config, train_rows = cfg.train_config(), round(rows * cfg.plan.train_fraction)
             models = [len(engine._term_sets(list(group))[1]) for _, group in itertools.groupby(
                 cfg.grid.cells(), key=lambda key: (key.measures, key.variant))]
             shards = (2,) * len(models)
