@@ -9,6 +9,7 @@ import os
 import platform
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@cache  # one parser per process: it is built once, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bpsfair",

@@ -33,6 +33,7 @@ from .fields import FRACTION, NON_NEGATIVE, NON_NEGATIVE_INT, POSITIVE, POSITIVE
 from .losses import (
     DenominatorMode,
     FairnessTerm,
+    LossPlan,
     SoftVariant,
     combined_loss,
     combined_loss_and_gradient,
@@ -176,17 +177,18 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
     kept.  An outcome is (best state, best epoch, trace), or the
     DivergenceError of a model whose batch loss or validation
     probabilities went non-finite: that model leaves the stack and the
-    others train on.
+    others train on.  The loss's set-up, the data's cells included, is
+    one LossPlan, built before the first step and again when a model
+    leaves; a dataset with more than two groups is refused here.
     """
+    plan = LossPlan(term_sets, dataset.Y, dataset.A, config.denominator_mode)
     state = init(config.network, models=len(term_sets))
     adam = init_adam(state, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                      eps=config.adam_eps)
     train_idx, val_idx = (np.asarray(ix, dtype=np.int64) for ix in split[:2])
-    X, Y, A = dataset.X, dataset.Y, dataset.A
-    Y_val = Y[val_idx]
+    X, Y_val = dataset.X, dataset.Y[val_idx]
 
     live = list(range(len(term_sets)))  # stack position -> model index
-    live_terms = list(term_sets)
     diverged = {}  # model index -> DivergenceError
     best = [(-1.0, 0, None)] * len(term_sets)  # (val accuracy, epoch, state)
     traces = [[] for _ in term_sets]
@@ -198,7 +200,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
         for pos in np.flatnonzero(~finite).tolist():
             diverged[live[pos]] = DivergenceError(epoch, batch=batch)
         keep = np.flatnonzero(finite).tolist()
-        live[:], live_terms[:] = [live[pos] for pos in keep], [live_terms[pos] for pos in keep]
+        live[:] = [live[pos] for pos in keep]
         return keep
 
     def outcomes():
@@ -212,9 +214,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
         for first in range(0, order.size, config.batch_size):
             batch = order[first : first + config.batch_size]
             probs, cache = forward(state, X, mode="train", rng=dropout_rng, rows=batch)
-            totals, dprobs = combined_loss_and_gradient(
-                live_terms, probs, Y[batch], A[batch], config.denominator_mode
-            )
+            totals, dprobs = combined_loss_and_gradient(plan, probs, batch)
             if config.keep_trace:
                 for i, total in zip(live, totals.tolist()):
                     epoch_losses[i].append(total)
@@ -225,7 +225,7 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
             probs = cache = None  # freed before the next forward builds its own
             adam_step(state, adam, grads)
             if keep is not None:  # drop diverged models; slices never mix
-                state, adam = state[keep], adam[keep]
+                state, adam, plan = state[keep], adam[keep], plan[keep]
         if val_idx.size:  # one stacked forward scores every live model
             val_probs, _ = forward(state, X, mode="eval", rows=val_idx)
             # a non-finite output: the epoch's last step overflowed a forward no loss has seen
@@ -233,7 +233,8 @@ def _train_stack(dataset, split, config: TrainConfig, term_sets):
             if not live:
                 return outcomes()
             if keep is not None:
-                state, adam, val_probs = state[keep], adam[keep], val_probs[keep]
+                state, adam, plan = state[keep], adam[keep], plan[keep]
+                val_probs = val_probs[keep]
             val_accs = np.mean((val_probs >= 0.5) == Y_val, axis=-1).tolist()
         else:
             val_accs = [float("nan")] * len(live)

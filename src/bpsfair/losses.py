@@ -12,6 +12,7 @@ tuple per model, and evaluates every model exactly as it would alone.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "FairnessTerm",
     "TermValue",
     "LossValue",
+    "LossPlan",
     "parse_term",
     "soft_measure",
     "soft_bps",
@@ -183,14 +185,13 @@ def _counts(cell, n_groups):
     return np.bincount(cell, minlength=2 * n_groups).reshape(n_groups, 2)
 
 
-def _measure(kind, mode, tables):
-    """Soft measures of (..., 2, 2) tables and d measure / d P[y].
+def _measure(coef, tables):
+    """Soft measures of (..., 2, 2) tables and d measure / d P[y], for ``measure_coefficients``.
 
     Denominators are clamped to DENOM_EPS so an empty (group, class) cell
     yields measure 0 rather than a division blowup; a clamped denominator
     is held constant in the gradient.
     """
-    coef = measure_coefficients(kind, mode is DenominatorMode.AS_WRITTEN)
     parts = measure_parts(coef, tables)
     num, den = parts[..., 0], parts[..., 1]
     den_c = np.maximum(den, DENOM_EPS)
@@ -200,29 +201,38 @@ def _measure(kind, mode, tables):
     return m, (coef[0, 0] - coef[1, 0] * moving[..., None]) / den_c[..., None]
 
 
+def _coefficients(kind, mode):
+    return measure_coefficients(kind, DenominatorMode(mode) is DenominatorMode.AS_WRITTEN)
+
+
 def soft_measure(kind, variant, mode, probs, labels, group_mask) -> float:
     """Differentiable approximation of one hard measure over one group."""
-    kind = MeasureKind(kind)
-    mode = DenominatorMode(mode)
+    coef = _coefficients(kind, mode)
     probs, labels = _check_vectors(probs, labels)
     mask = np.asarray(group_mask, dtype=bool)
     if mask.shape != probs.shape:
         raise InputShapeError(f"group_mask shape {mask.shape} != probs shape {probs.shape}")
     if not mask.any():
+        kind = MeasureKind(kind)
         raise UndefinedMeasureError(kind.value, None, f"soft {kind.value}: empty group selection")
     w, _ = _weights(variant, probs[None, mask])
     cell = labels[mask]
-    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 1)))
+    m, _ = _measure(coef, _tables(w, cell, _counts(cell, 1)))
     return float(m[0, 0])
 
 
-def _check_vectors(probs, labels, probs_ndims=(1,)):
+def _check_shapes(probs, labels, probs_ndims=(1,)):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.ndim not in probs_ndims or labels.ndim != 1:
         raise InputShapeError(f"probs must have {probs_ndims} dimensions and labels one")
     if probs.shape[-1:] != labels.shape:
         raise InputShapeError(f"probs shape {probs.shape} != labels shape {labels.shape}")
+    return probs, labels
+
+
+def _check_vectors(probs, labels, probs_ndims=(1,)):
+    probs, labels = _check_shapes(probs, labels, probs_ndims)
     return probs, _as_binary_vector("labels", labels)
 
 
@@ -243,36 +253,39 @@ def _cells(groups, labels):
 def _ratio(m):
     """min/max ratios of (..., 2) measure pairs (1 where both are 0) and d ratio / d (m0, m1)
     as (..., 2); ties route the subgradient through group 0."""
-    low = m[..., 0] <= m[..., 1]  # group 0 holds the min
-    lo, hi = np.where(low, m[..., 0], m[..., 1]), np.where(low, m[..., 1], m[..., 0])
+    m0, m1 = m[..., 0], m[..., 1]
+    low = m0 <= m1  # group 0 holds the min
+    lo, hi = np.where(low, m0, m1), np.where(low, m1, m0)
     moving = hi != 0.0  # the ratio is the constant 1 elsewhere
-    r = np.divide(lo, hi, out=np.ones_like(hi), where=moving)
-    d_lo = np.divide(1.0, hi, out=np.zeros_like(hi), where=moving)
-    d_hi = np.divide(-lo, hi * hi, out=np.zeros_like(hi), where=moving)
-    return r, np.stack([np.where(low, d_lo, d_hi), np.where(low, d_hi, d_lo)], axis=-1)
+    r = np.divide(lo, hi, out=np.ones(hi.shape), where=moving)
+    d_lo = np.divide(1.0, hi, out=np.zeros(hi.shape), where=moving)
+    d_hi = np.divide(-lo, hi * hi, out=np.zeros(hi.shape), where=moving)
+    d = np.empty(m.shape)
+    d[..., 0], d[..., 1] = np.where(low, d_lo, d_hi), np.where(low, d_hi, d_lo)
+    return r, d
 
 
 def soft_bps(kind, variant, mode, probs, labels, groups) -> float:
     """Soft BPS in [0, 1]: min/max ratio of the two groups' soft measures."""
-    kind = MeasureKind(kind)
-    mode = DenominatorMode(mode)
+    coef = _coefficients(kind, mode)
     probs, labels = _check_vectors(probs, labels)
     present, cell = _cells(groups, labels)
     if present.size != 2:
         raise InputShapeError(f"expected exactly two group values, found {present.tolist()}")
     w, _ = _weights(variant, probs[None])
-    m, _ = _measure(kind, mode, _tables(w, cell, _counts(cell, 2)))
+    m, _ = _measure(coef, _tables(w, cell, _counts(cell, 2)))
     return float(_ratio(m)[0][0])
 
 
 def _bce(probs, labels):
-    """Per-row mean BCE of (M, n) probabilities and its gradient."""
+    """Per-row mean BCE of (M, n) probabilities and its gradient; ``labels`` are float 0/1."""
     n = probs.shape[-1]
-    labels = labels.astype(np.float64)  # exact for 0/1; spares mixed-type loops
-    p = np.clip(probs, BCE_EPS, 1.0 - BCE_EPS)
-    bce = -np.mean(np.log(np.where(labels, p, 1.0 - p)), axis=-1)
+    # np.clip's and np.mean's ufuncs, called without their Python wrappers: the same bits
+    p = np.minimum(np.maximum(probs, BCE_EPS), 1.0 - BCE_EPS)
+    q = 1.0 - p
+    bce = -(np.add.reduce(np.log(np.where(labels, p, q)), axis=-1) / n)
     inside = (probs > BCE_EPS) & (probs < 1.0 - BCE_EPS)
-    grad = np.where(inside, (p - labels) / (n * p * (1.0 - p)), 0.0)
+    grad = np.where(inside, (p - labels) / (n * p * q), 0.0)
     return bce, grad
 
 
@@ -282,7 +295,7 @@ def binary_cross_entropy(probs, labels):
     The gradient is zero where the clamp is active.
     """
     probs, labels = _check_vectors(probs, labels)
-    bce, grad = _bce(probs[None], labels)
+    bce, grad = _bce(probs[None], labels.astype(np.float64))
     return float(bce[0]), grad[0]
 
 
@@ -300,56 +313,84 @@ def _term_columns(term_sets):
     return columns
 
 
-def _evaluate(terms, probs, labels, groups, mode):
-    """A stack's combined loss as arrays: (stacked, term sets, bce (M,), soft BPS and penalties
-    (T, M), skipped (T,), totals (M,), gradient (M, n)); 1-D probs are a stack of one.
+class LossPlan:
+    """What a stack's loss pass needs besides its outputs, derived once.
+
+    From the data: the labels, checked 0/1 and held as float64, and each
+    row's cell 2*group + label, with at most two group values (group index
+    0/1 is the sorted value).  From the stack's term tuples, one per model:
+    per position, the measure's coefficients under ``mode``, its fixed
+    denominator, the alphas and powers and which alphas are nonzero, and
+    the position's soft variant, numbered by first use.  ``plan[positions]``
+    is the plan of the models at those positions on the same data.
+    """
+
+    def __init__(self, term_sets, labels, groups, mode=DenominatorMode.AS_WRITTEN):
+        labels = _as_binary_vector("labels", labels)
+        present, self.cells = _cells(groups, labels)
+        if present.size > 2:
+            raise InputShapeError(f"training losses support two groups, found {present.tolist()}")
+        self.labels = labels.astype(np.float64)  # exact for 0/1; spares mixed-type loops
+        self.mode = DenominatorMode(mode)
+        self._set_terms([tuple(terms) for terms in term_sets])
+
+    def __getitem__(self, positions):
+        plan = copy(self)
+        plan._set_terms([self.term_sets[pos] for pos in positions])
+        return plan
+
+    def _set_terms(self, term_sets):
+        self.term_sets = term_sets
+        columns = _term_columns(term_sets)
+        self.variants = list(dict.fromkeys(column[0].variant for column in columns))
+        self.columns = []
+        for column in columns:
+            kind = column[0].kind
+            alphas = np.array([term.alpha for term in column])
+            powers = [term.power for term in column]
+            # zero-weight terms must leave BCE bit-identical
+            self.columns.append((_coefficients(kind, self.mode), measure_coefficients(kind)[1, 1],
+                                 self.variants.index(column[0].variant), alphas, powers,
+                                 alphas != 0.0, -alphas * powers))
+
+
+def _evaluate(plan, probs, rows=None):
+    """A stack's combined loss on ``rows`` of the plan's data (all for None), as arrays:
+    (bce (M,), soft BPS and penalties (T, M), skipped (T,), totals (M,), gradient (M, n)).
 
     Every value is computed before, and independently of, its gradient.
     """
-    probs, labels = _check_vectors(probs, labels, probs_ndims=(1, 2))
-    mode = DenominatorMode(mode)
-    stacked = probs.ndim == 2
-    if stacked:
-        term_sets = [tuple(t) for t in terms]
-        if len(term_sets) != probs.shape[0]:
-            raise InputShapeError(
-                f"{probs.shape[0]} stacked models need as many term tuples, got {len(term_sets)}")
+    models = len(plan.term_sets)
+    if rows is None:
+        cell, labels = plan.cells, plan.labels
     else:
-        term_sets = [tuple(terms)]
-        probs = probs[None]
-    present, cell = _cells(groups, labels)
-    if present.size > 2:
-        raise InputShapeError(f"training losses support two groups, found {present.tolist()}")
-    counts = _counts(cell, 2) if present.size == 2 else None
-
-    columns = _term_columns(term_sets)
-    models = len(term_sets)
+        cell, labels = plan.cells[rows], plan.labels[rows]
+    if probs.shape != (models, cell.size):
+        raise InputShapeError(f"probs shape {probs.shape} != ({models} models, {cell.size} rows)")
+    counts = _counts(cell, 2)
     bce, grad = _bce(probs, labels)
     totals = bce.copy()
-    bps, penalties = np.ones((len(columns), models)), np.zeros((len(columns), models))
-    skipped = [True] * len(columns)
+    bps, penalties = np.ones((len(plan.columns), models)), np.zeros((len(plan.columns), models))
+    skipped = [True] * len(plan.columns)
     trains = np.zeros(models, dtype=bool)  # rows with a term of nonzero weight
-    by_variant = {}  # variant -> (tables, w'(probs) or None, d total / d P)
-    for t, column in enumerate(columns):
-        kind, variant = column[0].kind, column[0].variant
+    by_variant = {}  # variant number -> (tables, w'(probs) or None, d total / d P)
+    for t, (coef, fixed, v, alphas, powers, weighted, slope_of_alpha) in enumerate(plan.columns):
         # both groups need rows in the term's conditioning class, which the
         # fixed denominator counts; otherwise the ratio would be meaningless
-        if counts is None or not (counts @ measure_coefficients(kind)[1, 1]).all():
+        if not (counts @ fixed).all():
             continue
         skipped[t] = False
-        if variant not in by_variant:
-            w, dw = _weights(variant, probs)
-            by_variant[variant] = (_tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
-        tables, _, d_total = by_variant[variant]
-        m, dm = _measure(kind, mode, tables)
+        if v not in by_variant:
+            w, dw = _weights(plan.variants[v], probs)
+            by_variant[v] = (_tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
+        tables, _, d_total = by_variant[v]
+        m, dm = _measure(coef, tables)
         bps[t], dr = _ratio(m)
-        alphas, powers = np.array([term.alpha for term in column]), [term.power for term in column]
         base = (1.0 - bps[t]).tolist()  # Python scalar pows: np.power can differ in the last bit
         penalties[t] = [b ** k for b, k in zip(base, powers)]
-        weighted = alphas != 0.0  # zero-weight terms must leave BCE bit-identical
         np.add(totals, alphas * penalties[t], out=totals, where=weighted)
         trains |= weighted
-        slope = (-alphas * powers) * [b ** (k - 1) for b, k in zip(base, powers)]
+        slope = slope_of_alpha * [b ** (k - 1) for b, k in zip(base, powers)]
         np.add(d_total, (slope[:, None] * dr)[..., None] * dm, out=d_total,
                where=weighted[:, None, None])
     if trains.any():
@@ -360,7 +401,23 @@ def _evaluate(terms, probs, labels, groups, mode):
                 step *= dw
             # rows whose terms all have zero weight are left out, never added as 0
             np.add(grad, step, out=grad, where=trains[:, None])
-    return stacked, term_sets, bce, bps, penalties, skipped, totals, grad
+    return bce, bps, penalties, skipped, totals, grad
+
+
+def _stack_plan(terms, probs, labels, groups, mode):
+    """(stacked, (M, n) probabilities, plan over these rows) of a call with terms and data;
+    1-D probs are a stack of one with one term tuple."""
+    probs, labels = _check_shapes(probs, labels, probs_ndims=(1, 2))
+    stacked = probs.ndim == 2
+    if stacked:
+        term_sets = [tuple(t) for t in terms]
+        if len(term_sets) != probs.shape[0]:
+            raise InputShapeError(
+                f"{probs.shape[0]} stacked models need as many term tuples, got {len(term_sets)}")
+    else:
+        term_sets = [tuple(terms)]
+        probs = probs[None]
+    return stacked, probs, LossPlan(term_sets, labels, groups, mode)
 
 
 def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
@@ -376,20 +433,27 @@ def combined_loss(terms: Sequence[FairnessTerm], probs, labels, groups,
     tuples must match in length, kind and variant position by position;
     alpha and power may differ.
     """
-    stacked, term_sets, bce, bps, penalties, skipped, totals, _ = _evaluate(
-        terms, probs, labels, groups, mode)
-    rows = zip(totals.tolist(), bce.tolist(), term_sets, bps.T.tolist(), penalties.T.tolist())
+    stacked, probs, plan = _stack_plan(terms, probs, labels, groups, mode)
+    bce, bps, penalties, skipped, totals, _ = _evaluate(plan, probs)
+    rows = zip(totals.tolist(), bce.tolist(), plan.term_sets, bps.T.tolist(),
+               penalties.T.tolist())
     values = tuple(LossValue(total, b, tuple(map(TermValue, model_terms, soft, loss, skipped)))
                    for total, b, model_terms, soft, loss in rows)
     return values if stacked else values[0]
 
 
-def combined_loss_and_gradient(terms, probs, labels, groups,
+def combined_loss_and_gradient(terms, probs, labels, groups=None,
                                mode: DenominatorMode = DenominatorMode.AS_WRITTEN):
     """(total, gradient) of the same pass as ``combined_loss``, for the training loop.
 
     Stacked (M, n) probabilities give ((M,) totals, (M, n) gradient); no
-    LossValue is built.
+    LossValue is built.  The training step passes the stack's LossPlan as
+    ``terms`` and its batch's row indices into the plan's data as
+    ``labels``; the plan holds the groups and the mode.
     """
-    stacked, *_, totals, grad = _evaluate(terms, probs, labels, groups, mode)
+    if isinstance(terms, LossPlan):
+        *_, totals, grad = _evaluate(terms, probs, labels)
+        return totals, grad
+    stacked, probs, plan = _stack_plan(terms, probs, labels, groups, mode)
+    *_, totals, grad = _evaluate(plan, probs)
     return (totals, grad) if stacked else (float(totals[0]), grad[0])

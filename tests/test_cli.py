@@ -382,6 +382,23 @@ class TestGrid:
         assert main(["synth", "--config", str(workspace / "cfg.yaml"),
                      "--out", str(workspace / "again.csv")]) == 0
 
+    @pytest.mark.parametrize("command", [[], ["train"], ["grid"], ["evaluate"], ["report"],
+                                         ["synth"]], ids=lambda c: c[0] if c else "bpsfair")
+    def test_one_parser_prints_the_help_a_fresh_one_prints(self, command, capsys):
+        def printed(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(command + ["--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        assert cli.build_parser() is cli.build_parser()  # built once per process
+        fresh = printed(cli.build_parser.__wrapped__().parse_args)
+        assert fresh.startswith("usage: bpsfair") and "--help" in fresh
+        assert printed(main) == fresh
+        # parsing a command's arguments leaves nothing behind in the shared parser
+        cli.build_parser().parse_args(["grid", "--config", "c", "--out", "o", "--jobs", "3"])
+        assert printed(main) == fresh
+
     @pytest.mark.parametrize("overrides, message", [
         ({"report": {"tables": [{"label": "x", "alpha": 0.7}]}}, "matched 0 cells"),
         ({"report": {"tables": [{"label": "x", "measures": "FNR"}]}}, "matched 2 cells"),

@@ -38,10 +38,10 @@ from bpsfair.engine import (
     select_cell,
     train_model,
 )
-from bpsfair.errors import ConfigError, DivergenceError, NonFiniteOutputError
+from bpsfair.errors import ConfigError, DivergenceError, InputShapeError, NonFiniteOutputError
 from bpsfair.losses import DenominatorMode, FairnessTerm, SoftVariant
 from bpsfair.metrics import MeasureKind, bps_report
-from bpsfair import cli, engine, network
+from bpsfair import cli, engine, losses, network
 from bpsfair.network import NetworkConfig, forward, serialize
 from bpsfair.config import load_config
 from bpsfair.engine import RunResult
@@ -955,6 +955,59 @@ class TestShardedStack:
 
 @forked_workers
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLossPlanPerStack:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_set_up_runs_once_per_stack_and_per_drop(self, monkeypatch):
+        # the 1e308 model diverges, so its stack drops it once and trains on
+        dataset, split, config, keys = sharded_group_inputs()
+        _, term_sets = engine._term_sets(keys)
+        events, building = [], [0]  # ("build" | "step" | set-up name, inside a plan build)
+
+        def recording(name, function, build=False):
+            def stub(*args, **kwargs):
+                events.append((name, building[0] > 0))
+                building[0] += build
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    building[0] -= build
+            return stub
+
+        monkeypatch.setattr(losses.LossPlan, "__init__",
+                            recording("build", losses.LossPlan.__init__, build=True))
+        monkeypatch.setattr(losses.LossPlan, "__getitem__",
+                            recording("build", losses.LossPlan.__getitem__, build=True))
+        monkeypatch.setattr(engine, "combined_loss_and_gradient",
+                            recording("step", engine.combined_loss_and_gradient))
+        for name in ("_term_columns", "measure_coefficients"):
+            monkeypatch.setattr(losses, name, recording(name, getattr(losses, name)))
+        monkeypatch.setattr(np, "unique", recording("unique", np.unique))
+        for stack in (term_sets, term_sets[:2], term_sets[2:]):
+            events.clear()
+            outcomes = engine._train_stack(dataset, split, config, stack)
+            drops = {(o.epoch, o.batch) for o in outcomes if isinstance(o, DivergenceError)}
+            builds, steps = events.count(("build", False)), events.count(("step", False))
+            assert builds == 1 + len(drops) and steps == config.epochs * 5  # 5 batches an epoch
+            assert len(drops) == (1e308 in [t[0].alpha for t in stack])
+            # the set-up runs inside a build, never in a step
+            set_up = [e for e in events if e[0] not in ("build", "step")]
+            assert set_up and all(inside for _, inside in set_up)
+            assert {name for name, _ in set_up} == {"_term_columns", "measure_coefficients",
+                                                     "unique"}
+
+    def test_three_groups_refused_before_the_first_forward(self, monkeypatch):
+        dataset, split, _, _ = separable_setup()
+        groups = dataset.A.copy()
+        groups[split[0][:5]] = 2  # a third group value among the training rows
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a forward ran before the groups were checked")
+
+        monkeypatch.setattr(engine, "forward", refuse)
+        with pytest.raises(InputShapeError, match=r"two groups, found \[0, 1, 2\]"):
+            train_model(replace(dataset, A=groups), split, small_config())
+
+
 def test_arch2_width_bytes_do_not_depend_on_shards_or_jobs(monkeypatch, tmp_path):
     """An arch2-width stack trains to the same bytes in-process, in two shards and at jobs=2.
 

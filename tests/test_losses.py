@@ -572,7 +572,7 @@ def loop_evaluate(terms, probs, labels, groups, mode):
             w, dw = losses._weights(variant, probs)
             by_variant[variant] = (losses._tables(w, cell, counts), dw, np.zeros((models, 2, 2)))
         tables, _, d_total = by_variant[variant]
-        m, dm = losses._measure(kind, mode, tables)
+        m, dm = losses._measure(measure_coefficients(kind, mode is AS_WRITTEN), tables)
         slopes = []
         for i, (term, (m0, m1)) in enumerate(zip(column, m.tolist())):
             r = loop_ratio(m0, m1)
@@ -641,6 +641,81 @@ class TestArrayLossMatchesLoop:
                 assert type(totals) is float and totals.hex() == expected.total.hex()
             else:
                 assert totals.tobytes() == np.array([v.total for v in expected]).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        models=st.integers(1, 12),
+        n=st.integers(8, 299),
+        columns=st.lists(st.tuples(st.sampled_from(ALL_KINDS),
+                                   st.sampled_from([CONT, SIG, SoftVariant.sigmoided(10.0)])),
+                         max_size=3),
+        mode=st.sampled_from([AS_WRITTEN, RATE]),
+        saturated=st.sampled_from([0.0, 0.3, 1.0]),
+        group_values=st.sampled_from([(0, 1), (0, 3), (3, 3)]),
+    )
+    def test_one_plan_serves_many_batches(self, seed, models, n, columns, mode, saturated,
+                                          group_values):
+        # the training step's path: one plan over the data, then batches of row indices
+        rng = np.random.default_rng(seed)
+        labels, groups = rng.integers(0, 2, n), rng.choice(group_values, n)
+        alphas = rng.choice([0.0, 0.05, 0.3, 1.0, 2.5], (models, len(columns)))
+        powers = rng.integers(1, 5, (models, len(columns))).tolist()
+        term_sets = [tuple(FairnessTerm(kind, variant, alpha, power)
+                           for (kind, variant), alpha, power in zip(columns, a_i, k_i))
+                     for a_i, k_i in zip(alphas.tolist(), powers)]
+        batches = [rng.choice(n, size, replace=False) for size in rng.integers(1, n + 1, 3)]
+        batches += [np.flatnonzero(groups == groups[0]),  # one group only
+                    np.flatnonzero((groups != groups[0]) | (labels == 1)),  # an empty cell
+                    rng.integers(0, n, 40)]  # rows drawn twice
+        survivors = sorted(rng.choice(models, rng.integers(1, models + 1), replace=False).tolist())
+        plan = losses.LossPlan(term_sets, labels, groups, mode)
+        dropped = plan[survivors]  # what the step keeps after a drop
+        fresh = losses.LossPlan([term_sets[i] for i in survivors], labels, groups, mode)
+        for rows in batches:
+            stack = rng.uniform(0.0, 1.0, (models, rows.size))
+            corner = rng.random(stack.shape) < saturated  # outputs pinned at exactly 0 or 1
+            stack[corner] = rng.integers(0, 2, corner.sum())
+            for step_plan, sets, probs in ((plan, term_sets, stack),
+                                           (dropped, fresh.term_sets, stack[survivors])):
+                expected, expected_grad = loop_evaluate(sets, probs, labels[rows], groups[rows],
+                                                        mode)
+                totals, grad = combined_loss_and_gradient(step_plan, probs, rows)
+                assert grad.tobytes() == expected_grad.tobytes()
+                assert totals.tobytes() == np.array([v.total for v in expected]).tobytes()
+            # the survivors' plan, the loop's last, gives a fresh plan's bits
+            again, again_grad = combined_loss_and_gradient(fresh, stack[survivors], rows)
+            assert (again.tobytes(), again_grad.tobytes()) == (totals.tobytes(), grad.tobytes())
+
+    def test_variants_add_their_gradients_in_the_order_they_first_train(self):
+        # group 1 has no negatives, so the FPR term is skipped and the sigmoided variant's
+        # gradient joins after the continuous one's, as the per-model loop adds them
+        rng = np.random.default_rng(5)
+        labels = np.array([0, 1] * 20 + [1] * 20)
+        groups = np.repeat([0, 1], [40, 20])
+        term_sets = [(FairnessTerm(MeasureKind.FPR, SIG, a, 2),
+                      FairnessTerm(MeasureKind.STP, CONT, a, 1),
+                      FairnessTerm(MeasureKind.TPR, SIG, 2 * a, 3)) for a in (0.3, 1.0, 2.5)]
+        plan = losses.LossPlan(term_sets, labels, groups, RATE)
+        for _ in range(20):
+            rows = rng.choice(labels.size, 30, replace=False)
+            rows[:2] = [0, 59]  # a negative of group 0 and a row of group 1
+            probs = rng.uniform(0.0, 1.0, (3, rows.size))
+            expected, expected_grad = loop_evaluate(term_sets, probs, labels[rows], groups[rows],
+                                                    RATE)
+            assert [t.skipped for t in expected[0].per_term] == [True, False, False]
+            assert combined_loss_and_gradient(plan, probs, rows)[1].tobytes() == (
+                expected_grad.tobytes())
+
+    def test_plan_refuses_what_the_data_cannot_hold(self):
+        terms = [(FairnessTerm(MeasureKind.FPR, CONT, 0.5, 1),)]
+        with pytest.raises(InputShapeError, match="two groups"):
+            losses.LossPlan(terms, [0, 1, 0, 1], [0, 1, 2, 1])
+        with pytest.raises(InputShapeError, match="0/1"):
+            losses.LossPlan(terms, [0, 2, 0, 1], [0, 1, 0, 1])
+        plan = losses.LossPlan(terms, [0, 1, 0, 1], [0, 1, 0, 1])
+        with pytest.raises(InputShapeError, match="1 models, 3 rows"):
+            combined_loss_and_gradient(plan, np.full((2, 3), 0.5), np.arange(3))
 
     def test_training_path_builds_no_loss_objects(self, monkeypatch):
         def refuse(*args, **kwargs):
